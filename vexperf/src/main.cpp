@@ -1,14 +1,13 @@
 // vexperf entry point: set-up, timed passes, output checks and the report.
 //
 //   vexperf --workload paper_mix|design_space|warm_rerun --seed N
-//           --seconds S --trace 0|1 [--setup-runs K] [--min-passes N]
-//           [--samples N] [--budget N] [--workdir DIR] [--spans FILE]
+//           --seconds S --trace 0|1 [--budget N] [--workdir DIR]
+//           [--spans FILE]
 //
 // --trace 0 prints the end-to-end metrics, --trace 1 the per-layer report
 // of the traced run. Either way the last line of standard output is one
 // JSON object {"correct", "attempted", "failed", "metrics"}, and the exit
 // code is nonzero when any output check failed.
-#include <sched.h>
 #include <sys/resource.h>
 #include <unistd.h>
 
@@ -56,6 +55,10 @@ class ScratchDir {
 
 double median(std::vector<double> v) { return quantile(std::move(v), 0.5); }
 
+double best(const std::vector<double>& v) {
+  return v.empty() ? 0.0 : *std::min_element(v.begin(), v.end());
+}
+
 // Per-second rate of `count` over a pass time; 0 when no pass completed.
 double rate(std::uint64_t count, double seconds) {
   return seconds > 0.0 ? static_cast<double>(count) / seconds : 0.0;
@@ -94,8 +97,6 @@ Config parse_config(int argc, char** argv) {
   // program, not the scheduler.
   cfg.jobs_par =
       std::max(2, static_cast<int>(std::thread::hardware_concurrency()) / 2);
-  cfg.setup_runs = static_cast<int>(cli.get_int("setup-runs", cfg.setup_runs));
-  cfg.samples = static_cast<int>(cli.get_int("samples", cfg.samples));
   cfg.budget = static_cast<std::uint64_t>(cli.get_int("budget", 0));
   cfg.workdir = cli.get("workdir", fs::temp_directory_path().string());
   cfg.template_path = VEXPERF_TEMPLATE;
@@ -103,11 +104,7 @@ Config parse_config(int argc, char** argv) {
   cfg.spans_path = cli.get("spans", "");
   cfg.setup_only = cli.get_bool("setup-only", false);
   cfg.corrupt = cli.get_bool("corrupt", false);
-  cfg.min_passes = static_cast<int>(cli.get_int("min-passes", cfg.min_passes));
   VEXSIM_CHECK_MSG(cfg.seconds > 0.0, "--seconds must be > 0");
-  VEXSIM_CHECK_MSG(cfg.setup_runs >= 1, "--setup-runs must be >= 1");
-  VEXSIM_CHECK_MSG(cfg.samples >= 1, "--samples must be >= 1");
-  VEXSIM_CHECK_MSG(cfg.min_passes >= 1, "--min-passes must be >= 1");
   return cfg;
 }
 
@@ -117,8 +114,8 @@ double setup_in_fresh_process(const Config& cfg, const std::string& scratch) {
   const std::string self = fs::read_symlink("/proc/self/exe").string();
   std::ostringstream cmd;
   cmd << shell_quote(self) << " --setup-only --workload " << cfg.workload
-      << " --seed " << cfg.seed << " --samples " << cfg.samples
-      << " --budget " << cfg.budget << " --workdir " << shell_quote(scratch);
+      << " --seed " << cfg.seed << " --budget " << cfg.budget
+      << " --workdir " << shell_quote(scratch);
   FILE* child = ::popen(cmd.str().c_str(), "r");
   VEXSIM_CHECK_MSG(child != nullptr, "cannot start the set-up process");
   std::string out;
@@ -147,24 +144,8 @@ struct Tally {
   }
 };
 
-// Timestamps every line run_sweep writes to its progress stream. With
-// progress_every = 1 a line follows each completed point, so a pass's wall
-// time splits into completion intervals without instrumenting the sweep.
-class LineStamps : public std::streambuf {
- public:
-  std::vector<Clock::time_point> stamps;
-
- protected:
-  int overflow(int c) override {
-    if (c == '\n') stamps.push_back(Clock::now());
-    return c;
-  }
-};
-
 struct Pass {
   double wall_s = 0.0;
-  // Completion intervals: pass start -> first line -> ... -> pass end.
-  std::vector<double> intervals;
   std::vector<RunResult> results;
   std::string trajectory;
   std::string merged;
@@ -176,11 +157,8 @@ Pass timed_pass(const Workload& w, int jobs, const std::string& cache_dir) {
   vexsim::harness::SweepOptions opts;
   opts.jobs = jobs;
   opts.cache_dir = cache_dir;
-  opts.progress_every = 1;
-  LineStamps lines;
-  std::ostream progress(&lines);
-  opts.progress_stream = &progress;
-  lines.stamps.reserve(w.points.size() + 2);
+  std::ostream quiet(nullptr);  // no cache summary line per pass
+  opts.progress_stream = &quiet;
   Pass pass;
   const Clock::time_point t0 = Clock::now();
   pass.results = vexsim::harness::run_sweep(w.points, opts);
@@ -188,14 +166,7 @@ Pass timed_pass(const Workload& w, int jobs, const std::string& cache_dir) {
       vexsim::harness::sweep_json(w.name, w.points, pass.results).dump();
   if (!w.warm_cache_dir.empty())
     pass.merged = split_and_merge(w.name, w.points, pass.results);
-  const Clock::time_point t1 = Clock::now();
-  pass.wall_s = seconds_between(t0, t1);
-  Clock::time_point prev = t0;
-  for (const Clock::time_point t : lines.stamps) {
-    pass.intervals.push_back(seconds_between(prev, t));
-    prev = t;
-  }
-  pass.intervals.push_back(seconds_between(prev, t1));
+  pass.wall_s = seconds_between(t0, Clock::now());
   return pass;
 }
 
@@ -205,75 +176,17 @@ std::uint64_t total_cycles(const std::vector<RunResult>& results) {
   return c;
 }
 
-// The timed passes of one --jobs setting.
+// Alternating --jobs 1 / --jobs N passes: a fixed number of rounds that
+// fills about --seconds, at least kMinPasses. Every pass is checked against
+// the reference.
 //
-// Noise on a shared host only ever slows a pass down, often one CPU for
-// many seconds, so the figure that repeats from run to run is the best one
-// a run saw, not its median. The report prints the median pass wall time
-// next to it.
-struct PassSeries {
-  std::vector<double> walls;
-  std::vector<std::vector<double>> intervals;
-
-  // A serial pass runs its points one after the other, so each completion
-  // interval is one point (the first and last also hold the pass's set-up
-  // and JSON rendering). The pass time is the sum over intervals of each
-  // interval's best time across the passes.
-  [[nodiscard]] double best_interval_sum() const {
-    if (intervals.empty()) return 0.0;
-    for (const std::vector<double>& v : intervals)
-      if (v.size() != intervals.front().size()) return best_wall();
-    double sum = 0.0;
-    for (std::size_t k = 0; k < intervals.front().size(); ++k) {
-      double best = intervals.front()[k];
-      for (const std::vector<double>& v : intervals)
-        best = std::min(best, v[k]);
-      sum += best;
-    }
-    return sum;
-  }
-  // A parallel pass interleaves its workers' points, so its intervals do
-  // not line up across passes; its figure is the best whole pass.
-  [[nodiscard]] double best_wall() const {
-    return walls.empty() ? 0.0 : *std::min_element(walls.begin(), walls.end());
-  }
-};
-
-// Keeps the calling thread on one CPU for its lifetime, the `pass`-th of
-// the allowed CPUs in turn. A lone sweep thread otherwise stays on whichever
-// CPU it started on; on a shared host one CPU is often slowed for many
-// seconds, and rotating the serial passes over the CPUs keeps one slow CPU
-// from deciding every serial pass of a run.
-class CpuRotation {
- public:
-  explicit CpuRotation(int pass) {
-    if (::sched_getaffinity(0, sizeof saved_, &saved_) != 0) return;
-    std::vector<int> cpus;
-    for (int c = 0; c < CPU_SETSIZE; ++c)
-      if (CPU_ISSET(c, &saved_)) cpus.push_back(c);
-    if (cpus.size() < 2) return;
-    cpu_set_t one;
-    CPU_ZERO(&one);
-    CPU_SET(cpus[static_cast<std::size_t>(pass) % cpus.size()], &one);
-    pinned_ = ::sched_setaffinity(0, sizeof one, &one) == 0;
-  }
-  ~CpuRotation() {
-    if (pinned_) (void)::sched_setaffinity(0, sizeof saved_, &saved_);
-  }
-  CpuRotation(const CpuRotation&) = delete;
-  CpuRotation& operator=(const CpuRotation&) = delete;
-
- private:
-  cpu_set_t saved_{};
-  bool pinned_ = false;
-};
-
-// Alternating --jobs 1 / --jobs N passes, at least `min_passes` of each and
-// then more while the window lasts. Every pass is checked against the
-// reference.
+// Each setting's figure is its best pass. Noise on a shared host only ever
+// slows a pass down, and it drifts over minutes, so a run's median moves
+// with the load around it; over a fixed number of passes the best one
+// repeats from run to run. The report prints the median next to it.
 struct Passes {
-  PassSeries serial;
-  PassSeries parallel;
+  std::vector<double> serial;          // --jobs 1 pass wall times
+  std::vector<double> parallel;        // --jobs N pass wall times
   std::uint64_t cycles = 0;            // simulated cycles of one pass
   std::vector<std::string> reference;  // per-point entries
   std::string reference_trajectory;
@@ -287,17 +200,15 @@ Passes run_passes(const Config& cfg, const Workload& w,
   if (!w.fill_docs.empty()) out.reference = w.fill_docs;
   bool corrupted = false;
   int pass_no = 0;
-  const Clock::time_point start = Clock::now();
-  for (int round = 1;; ++round) {
-    const Clock::time_point round_start = Clock::now();
+  const int rounds =
+      std::max(kMinPasses, static_cast<int>(cfg.seconds / w.round_s));
+  for (int round = 1; round <= rounds; ++round) {
     for (const int jobs : {1, cfg.jobs_par}) {
       const std::string dir =
           w.cold_cache ? scratch + "/pass" + std::to_string(pass_no++)
                        : w.warm_cache_dir;
       Pass pass;
       try {
-        std::optional<CpuRotation> pin;
-        if (jobs == 1) pin.emplace(round - 1);
         pass = timed_pass(w, jobs, dir);
       } catch (const std::exception& e) {
         tally.add(n, n, std::string("sweep threw: ") + e.what());
@@ -333,13 +244,8 @@ Passes run_passes(const Config& cfg, const Workload& w,
       if (!w.warm_cache_dir.empty() && pass.merged != pass.trajectory)
         tally.add(0, 1, "4-way merge differs from sweep_json");
       if (w.cold_cache) fs::remove_all(dir);
-      PassSeries& series = jobs == 1 ? out.serial : out.parallel;
-      series.walls.push_back(pass.wall_s);
-      series.intervals.push_back(std::move(pass.intervals));
+      (jobs == 1 ? out.serial : out.parallel).push_back(pass.wall_s);
     }
-    const double elapsed = seconds_between(start, Clock::now());
-    const double last = seconds_between(round_start, Clock::now());
-    if (round >= cfg.min_passes && elapsed + last > cfg.seconds) break;
   }
   return out;
 }
@@ -371,15 +277,15 @@ void print_metric(const Metric& m, const std::string& note) {
             << "\n";
 }
 
-// The pass time a metric was computed from, then the plain pass wall
-// times: median, tail percentile and sample count.
-std::string pass_note(double best, const std::vector<double>& walls) {
+// The pass wall times a metric was computed from: median, tail percentile,
+// best and sample count.
+std::string pass_note(const std::vector<double>& walls) {
+  if (walls.empty()) return "(no pass completed)";
   std::ostringstream s;
-  s << std::setprecision(4) << "best " << best << " s; pass wall median "
-    << median(walls) << " s";
+  s << std::setprecision(4) << "pass wall median " << median(walls) << " s";
   const double p = tail_percentile(walls.size());
   if (p > 0.0) s << ", p" << p << " " << quantile(walls, p / 100.0) << " s";
-  s << " (n=" << walls.size() << ")";
+  s << ", best " << best(walls) << " s (n=" << walls.size() << ")";
   if (walls.size() <= 8) {  // few enough to list
     s << ":";
     for (const double w : walls) s << " " << w;
@@ -430,11 +336,9 @@ int run(int argc, char** argv) {
     if (!w.warm_cache_dir.empty() && replay->merged != replay->trajectory)
       tally.add(0, 1, "traced 4-way merge differs from sweep_json");
     UntracedFigures u;
-    // The replay is a single pass, so it is compared with a typical
-    // untraced pass, not the best one.
-    u.serial_wall_s = median(passes.serial.walls);
-    u.points_per_s = rate(n, passes.serial.best_interval_sum());
-    u.points_per_s_par = rate(n, passes.parallel.best_wall());
+    u.serial_wall_s = median(passes.serial);
+    u.points_per_s = rate(n, best(passes.serial));
+    u.points_per_s_par = rate(n, best(passes.parallel));
     u.jobs_par = cfg.jobs_par;
     metrics = layer_metrics(w, *replay, u);
     if (!cfg.spans_path.empty()) write_spans(cfg.spans_path, *replay);
@@ -444,10 +348,14 @@ int run(int argc, char** argv) {
     for (const Metric& m : metrics) print_metric(m, "");
   } else {
     std::vector<double> setup{w.setup_s};
-    for (int k = 1; k < cfg.setup_runs; ++k)
+    double setup_total = w.setup_s;
+    while (static_cast<int>(setup.size()) < kSetupRuns ||
+           setup_total < kSetupSeconds) {
       setup.push_back(setup_in_fresh_process(cfg, scratch.path()));
-    const double serial = passes.serial.best_interval_sum();
-    const double parallel = passes.parallel.best_wall();
+      setup_total += setup.back();
+    }
+    const double serial = best(passes.serial);
+    const double parallel = best(passes.parallel);
     metrics = {
         {"points_per_s", rate(n, serial), "points/s"},
         {"points_per_s_par", rate(n, parallel), "points/s"},
@@ -457,8 +365,8 @@ int run(int argc, char** argv) {
     };
     std::cout << "end-to-end metrics (from the best pass time of each "
                  "--jobs setting)\n";
-    print_metric(metrics[0], pass_note(serial, passes.serial.walls));
-    print_metric(metrics[1], pass_note(parallel, passes.parallel.walls));
+    print_metric(metrics[0], pass_note(passes.serial));
+    print_metric(metrics[1], pass_note(passes.parallel));
     print_metric(metrics[2], "--jobs 1");
     print_metric(metrics[3], "(n=" + std::to_string(setup.size()) +
                                  " fresh-process set-ups)");

@@ -99,6 +99,8 @@ vexsim::DriverParams driver_params(const SweepPoint& p) {
   params.seed = p.opt.seed;
   params.respawn = true;
   params.fast_forward = p.opt.fast_forward;
+  params.fused = p.opt.fused;
+  params.profile = p.opt.profile;
   return params;
 }
 

@@ -25,16 +25,23 @@ using Clock = std::chrono::steady_clock;
   return std::chrono::duration<double>(b - a).count();
 }
 
+// Accepted design points of design_space (and of warm_rerun's share):
+// 2 x the 54 round-robin strata, so every seed runs the same mix.
+inline constexpr int kDesignSamples = 108;
+// Timed passes per --jobs setting, at least.
+inline constexpr int kMinPasses = 3;
+// Set-up samples per run (fresh processes), at least; more until
+// kSetupSeconds of set-up time has been measured.
+inline constexpr int kSetupRuns = 5;
+inline constexpr double kSetupSeconds = 1.0;
+
 // Command-line configuration of one benchmark process.
 struct Config {
   std::string workload;     // paper_mix | design_space | warm_rerun
   std::uint64_t seed = 42;
-  double seconds = 30.0;    // measurement window for the timed passes
+  double seconds = 30.0;    // about this long: sets the timed round count
   bool trace = false;       // traced run + per-layer report instead of e2e
   int jobs_par = 2;         // N of the --jobs N passes: max(2, nproc / 2)
-  int setup_runs = 5;       // set-up samples (fresh processes) per run
-  int min_passes = 3;       // timed passes per --jobs setting, at least
-  int samples = 108;        // accepted design points (design_space, warm)
   std::uint64_t budget = 0; // > 0 overrides every point's budget (tests)
   std::string workdir;      // parent of the run's private scratch directory
   std::string template_path;  // design_space.conf next to the sources
@@ -48,6 +55,10 @@ struct Config {
 struct Workload {
   std::string name;
   std::vector<vexsim::harness::SweepPoint> points;
+  // Typical wall time of one --jobs 1 + --jobs N round of passes on a
+  // 4-core x86-64 host. It turns --seconds into a fixed number of rounds,
+  // so that every build of the program is timed over the same sample size.
+  double round_s = 0.0;
   // design_space: every timed pass starts from an empty result cache.
   bool cold_cache = false;
   // warm_rerun: the result cache filled during set-up, and the trajectory

@@ -60,10 +60,10 @@ std::vector<SweepPoint> paper_points(std::uint64_t seed,
 }
 
 // Template axes assigned round-robin over the accepted points instead of
-// drawn: every seed then runs each combination of them equally often (with
-// --samples a multiple of the 54 combinations), so the memory behaviour and
-// the bulk of the host cost per point, which grows with the context count,
-// do not move with the seed. The remaining axes are drawn.
+// drawn: every seed then runs each combination of them equally often
+// (kDesignSamples is a multiple of the 54 combinations), so the memory
+// behaviour and the bulk of the host cost per point, which grows with the
+// context count, do not move with the seed. The remaining axes are drawn.
 // The last axis varies fastest, so even a short run mixes the memory axes.
 const char* const kStrata[] = {"technique", "threads", "footprint", "membk"};
 
@@ -100,7 +100,7 @@ std::vector<SweepPoint> design_points(const Config& cfg, Workload& w) {
   const Clock::time_point t0 = Clock::now();
   const std::vector<vexsim::mdes::DseTemplate> strata =
       stratified(vexsim::mdes::load_template(cfg.template_path));
-  const auto wanted = static_cast<std::uint64_t>(cfg.samples);
+  const auto wanted = static_cast<std::uint64_t>(kDesignSamples);
   const std::uint64_t max_draws = 32 * wanted;
   std::vector<SweepPoint> points;
   std::uint64_t draws = 0;
@@ -144,8 +144,10 @@ Workload make_workload(const Config& cfg, const std::string& scratch,
   w.name = cfg.workload;
   if (cfg.workload == "paper_mix") {
     w.points = paper_points(cfg.seed, cfg.budget);
+    w.round_s = 9.0;
   } else if (cfg.workload == "design_space") {
     w.points = design_points(cfg, w);
+    w.round_s = 9.0;
     w.cold_cache = true;
   } else if (cfg.workload == "warm_rerun") {
     const std::uint64_t budget = cfg.budget > 0 ? cfg.budget : kWarmBudget;
@@ -155,6 +157,7 @@ Workload make_workload(const Config& cfg, const std::string& scratch,
     for (SweepPoint& p : design_points(design, w))
       w.points.push_back(std::move(p));
     // Filling the cache builds every program on the way.
+    w.round_s = 0.15;
     w.warm_cache_dir = scratch + "/warm-cache";
     vexsim::harness::SweepOptions fill;
     fill.jobs = 1;

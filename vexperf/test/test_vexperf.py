@@ -19,8 +19,7 @@ import unittest
 
 ARGS = None
 WORKLOADS = ("paper_mix", "design_space", "warm_rerun")
-TINY = ["--budget", "2000", "--samples", "8", "--seconds", "0.2",
-        "--setup-runs", "2"]
+TINY = ["--budget", "2000", "--seconds", "0.2"]
 
 
 def run(workload, trace, extra=(), seed=7):
@@ -95,9 +94,7 @@ class VexperfTest(unittest.TestCase):
                     self.assertGreaterEqual(result["failed"], 1)
 
     def test_full_budget_paper_mix_matches_fig14_golden(self):
-        code, result, work = run("paper_mix", 0,
-                                 ["--seconds", "0.1", "--min-passes", "1",
-                                  "--setup-runs", "1"])
+        code, result, work = run("paper_mix", 0, ["--seconds", "0.1"])
         os.rmdir(work)
         self.assertEqual(code, 0)
         self.assertTrue(result["correct"])
