@@ -1,6 +1,7 @@
 #include "harness/result_cache.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -109,16 +110,33 @@ void hash_machine(Fingerprint& fp, const MachineConfig& cfg) {
 // to its full canonical mangling, so equivalent spellings share one entry.
 std::string canonical_workload(const std::string& name) {
   const wl::WorkloadSpec spec = wl::workload(name);
-  std::ostringstream os;
+  std::string out;
   for (std::size_t i = 0; i < spec.benchmarks.size(); ++i) {
     const std::string& component = spec.benchmarks[i];
-    if (i > 0) os << '+';
+    if (i > 0) out += '+';
     if (wl_synth::is_synth_name(component))
-      os << wl_synth::parse_spec(component).name();
+      out += wl_synth::parse_spec(component).name();
     else
-      os << component;
+      out += component;
   }
-  return os.str();
+  return out;
+}
+
+// A file's contents in one sized read, or nullopt. Records are renamed into
+// place complete, so the size at open is the record's size; a short read
+// (or anything that is not a plain file) is a miss like any other
+// unreadable record.
+std::optional<std::string> read_file(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return std::nullopt;
+  std::optional<std::string> text;
+  struct stat st {};
+  if (::fstat(fd, &st) == 0) {
+    text.emplace(static_cast<std::size_t>(st.st_size), '\0');
+    if (::read(fd, text->data(), text->size()) != st.st_size) text.reset();
+  }
+  ::close(fd);
+  return text;
 }
 
 // First line of the index file; anything else means "rebuild".
@@ -453,12 +471,10 @@ void ResultCache::rebuild_index() const {
 
 std::optional<RunResult> ResultCache::read_record(const std::string& path,
                                                   std::uint64_t key) const {
-  std::ifstream is(path, std::ios::binary);
-  if (!is.good()) return std::nullopt;  // plain miss
-  std::string text((std::istreambuf_iterator<char>(is)),
-                   std::istreambuf_iterator<char>());
+  const std::optional<std::string> text = read_file(path);
+  if (!text) return std::nullopt;  // plain miss
   try {
-    const Json doc = Json::parse(text);
+    const Json doc = Json::parse(*text);
     // A record from another simulator version (or another key that landed
     // on this path through tampering) is a miss, not an error.
     if (doc.at("version").as_string() != kSimVersionTag) return std::nullopt;

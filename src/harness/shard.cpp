@@ -103,7 +103,7 @@ std::vector<ManifestEntry> build_manifest(
 Json sweep_shard_json(const std::string& experiment, const ShardSpec& shard,
                       const std::vector<ManifestEntry>& manifest,
                       const std::vector<std::size_t>& indices,
-                      const std::vector<Json>& point_docs, bool partial) {
+                      std::vector<Json> point_docs, bool partial) {
   VEXSIM_CHECK(indices.size() == point_docs.size());
   Json doc =
       shard_doc_prefix(experiment, "sweep", shard, manifest.size(), partial);
@@ -113,7 +113,7 @@ Json sweep_shard_json(const std::string& experiment, const ShardSpec& shard,
     Json entry = Json::object();
     entry.set("index", static_cast<std::uint64_t>(indices[k]))
         .set("fingerprint", fingerprint_json(manifest[indices[k]]))
-        .set("point", point_docs[k]);
+        .set("point", std::move(point_docs[k]));
     pts.push(std::move(entry));
   }
   doc.set("points", std::move(pts));
@@ -124,7 +124,7 @@ Json dse_shard_json(const std::string& experiment, const ShardSpec& shard,
                     const Json& header, const std::vector<std::string>& axes,
                     const std::vector<ManifestEntry>& manifest,
                     const std::vector<std::size_t>& indices,
-                    const std::vector<Json>& point_docs,
+                    std::vector<Json> point_docs,
                     const std::vector<std::vector<std::string>>& buckets,
                     bool partial) {
   VEXSIM_CHECK(indices.size() == point_docs.size());
@@ -143,7 +143,7 @@ Json dse_shard_json(const std::string& experiment, const ShardSpec& shard,
     Json entry = Json::object();
     entry.set("index", static_cast<std::uint64_t>(indices[k]))
         .set("fingerprint", fingerprint_json(manifest[indices[k]]))
-        .set("point", point_docs[k])
+        .set("point", std::move(point_docs[k]))
         .set("buckets", std::move(bj));
     pts.push(std::move(entry));
   }
@@ -152,14 +152,9 @@ Json dse_shard_json(const std::string& experiment, const ShardSpec& shard,
 }
 
 Json dse_report(const Json& header, const std::vector<std::string>& axes,
-                const std::vector<Json>& point_docs,
+                std::vector<Json> point_docs,
                 const std::vector<std::vector<std::string>>& buckets) {
   VEXSIM_CHECK(point_docs.size() == buckets.size());
-  Json report = header;
-  Json pts = Json::array();
-  for (const Json& d : point_docs) pts.push(d);
-  report.set("points", std::move(pts));
-
   // Pareto frontier of (cycles-to-halt, total issue slots): sort by (issue
   // asc, cycles asc, label) and keep strictly-improving cycles.
   struct Cand {
@@ -186,7 +181,6 @@ Json dse_report(const Json& header, const std::vector<std::string>& axes,
       best = c.cycles;
     }
   }
-  report.set("pareto", std::move(pareto));
 
   // Per-axis sensitivity: bucket -> (count, cycles sum, IPC sum), summed in
   // point order so double accumulation is bit-reproducible; std::map keys
@@ -218,7 +212,15 @@ Json dse_report(const Json& header, const std::vector<std::string>& axes,
     }
     sensitivity.set(axes[a], std::move(rows));
   }
-  report.set("sensitivity", std::move(sensitivity));
+
+  // The aggregates are read off the point documents, so those move into
+  // the report last.
+  Json pts = Json::array();
+  for (Json& d : point_docs) pts.push(std::move(d));
+  Json report = header;
+  report.set("points", std::move(pts))
+      .set("pareto", std::move(pareto))
+      .set("sensitivity", std::move(sensitivity));
   return report;
 }
 
@@ -293,14 +295,12 @@ MergeOutcome merge_shards(const std::vector<Json>& docs,
     }
   }
 
-  // Collect entries, deduping overlaps and rejecting conflicts. The dump()
-  // comparison is exact: two records for one fingerprint must be
-  // byte-identical or the merge is unsafe.
-  struct Got {
-    std::string dump;
-    const Json* entry;
-  };
-  std::map<std::size_t, Got> got;
+  // Collect entries, deduping overlaps and rejecting conflicts. A point
+  // carried by more than one shard file is compared by dump(), exactly: two
+  // records for one fingerprint must be byte-identical or the merge is
+  // unsafe.
+  std::vector<const Json*> got(total, nullptr);
+  std::size_t present = 0;
   for (std::size_t d = 0; d < docs.size(); ++d) {
     const Json& pts = docs[d].at("points");
     for (std::size_t j = 0; j < pts.size(); ++j) {
@@ -310,7 +310,7 @@ MergeOutcome merge_shards(const std::vector<Json>& docs,
                                                 << " out of range 0.."
                                                 << (total - 1));
       const auto g = static_cast<std::size_t>(g64);
-      const std::string label = manifest.at(g).at("label").as_string();
+      const std::string& label = manifest.at(g).at("label").as_string();
       VEXSIM_CHECK_MSG(
           fingerprint_repr(entry.at("fingerprint")) ==
               fingerprint_repr(manifest.at(g).at("fingerprint")),
@@ -325,31 +325,30 @@ MergeOutcome merge_shards(const std::vector<Json>& docs,
                                    << " is labelled '"
                                    << entry.at("point").at("label").as_string()
                                    << "', manifest says '" << label << "'");
-      std::string dump = entry.dump();
-      const auto it = got.find(g);
-      if (it == got.end()) {
-        got.emplace(g, Got{std::move(dump), &entry});
-      } else {
-        VEXSIM_CHECK_MSG(it->second.dump == dump,
-                         "conflicting records for point #"
-                             << g << " ('" << label
-                             << "'): two shard files carry byte-differing "
-                                "results for the same fingerprint "
-                             << fingerprint_repr(entry.at("fingerprint")));
+      if (got[g] == nullptr) {
+        got[g] = &entry;
+        ++present;
+        continue;
       }
+      VEXSIM_CHECK_MSG(got[g]->dump() == entry.dump(),
+                       "conflicting records for point #"
+                           << g << " ('" << label
+                           << "'): two shard files carry byte-differing "
+                              "results for the same fingerprint "
+                           << fingerprint_repr(entry.at("fingerprint")));
     }
   }
 
   MergeOutcome out;
-  out.present = got.size();
+  out.present = present;
   out.total = total;
-  if (got.size() == total) {
+  if (present == total) {
     out.complete = true;
     if (kind == "sweep") {
       Json merged = Json::object();
       merged.set("experiment", experiment);
       Json pts = Json::array();
-      for (const auto& kv : got) pts.push(kv.second.entry->at("point"));
+      for (const Json* entry : got) pts.push(entry->at("point"));
       merged.set("points", std::move(pts));
       out.merged = std::move(merged);
     } else {
@@ -359,15 +358,16 @@ MergeOutcome merge_shards(const std::vector<Json>& docs,
         axes.push_back(axes_json.at(a).as_string());
       std::vector<Json> point_docs;
       std::vector<std::vector<std::string>> buckets;
-      for (const auto& kv : got) {
-        point_docs.push_back(kv.second.entry->at("point"));
-        const Json& bj = kv.second.entry->at("buckets");
+      for (const Json* entry : got) {
+        point_docs.push_back(entry->at("point"));
+        const Json& bj = entry->at("buckets");
         std::vector<std::string> b;
         for (std::size_t k = 0; k < bj.size(); ++k)
           b.push_back(bj.at(k).as_string());
         buckets.push_back(std::move(b));
       }
-      out.merged = dse_report(first.at("header"), axes, point_docs, buckets);
+      out.merged = dse_report(first.at("header"), axes, std::move(point_docs),
+                              buckets);
     }
     return out;
   }
@@ -380,10 +380,10 @@ MergeOutcome merge_shards(const std::vector<Json>& docs,
       .set("resume", true)
       .set("shard_count", shard_count)
       .set("points_total", static_cast<std::uint64_t>(total))
-      .set("present", static_cast<std::uint64_t>(got.size()));
+      .set("present", static_cast<std::uint64_t>(present));
   Json missing = Json::array();
   for (std::size_t g = 0; g < total; ++g) {
-    if (got.find(g) != got.end()) continue;
+    if (got[g] != nullptr) continue;
     Json row = Json::object();
     row.set("index", static_cast<std::uint64_t>(g))
         .set("shard",

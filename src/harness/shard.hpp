@@ -76,13 +76,14 @@ struct ManifestEntry {
     const std::vector<SweepPoint>& points);
 
 // Shard document for a bench sweep. `indices`/`point_docs` are parallel:
-// the owned manifest indices and their rendered sweep_point_json subtrees.
+// the owned manifest indices and their rendered sweep_point_json subtrees,
+// which move into the document (pass an rvalue to avoid copying them).
 // `partial` marks a mid-run flush checkpoint; vexmerge refuses those.
 [[nodiscard]] Json sweep_shard_json(const std::string& experiment,
                                     const ShardSpec& shard,
                                     const std::vector<ManifestEntry>& manifest,
                                     const std::vector<std::size_t>& indices,
-                                    const std::vector<Json>& point_docs,
+                                    std::vector<Json> point_docs,
                                     bool partial);
 
 // Shard document for a vexplore DSE run: adds the report header (identical
@@ -93,8 +94,7 @@ struct ManifestEntry {
     const std::string& experiment, const ShardSpec& shard, const Json& header,
     const std::vector<std::string>& axes,
     const std::vector<ManifestEntry>& manifest,
-    const std::vector<std::size_t>& indices,
-    const std::vector<Json>& point_docs,
+    const std::vector<std::size_t>& indices, std::vector<Json> point_docs,
     const std::vector<std::vector<std::string>>& buckets, bool partial);
 
 // Assembles the final vexplore report from per-point documents and bucket
@@ -102,9 +102,10 @@ struct ManifestEntry {
 // issue slots), and per-axis sensitivity aggregates. Shared by vexplore
 // itself and by merge_shards, so a merged report is byte-identical to a
 // one-process run by construction (same values, same accumulation order).
+// The point documents move into the report.
 [[nodiscard]] Json dse_report(
     const Json& header, const std::vector<std::string>& axes,
-    const std::vector<Json>& point_docs,
+    std::vector<Json> point_docs,
     const std::vector<std::vector<std::string>>& buckets);
 
 struct MergeOutcome {

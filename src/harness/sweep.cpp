@@ -559,7 +559,8 @@ std::vector<RunResult> run_sweep_and_dump(
       docs.push_back(sweep_point_json(mine[k], rs[k]));
       idx.push_back(mine_index[k]);
     }
-    return sweep_shard_json(experiment, shard, manifest, idx, docs, partial);
+    return sweep_shard_json(experiment, shard, manifest, idx, std::move(docs),
+                            partial);
   };
   if (opts.flush_every > 0) {
     opts.flush_fn = [&shard_doc, &write_atomically](

@@ -2,9 +2,10 @@
 
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <sstream>
+
+#include "util/shortest_g.hpp"
 
 namespace vexsim::mdes {
 
@@ -38,15 +39,7 @@ double Value::as_double() const {
 }
 
 std::string format_double(double v) {
-  if (!std::isfinite(v)) return "nan";
-  for (int precision = 1; precision < 17; ++precision) {
-    char shorter[32];
-    std::snprintf(shorter, sizeof shorter, "%.*g", precision, v);
-    if (std::strtod(shorter, nullptr) == v) return shorter;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+  return std::isfinite(v) ? shortest_g(v) : "nan";
 }
 
 std::string Value::str() const {

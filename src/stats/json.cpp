@@ -1,45 +1,28 @@
 #include "stats/json.hpp"
 
-#include <cctype>
-#include <cerrno>
-#include <cinttypes>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <system_error>
 
 #include "util/check.hpp"
+#include "util/shortest_g.hpp"
 
 namespace vexsim {
 
-namespace {
-
-// Shortest representation that round-trips a double exactly; plain printf
-// so the output is independent of stream locale/precision state. JSON has
-// no nan/inf literal, so non-finite values emit `null` — a bare `nan` token
-// would make the whole document unparseable for downstream consumers.
-std::string format_double(double v) {
-  if (!std::isfinite(v)) return "null";
-  for (int precision = 1; precision < 17; ++precision) {
-    char shorter[32];
-    std::snprintf(shorter, sizeof shorter, "%.*g", precision, v);
-    double parsed = 0.0;
-    std::sscanf(shorter, "%lf", &parsed);
-    if (parsed == v) return shorter;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
+namespace detail {
 
 // Strict recursive-descent parser over the subset dump() emits. Every
-// deviation — bad escape, overflowing number, duplicate key, trailing
-// input — is a CheckError naming the byte offset, so a truncated or
-// hand-mangled cache record is reported (and treated by callers) as
-// corruption rather than silently misread.
-class Parser {
+// deviation — bad escape, non-JSON number spelling, overflowing number,
+// duplicate key, trailing input — is a CheckError naming the byte offset,
+// so a truncated or hand-mangled cache record is reported (and treated by
+// callers) as corruption rather than silently misread.
+class JsonParser {
  public:
-  explicit Parser(const std::string& text)
+  explicit JsonParser(const std::string& text)
       : begin_(text.c_str()), p_(begin_), end_(begin_ + text.size()) {}
 
   Json parse_document() {
@@ -90,8 +73,8 @@ class Parser {
 
   Json parse_value() {
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{': return parse_container(true);
+      case '[': return parse_container(false);
       case '"': return Json(parse_string());
       case 't':
         if (try_literal("true")) return Json(true);
@@ -106,50 +89,43 @@ class Parser {
     }
   }
 
-  Json parse_object() {
-    expect('{');
-    Json obj = Json::object();
+  // An object's members or an array's elements. They collect on a stack
+  // shared by every nesting level and move into the container, in one
+  // exactly sized allocation, when it closes.
+  Json parse_container(bool is_object) {
+    ++p_;  // the opening '{' or '['
+    Json container = is_object ? Json::object() : Json::array();
+    const char close = is_object ? '}' : ']';
+    const std::size_t base = stack_.size();
     skip_ws();
-    if (peek() == '}') {
+    if (peek() == close) {
       ++p_;
-      return obj;
+      return container;
     }
     for (;;) {
       skip_ws();
-      const std::string key = parse_string();
-      if (obj.find(key) != nullptr) fail("duplicate key \"" + key + "\"");
-      skip_ws();
-      expect(':');
-      skip_ws();
-      obj.set(key, parse_value());
+      std::string key;
+      if (is_object) {
+        key = parse_string();
+        for (std::size_t i = base; i < stack_.size(); ++i)
+          if (stack_[i].first == key) fail("duplicate key \"" + key + "\"");
+        skip_ws();
+        expect(':');
+        skip_ws();
+      }
+      Json value = parse_value();
+      stack_.emplace_back(std::move(key), std::move(value));
       skip_ws();
       if (peek() == ',') {
         ++p_;
         continue;
       }
-      expect('}');
-      return obj;
-    }
-  }
-
-  Json parse_array() {
-    expect('[');
-    Json arr = Json::array();
-    skip_ws();
-    if (peek() == ']') {
-      ++p_;
-      return arr;
-    }
-    for (;;) {
-      skip_ws();
-      arr.push(parse_value());
-      skip_ws();
-      if (peek() == ',') {
-        ++p_;
-        continue;
-      }
-      expect(']');
-      return arr;
+      expect(close);
+      const auto first = stack_.begin() + static_cast<std::ptrdiff_t>(base);
+      container.children_.assign(std::make_move_iterator(first),
+                                 std::make_move_iterator(stack_.end()));
+      stack_.erase(first, stack_.end());
+      return container;
     }
   }
 
@@ -157,15 +133,16 @@ class Parser {
     expect('"');
     std::string out;
     for (;;) {
+      // Copy the run up to the next quote, escape or control character.
+      const char* run = p_;
+      while (p_ < end_ && *p_ != '"' && *p_ != '\\' &&
+             static_cast<unsigned char>(*p_) >= 0x20)
+        ++p_;
+      out.append(run, p_);
       if (p_ >= end_) fail("unterminated string");
       const char c = *p_++;
       if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20)
-        fail("unescaped control character in string");
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
+      if (c != '\\') fail("unescaped control character in string");
       if (p_ >= end_) fail("unterminated escape");
       const char esc = *p_++;
       switch (esc) {
@@ -177,13 +154,13 @@ class Parser {
         case 'n': out += '\n'; break;
         case 'r': out += '\r'; break;
         case 't': out += '\t'; break;
-        case 'u': out += parse_unicode_escape(); break;
+        case 'u': append_unicode_escape(out); break;
         default: fail("invalid escape");
       }
     }
   }
 
-  std::string parse_unicode_escape() {
+  void append_unicode_escape(std::string& out) {
     if (end_ - p_ < 4) fail("truncated \\u escape");
     unsigned code = 0;
     for (int i = 0; i < 4; ++i) {
@@ -197,7 +174,6 @@ class Parser {
     // The writer only emits \u00xx for control characters; surrogate pairs
     // are outside the supported subset.
     if (code >= 0xD800 && code <= 0xDFFF) fail("surrogate \\u escape");
-    std::string out;
     if (code < 0x80) {
       out += static_cast<char>(code);
     } else if (code < 0x800) {
@@ -208,54 +184,75 @@ class Parser {
       out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
       out += static_cast<char>(0x80 | (code & 0x3F));
     }
-    return out;
   }
 
+  static bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+  // Skips a run of digits; false when there is none.
+  bool digits() {
+    const char* const start = p_;
+    while (p_ < end_ && is_digit(*p_)) ++p_;
+    return p_ != start;
+  }
+
+  // JSON's number grammar, -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?,
+  // converted straight from the buffer.
   Json parse_number() {
-    const char* start = p_;
+    const char* const start = p_;
+    if (p_ < end_ && *p_ == '-') ++p_;
+    if (p_ >= end_ || !is_digit(*p_))
+      fail(p_ == start ? "expected a value" : "malformed number");
+    if (*p_ == '0' && p_ + 1 < end_ && is_digit(p_[1]))
+      fail("malformed number (leading zero)");
+    digits();
     bool floating = false;
-    while (p_ < end_ &&
-           (std::isdigit(static_cast<unsigned char>(*p_)) != 0 || *p_ == '-' ||
-            *p_ == '+' || *p_ == '.' || *p_ == 'e' || *p_ == 'E')) {
-      floating |= (*p_ == '.' || *p_ == 'e' || *p_ == 'E');
+    if (p_ < end_ && *p_ == '.') {
       ++p_;
+      floating = true;
+      if (!digits()) fail("malformed number (no digits after '.')");
     }
-    const std::string token(start, p_);
-    if (token.empty()) fail("expected a value");
-    char* parse_end = nullptr;
-    errno = 0;
+    if (p_ < end_ && (*p_ == 'e' || *p_ == 'E')) {
+      ++p_;
+      floating = true;
+      if (p_ < end_ && (*p_ == '+' || *p_ == '-')) ++p_;
+      if (!digits()) fail("malformed number (no exponent digits)");
+    }
+    const std::string_view token(start, static_cast<std::size_t>(p_ - start));
     if (floating) {
-      const double v = std::strtod(token.c_str(), &parse_end);
-      if (parse_end != token.c_str() + token.size())
-        fail("malformed number '" + token + "'");
-      // strtod sets ERANGE for overflow (±HUGE_VAL) *and* underflow
-      // (subnormal or zero result). Only overflow is malformed: dump()
-      // legitimately emits subnormals like 5e-324, which must round-trip.
-      if (errno == ERANGE && (v == HUGE_VAL || v == -HUGE_VAL))
-        fail("out-of-range number '" + token + "'");
+      double v = 0.0;
+      const std::errc ec = std::from_chars(start, p_, v).ec;
+      if (ec == std::errc()) return Json(v);
+      // from_chars reports overflow and underflow to zero alike. Only
+      // overflow is malformed; an underflowing literal reads as the nearest
+      // double, as strtod returns it.
+      const std::string text(token);
+      v = std::strtod(text.c_str(), nullptr);
+      if (v == HUGE_VAL || v == -HUGE_VAL)
+        fail("out-of-range number '" + text + "'");
       return Json(v);
     }
-    if (token[0] == '-') {
-      const long long v = std::strtoll(token.c_str(), &parse_end, 10);
-      if (parse_end != token.c_str() + token.size() || errno == ERANGE)
-        fail("malformed or out-of-range integer '" + token + "'");
-      return Json(static_cast<std::int64_t>(v));
+    if (*start == '-') {
+      std::int64_t v = 0;
+      if (std::from_chars(start, p_, v).ec != std::errc())
+        fail("out-of-range integer '" + std::string(token) + "'");
+      return Json(v);
     }
-    const unsigned long long v = std::strtoull(token.c_str(), &parse_end, 10);
-    if (parse_end != token.c_str() + token.size() || errno == ERANGE)
-      fail("malformed or out-of-range integer '" + token + "'");
-    return Json(static_cast<std::uint64_t>(v));
+    std::uint64_t v = 0;
+    if (std::from_chars(start, p_, v).ec != std::errc())
+      fail("out-of-range integer '" + std::string(token) + "'");
+    return Json(v);
   }
 
   const char* begin_;
   const char* p_;
   const char* end_;
+  std::vector<std::pair<std::string, Json>> stack_;
 };
 
-}  // namespace
+}  // namespace detail
 
 Json Json::parse(const std::string& text) {
-  return Parser(text).parse_document();
+  return detail::JsonParser(text).parse_document();
 }
 
 bool Json::as_bool() const {
@@ -301,14 +298,14 @@ const std::string& Json::as_string() const {
   return string_;
 }
 
-const Json* Json::find(const std::string& key) const {
+const Json* Json::find(std::string_view key) const {
   VEXSIM_CHECK_MSG(is_object(), "find() on non-object JSON value");
   for (const auto& [k, v] : children_)
     if (k == key) return &v;
   return nullptr;
 }
 
-const Json& Json::at(const std::string& key) const {
+const Json& Json::at(std::string_view key) const {
   const Json* v = find(key);
   VEXSIM_CHECK_MSG(v != nullptr, "missing JSON key \"" << key << "\"");
   return *v;
@@ -334,7 +331,7 @@ Json Json::array() {
   return j;
 }
 
-Json& Json::set(const std::string& key, Json value) {
+Json& Json::set(std::string_view key, Json value) {
   VEXSIM_CHECK_MSG(is_object(), "set() on non-object JSON value");
   for (auto& [k, v] : children_) {
     if (k == key) {
@@ -352,33 +349,49 @@ Json& Json::push(Json value) {
   return *this;
 }
 
-std::string Json::escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
+namespace {
+
+// Appends `s` escaped for a JSON string literal, copying the runs between
+// characters that need an escape in one piece.
+void append_escaped(std::string& out, std::string_view s) {
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s, run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        constexpr char kHex[] = "0123456789abcdef";
+        const char u[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out.append(u, sizeof u);
+      }
     }
   }
+  out.append(s, run, s.size() - run);
+}
+
+template <typename Int>
+void append_integer(std::string& out, Int v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+}  // namespace
+
+std::string Json::escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  append_escaped(out, s);
   return out;
 }
 
 void Json::dump_to(std::string& out, int indent) const {
-  const std::string pad(static_cast<std::size_t>(indent) * 2, ' ');
-  const std::string child_pad(static_cast<std::size_t>(indent + 1) * 2, ' ');
-  char buf[32];
   switch (kind_) {
     case Kind::kNull:
       out += "null";
@@ -387,19 +400,24 @@ void Json::dump_to(std::string& out, int indent) const {
       out += bool_ ? "true" : "false";
       break;
     case Kind::kInt:
-      std::snprintf(buf, sizeof buf, "%" PRId64, int_);
-      out += buf;
+      append_integer(out, int_);
       break;
     case Kind::kUint:
-      std::snprintf(buf, sizeof buf, "%" PRIu64, uint_);
-      out += buf;
+      append_integer(out, uint_);
       break;
     case Kind::kDouble:
-      out += format_double(double_);
+      // JSON has no nan/inf literal; a bare `nan` token would make the
+      // whole document unparseable for downstream consumers.
+      if (std::isfinite(double_)) {
+        char buf[kShortestGChars];
+        out.append(buf, shortest_g(buf, double_));
+      } else {
+        out += "null";
+      }
       break;
     case Kind::kString:
       out += '"';
-      out += escape(string_);
+      append_escaped(out, string_);
       out += '"';
       break;
     case Kind::kObject:
@@ -410,18 +428,19 @@ void Json::dump_to(std::string& out, int indent) const {
         break;
       }
       out += obj ? "{\n" : "[\n";
+      const auto child_pad = static_cast<std::size_t>(indent + 1) * 2;
       for (std::size_t i = 0; i < children_.size(); ++i) {
-        out += child_pad;
+        out.append(child_pad, ' ');
         if (obj) {
           out += '"';
-          out += escape(children_[i].first);
+          append_escaped(out, children_[i].first);
           out += "\": ";
         }
         children_[i].second.dump_to(out, indent + 1);
         if (i + 1 < children_.size()) out += ',';
         out += '\n';
       }
-      out += pad;
+      out.append(child_pad - 2, ' ');
       out += obj ? '}' : ']';
       break;
     }

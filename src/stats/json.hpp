@@ -15,10 +15,15 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 namespace vexsim {
+
+namespace detail {
+class JsonParser;
+}  // namespace detail
 
 class Json {
  public:
@@ -37,13 +42,14 @@ class Json {
 
   // Strict parser for documents produced by dump(): throws CheckError on
   // malformed input, duplicate object keys, numeric overflow, or trailing
-  // characters. Non-negative integers parse as unsigned, negative ones as
-  // signed; either re-serializes to the original text.
+  // characters. Numbers follow the JSON grammar exactly (no leading '+',
+  // leading zeros, or bare '.'). Non-negative integers parse as unsigned,
+  // negative ones as signed; either re-serializes to the original text.
   static Json parse(const std::string& text);
 
   // Object member access; `set` overwrites an existing key in place so the
   // original insertion order is preserved.
-  Json& set(const std::string& key, Json value);
+  Json& set(std::string_view key, Json value);
 
   // Array append.
   Json& push(Json value);
@@ -68,8 +74,8 @@ class Json {
   [[nodiscard]] const std::string& as_string() const;
 
   // Object member lookup: `find` returns nullptr when absent, `at` throws.
-  [[nodiscard]] const Json* find(const std::string& key) const;
-  [[nodiscard]] const Json& at(const std::string& key) const;
+  [[nodiscard]] const Json* find(std::string_view key) const;
+  [[nodiscard]] const Json& at(std::string_view key) const;
   // Array element access, bounds-checked.
   [[nodiscard]] const Json& at(std::size_t i) const;
 
@@ -80,6 +86,8 @@ class Json {
   static std::string escape(const std::string& s);
 
  private:
+  friend class detail::JsonParser;
+
   enum class Kind : std::uint8_t {
     kNull, kBool, kInt, kUint, kDouble, kString, kObject, kArray,
   };

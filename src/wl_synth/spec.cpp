@@ -1,10 +1,9 @@
 #include "wl_synth/spec.hpp"
 
 #include <cstdlib>
-#include <iomanip>
-#include <sstream>
 
 #include "util/check.hpp"
+#include "util/shortest_g.hpp"
 
 namespace vexsim::wl_synth {
 
@@ -24,18 +23,6 @@ constexpr int kMaxOps = 4096;
                               << "], f a power of two in [4,1024], st a "
                                  "multiple of 4 in [0,65536])");
   std::abort();  // unreachable: the check above throws
-}
-
-// Shortest decimal form that parses back to exactly `v`: canonical names
-// must round-trip (a lossy mangling would alias distinct specs onto one
-// cache entry), yet stay readable for the common short-decimal dials.
-std::string format_dial(double v) {
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::ostringstream os;
-    os << std::setprecision(precision) << v;
-    if (std::strtod(os.str().c_str(), nullptr) == v) return os.str();
-  }
-  return std::to_string(v);  // unreachable: 17 digits round-trip any double
 }
 
 double parse_fraction(const std::string& name, char key,
@@ -63,18 +50,27 @@ std::uint64_t parse_uint(const std::string& name, const std::string& key,
 }  // namespace
 
 std::string SynthSpec::name() const {
-  std::ostringstream os;
-  os << kSynthPrefix << "i" << format_dial(ilp) << "-m"
-     << format_dial(mem_intensity) << "-b" << format_dial(branch_density)
-     << "-c" << format_dial(comm_density);
+  // Dials in their shortest exactly round-tripping spelling: canonical names
+  // must round-trip (a lossy mangling would alias distinct specs onto one
+  // cache entry), yet stay readable for the common short-decimal dials.
+  std::string out(kSynthPrefix);
+  const auto dial = [&out](const char* key, double v) {
+    char buf[kShortestGChars];
+    out += key;
+    out.append(buf, shortest_g(buf, v));
+  };
+  dial("i", ilp);
+  dial("-m", mem_intensity);
+  dial("-b", branch_density);
+  dial("-c", comm_density);
   // Later dials stay out of the canonical name at their defaults so names
   // minted before the dial existed keep their cache identity.
-  if (parallel_fraction != 0.0) os << "-p" << format_dial(parallel_fraction);
-  os << "-n" << ops << "-s" << seed;
-  if (footprint_kib != 64) os << "-f" << footprint_kib;
-  if (stride != 0) os << "-st" << stride;
-  if (has_compiler) os << "-cc" << compiler.name();
-  return os.str();
+  if (parallel_fraction != 0.0) dial("-p", parallel_fraction);
+  out += "-n" + std::to_string(ops) + "-s" + std::to_string(seed);
+  if (footprint_kib != 64) out += "-f" + std::to_string(footprint_kib);
+  if (stride != 0) out += "-st" + std::to_string(stride);
+  if (has_compiler) out += "-cc" + compiler.name();
+  return out;
 }
 
 bool is_synth_name(const std::string& name) {

@@ -189,6 +189,13 @@ TEST(ResultCache, CorruptAndStaleRecordsAreMisses) {
   write_file(path, moved.dump());
   EXPECT_FALSE(cache.load(key).has_value());
 
+  // Not a regular file: a directory where the record belongs. A fresh
+  // instance still indexes the key, so this load really opens the path.
+  std::filesystem::remove(path);
+  std::filesystem::create_directory(path);
+  EXPECT_FALSE(ResultCache(cache.dir()).load(key).has_value());
+  std::filesystem::remove(path);
+
   // The corrupt loads dropped the key from this instance's index; restoring
   // the record file restores the hit for a fresh instance (which re-reads
   // the on-disk index, where the append survives).

@@ -2,17 +2,39 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <limits>
 #include <string>
+#include <vector>
 
+#include "mdes/interp.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
+#include "util/shortest_g.hpp"
+#include "wl_synth/spec.hpp"
 
 namespace vexsim {
 namespace {
+
+// The formatter shortest_g replaced, kept as its oracle: every precision
+// from 1 up, printed with snprintf and read back with sscanf, until the
+// text parses back to `v`.
+std::string reference_shortest(double v) {
+  for (int precision = 1; precision < 17; ++precision) {
+    char shorter[32];
+    std::snprintf(shorter, sizeof shorter, "%.*g", precision, v);
+    double parsed = 0.0;
+    std::sscanf(shorter, "%lf", &parsed);
+    if (parsed == v) return shorter;
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
 
 TEST(Json, ScalarsAndInsertionOrder) {
   Json j = Json::object();
@@ -158,6 +180,21 @@ TEST(Json, ParseRejectsMalformedInput) {
   EXPECT_THROW((void)Json::parse("nul"), CheckError);
   EXPECT_THROW((void)Json::parse("1 trailing"), CheckError);
   EXPECT_THROW((void)Json::parse("1..5"), CheckError);
+  // Number spellings outside JSON's grammar: a sign other than a leading
+  // '-', leading zeros, a bare or trailing '.', an empty exponent.
+  for (const char* bad : {"+5", "01", "00", "-01", ".5", "5.", "+1.5", "-",
+                          "-.5", "1e", "1e+", "1.e5", "--1", "1-2", "0x10",
+                          "[01]", "{\"a\": +1}"})
+    EXPECT_THROW((void)Json::parse(bad), CheckError) << bad;
+  EXPECT_EQ(Json::parse("1e5").as_double(), 1e5);
+  EXPECT_EQ(Json::parse("1E+2").as_double(), 100.0);
+  EXPECT_EQ(Json::parse("2.5e-3").as_double(), 2.5e-3);
+  EXPECT_EQ(Json::parse("-0").as_int64(), 0);
+  EXPECT_EQ(Json::parse("0").as_uint64(), 0u);
+  EXPECT_EQ(Json::parse("-0.0").dump(), "-0\n");
+  EXPECT_EQ(Json::parse("5e-324").as_double(), 5e-324);
+  // Underflow below the smallest subnormal is the nearest double, 0.
+  EXPECT_EQ(Json::parse("1e-400").as_double(), 0.0);
   // 2^64 and -2^63-1 overflow their integer representations, and 1e999
   // overflows double; but a subnormal (strtod underflow) is legitimate
   // writer output and must round-trip.
@@ -168,6 +205,83 @@ TEST(Json, ParseRejectsMalformedInput) {
   EXPECT_EQ(Json::parse(Json(denorm).dump()).as_double(), denorm);
   // Duplicate keys are corruption, not last-wins.
   EXPECT_THROW((void)Json::parse("{\"a\": 1, \"a\": 2}"), CheckError);
+}
+
+// shortest_g must spell every double exactly as the snprintf/sscanf search
+// it replaced did: the JSON writer, .conf values and synth names depend on
+// it for byte-identical output.
+TEST(ShortestG, MatchesTheSearchItReplaced) {
+  std::vector<double> values;
+  // Ratios of counters, the doubles trajectories carry (IPC, hit rates).
+  Rng rng(0x5107E57ull);
+  for (int i = 0; i < 100'000; ++i) {
+    const std::uint64_t num = rng.next_u64() >> rng.below(64);
+    const std::uint64_t den = (rng.next_u64() >> rng.below(64)) | 1u;
+    values.push_back(static_cast<double>(num) / static_cast<double>(den));
+  }
+  // Arbitrary finite bit patterns, either sign: every exponent, subnormals
+  // included.
+  for (int i = 0; i < 10'000; ++i) {
+    const double v = std::bit_cast<double>(rng.next_u64());
+    if (std::isfinite(v)) values.push_back(v);
+  }
+  // Every power of two and its predecessor, where the round-trip interval
+  // is lopsided.
+  for (int e = -1074; e <= 1023; ++e) {
+    const double p = std::ldexp(1.0, e);
+    values.push_back(p);
+    values.push_back(std::nextafter(p, 0.0));
+  }
+  // %g's switch between fixed and scientific notation, the extremes, the
+  // common dials and both zeros, with either sign.
+  for (const double v : {1e-5, 1e-4, 1e16, 1e17, 1e21, 0.1, 0.3, 1.0 / 3,
+                         std::numeric_limits<double>::max(),
+                         std::numeric_limits<double>::min(),
+                         std::numeric_limits<double>::denorm_min()}) {
+    for (const double w : {std::nextafter(v, 0.0), v,
+                           std::nextafter(v, std::numeric_limits<double>::max())}) {
+      values.push_back(w);
+      values.push_back(-w);
+    }
+  }
+  values.push_back(0.0);
+  values.push_back(-0.0);
+
+  std::size_t mismatches = 0;
+  for (const double v : values) {
+    const std::string want = reference_shortest(v);
+    if (shortest_g(v) == want) continue;
+    if (++mismatches <= 5)
+      ADD_FAILURE() << "shortest_g(" << want << ") = " << shortest_g(v);
+  }
+  EXPECT_EQ(mismatches, 0u) << "over " << values.size() << " values";
+  EXPECT_EQ(shortest_g(-0.0), "-0");
+  EXPECT_EQ(shortest_g(1e16), "1e+16");
+  EXPECT_EQ(shortest_g(1e-5), "1e-05");
+  EXPECT_EQ(shortest_g(0.0001), "0.0001");
+  EXPECT_EQ(shortest_g(std::numeric_limits<double>::infinity()), "inf");
+}
+
+// Its three callers keep their own non-finite policy and spell finite
+// dials the same way.
+TEST(ShortestG, CallersSpellDialsAlike) {
+  for (const double dial : {0.1, 0.3, 1.0 / 3, 0.7, 2.0 / 3, 0.001}) {
+    const std::string want = reference_shortest(dial);
+    EXPECT_EQ(mdes::Value::real(dial).str(), want);
+    Json j = Json::array();
+    j.push(dial);
+    EXPECT_EQ(j.dump(), "[\n  " + want + "\n]\n");
+    wl_synth::SynthSpec spec;
+    spec.ilp = dial;
+    spec.comm_density = dial;
+    EXPECT_EQ(spec.name(),
+              "synth:i" + want + "-m0.1-b0-c" + want + "-n64-s1");
+    EXPECT_EQ(wl_synth::parse_spec(spec.name()), spec);
+  }
+  EXPECT_EQ(wl_synth::SynthSpec{}.name(), "synth:i0.5-m0.1-b0-c0-n64-s1");
+  EXPECT_EQ(mdes::Value::real(1.0 / 3).str(), "0.3333333333333333");
+  EXPECT_EQ(mdes::Value::real(std::nan("")).str(), "nan");
+  EXPECT_EQ(Json(std::nan("")).dump(), "null\n");
 }
 
 }  // namespace

@@ -209,7 +209,8 @@ int main(int argc, char** argv) {
     point_docs.reserve(accepted.size());
     for (std::size_t i = 0; i < accepted.size(); ++i)
       point_docs.push_back(make_point_doc(i, results[i]));
-    const Json report = harness::dse_report(header, axes, point_docs, buckets);
+    const Json report =
+        harness::dse_report(header, axes, std::move(point_docs), buckets);
 
     const std::string out_path = cli.get("json", "VEXPLORE.json");
     write_json_file(out_path, report);
@@ -241,7 +242,8 @@ int main(int argc, char** argv) {
   }
   const Json doc =
       harness::dse_shard_json("vexplore", shard, header, axes, manifest,
-                              mine_index, point_docs, mine_buckets, false);
+                              mine_index, std::move(point_docs), mine_buckets,
+                              false);
   const std::string out_path =
       cli.get("json", "VEXPLORE.shard" + shard.tag() + ".json");
   write_json_file(out_path, doc);
