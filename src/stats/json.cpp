@@ -384,13 +384,6 @@ void append_integer(std::string& out, Int v) {
 
 }  // namespace
 
-std::string Json::escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  append_escaped(out, s);
-  return out;
-}
-
 void Json::dump_to(std::string& out, int indent) const {
   switch (kind_) {
     case Kind::kNull:

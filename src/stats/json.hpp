@@ -82,9 +82,6 @@ class Json {
   // Serializes with 2-space indentation and a trailing newline at top level.
   [[nodiscard]] std::string dump() const;
 
-  // Escapes `s` for use inside a JSON string literal (no surrounding quotes).
-  static std::string escape(const std::string& s);
-
  private:
   friend class detail::JsonParser;
 

@@ -71,8 +71,13 @@ TEST(Json, NestedArraysAndEmpties) {
 }
 
 TEST(Json, StringEscaping) {
-  EXPECT_EQ(Json::escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-  EXPECT_EQ(Json::escape(std::string(1, '\x01')), "\\u0001");
+  EXPECT_EQ(Json("a\"b\\c\nd").dump(), "\"a\\\"b\\\\c\\nd\"\n");
+  EXPECT_EQ(Json(std::string(1, '\x01')).dump(), "\"\\u0001\"\n");
+  // Keys escape the same way, and the parser reads every escape back.
+  Json obj = Json::object();
+  obj.set("k\t\"", "\x1f\\/\r");
+  EXPECT_EQ(obj.dump(), "{\n  \"k\\t\\\"\": \"\\u001f\\\\/\\r\"\n}\n");
+  EXPECT_EQ(Json::parse(obj.dump()).dump(), obj.dump());
 }
 
 TEST(Json, DoubleFormattingRoundTripsAndIsShortest) {
