@@ -61,9 +61,9 @@ struct Value {
   friend bool operator==(const Value&, const Value&) = default;
 };
 
-// Shortest decimal form that parses back to exactly `v` (same contract as
-// the stats/json and wl_synth formatters: serialized machines and spliced
-// synth dials must round-trip bit-for-bit).
+// Shortest decimal form that parses back to exactly `v` (util/shortest_g,
+// the spelling stats/json and wl_synth use too: serialized machines and
+// spliced synth dials must round-trip bit-for-bit); "nan" when not finite.
 [[nodiscard]] std::string format_double(double v);
 
 class Interp {
