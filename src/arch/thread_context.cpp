@@ -1,5 +1,7 @@
 #include "arch/thread_context.hpp"
 
+#include <algorithm>
+
 #include "util/check.hpp"
 
 namespace vexsim {
@@ -29,7 +31,6 @@ void ThreadContext::respawn() {
   redirect_target = -1;
   halt_at_completion = false;
   regs.clear();
-  mem.clear();
   issue = IssueProgress{};
   pending_writes.clear();
   rf_buffer.clear();
@@ -37,8 +38,20 @@ void ThreadContext::respawn() {
   channels.fill(ChannelState{});
   channels_dirty = false;
   fault = FaultInfo{};
-  for (const DataSegment& seg : program_->data)
-    mem.poke_bytes(seg.addr, seg.bytes.data(), seg.bytes.size());
+  // Only the pages the finished run wrote can differ from the data image (on
+  // the first load, every page). Re-poke the segment bytes that fall on each
+  // dropped range in segment order, so later segments still overwrite
+  // earlier ones.
+  mem.rewind([this](std::uint64_t lo, std::uint64_t hi) {
+    for (const DataSegment& seg : program_->data) {
+      const std::uint64_t from = std::max<std::uint64_t>(lo, seg.addr);
+      const std::uint64_t to =
+          std::min<std::uint64_t>(hi, seg.addr + seg.bytes.size());
+      if (from < to)
+        mem.poke_bytes(static_cast<std::uint32_t>(from),
+                       seg.bytes.data() + (from - seg.addr), to - from);
+    }
+  });
   ++respawns;
 }
 

@@ -98,8 +98,12 @@ class ThreadContext {
  public:
   ThreadContext(int asid, std::shared_ptr<const Program> program);
 
-  // Restart the program from scratch (respawn): reloads data segments,
-  // clears registers/buffers, keeps `total_instructions` accumulating.
+  // Restart the program from scratch (respawn): restores the data image,
+  // clears registers/buffers, keeps `total_instructions` accumulating. Only
+  // the pages the finished run wrote are dropped and re-poked from the
+  // segments (MainMemory::rewind), so a respawn costs what the run wrote,
+  // not the program's data footprint; the resulting memory is byte-identical
+  // to a freshly constructed context's.
   void respawn();
 
   [[nodiscard]] const Program& program() const { return *program_; }

@@ -41,13 +41,16 @@ void Program::add_data(std::uint32_t addr, std::vector<std::uint8_t> bytes) {
 
 void Program::add_data_words(std::uint32_t addr,
                              const std::vector<std::uint32_t>& words) {
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(words.size() * 4);
-  for (std::uint32_t w : words) {
-    bytes.push_back(static_cast<std::uint8_t>(w));
-    bytes.push_back(static_cast<std::uint8_t>(w >> 8));
-    bytes.push_back(static_cast<std::uint8_t>(w >> 16));
-    bytes.push_back(static_cast<std::uint8_t>(w >> 24));
+  // Sized once and written in place: synth pools run to a megabyte, and
+  // every sampled geometry builds its own.
+  std::vector<std::uint8_t> bytes(words.size() * 4);
+  std::uint8_t* out = bytes.data();
+  for (const std::uint32_t w : words) {
+    out[0] = static_cast<std::uint8_t>(w);
+    out[1] = static_cast<std::uint8_t>(w >> 8);
+    out[2] = static_cast<std::uint8_t>(w >> 16);
+    out[3] = static_cast<std::uint8_t>(w >> 24);
+    out += 4;
   }
   add_data(addr, std::move(bytes));
 }

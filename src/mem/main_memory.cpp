@@ -8,15 +8,15 @@ namespace vexsim {
 void MainMemory::poke_bytes(std::uint32_t addr, const std::uint8_t* bytes,
                             std::size_t n) {
   // Copy page-sized runs so loading a data segment costs one page lookup
-  // per 64 KiB instead of one per byte (respawns reload all segments).
+  // per 64 KiB instead of one per byte (a first load pokes every segment).
   std::size_t i = 0;
   while (i < n) {
     const std::uint32_t a = addr + static_cast<std::uint32_t>(i);
-    Page& p = page_for(a);
+    std::uint8_t* const p = page_for(a);
     const std::uint32_t off = a & (kPageSize - 1);
     const std::size_t run =
         std::min(n - i, static_cast<std::size_t>(kPageSize - off));
-    std::copy(bytes + i, bytes + i + run, p.begin() + off);
+    std::copy(bytes + i, bytes + i + run, p + off);
     i += run;
   }
 }
@@ -35,11 +35,16 @@ std::uint32_t MainMemory::peek_u32(std::uint32_t addr) const {
   return 0;
 }
 
+void MainMemory::note_written(Page& p, std::uint32_t index) {
+  p.written = true;
+  written_.push_back(index);
+}
+
 std::uint64_t MainMemory::fingerprint() const {
   // FNV-1a over (page index, page contents), pages visited in sorted order
   // so the digest is independent of hash-map iteration order.
-  std::map<std::uint32_t, const Page*> ordered;
-  for (const auto& [idx, page] : pages_) ordered.emplace(idx, &page);
+  std::map<std::uint32_t, const std::vector<std::uint8_t>*> ordered;
+  for (const auto& [idx, page] : pages_) ordered.emplace(idx, &page.bytes);
   std::uint64_t h = 1469598103934665603ull;
   auto mix = [&h](std::uint8_t b) {
     h ^= b;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 namespace vexsim {
 namespace {
 
@@ -89,6 +92,85 @@ TEST(MainMemory, FingerprintIgnoresZeroWrites) {
   MainMemory a, b;
   ASSERT_TRUE(a.store(0x5000, 4, 0));
   EXPECT_EQ(a.fingerprint(), b.fingerprint());
+}
+
+TEST(MainMemory, MovedFromMemoryKeepsNoPages) {
+  // The source's page memo must not follow the pages into the destination
+  // (the moved-from memories are used on purpose).
+  MainMemory a;
+  ASSERT_TRUE(a.store(0x2000, 4, 0x11111111));
+  MainMemory b = std::move(a);
+  ASSERT_TRUE(a.store(0x2000, 4, 0x22222222));
+  EXPECT_EQ(b.peek_u32(0x2000), 0x11111111u);
+  EXPECT_EQ(a.peek_u32(0x2000), 0x22222222u);
+
+  MainMemory c;
+  ASSERT_TRUE(c.store(0x2000, 4, 0x33333333));
+  c = std::move(b);
+  ASSERT_TRUE(b.store(0x2000, 4, 0x44444444));
+  EXPECT_EQ(c.peek_u32(0x2000), 0x11111111u);
+  EXPECT_EQ(b.peek_u32(0x2000), 0x44444444u);
+}
+
+using Ranges = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+constexpr std::uint64_t kPage = MainMemory::kPageSize;
+constexpr std::uint64_t kAll = std::uint64_t{1} << 32;
+
+Ranges rewind_ranges(MainMemory& mem) {
+  Ranges got;
+  mem.rewind([&got](std::uint64_t lo, std::uint64_t hi) {
+    got.emplace_back(lo, hi);
+  });
+  return got;
+}
+
+TEST(MainMemory, MoveTakesTheWrittenPagesAlong) {
+  MainMemory a;
+  EXPECT_EQ(rewind_ranges(a), (Ranges{{0, kAll}}));
+  ASSERT_TRUE(a.store(3 * kPage, 4, 1));
+  MainMemory b = std::move(a);
+  EXPECT_EQ(rewind_ranges(b), (Ranges{{3 * kPage, 4 * kPage}}));
+  EXPECT_EQ(rewind_ranges(a), (Ranges{{0, kAll}}));  // left cleared
+
+  ASSERT_TRUE(b.store(5 * kPage, 4, 1));
+  MainMemory c;
+  EXPECT_EQ(rewind_ranges(c), (Ranges{{0, kAll}}));
+  c = std::move(b);
+  EXPECT_EQ(rewind_ranges(c), (Ranges{{5 * kPage, 6 * kPage}}));
+  EXPECT_EQ(rewind_ranges(b), (Ranges{{0, kAll}}));
+}
+
+TEST(MainMemory, RewindDropsExactlyTheWrittenPages) {
+  MainMemory mem;
+  // A new memory counts every page as written; the reload's own pokes are
+  // the loaded image, not writes.
+  mem.rewind([&mem](std::uint64_t, std::uint64_t) {
+    mem.poke_u32(2 * kPage + 8, 0xAAAA);
+  });
+  EXPECT_TRUE(rewind_ranges(mem).empty());
+  EXPECT_EQ(mem.peek_u32(2 * kPage + 8), 0xAAAAu);  // unwritten pages stay
+
+  ASSERT_TRUE(mem.store(7 * kPage + 4, 4, 1));
+  mem.poke_u32(3 * kPage, 2);
+  ASSERT_TRUE(mem.store(7 * kPage + 8, 2, 3));  // same page: listed once
+  std::uint32_t v = 0;
+  ASSERT_TRUE(mem.load(9 * kPage, 4, v));  // loads write nothing
+  EXPECT_EQ(rewind_ranges(mem),
+            (Ranges{{7 * kPage, 8 * kPage}, {3 * kPage, 4 * kPage}}));
+  EXPECT_EQ(mem.peek_u32(7 * kPage + 4), 0u);  // dropped, not reloaded
+  EXPECT_EQ(mem.peek_u32(3 * kPage), 0u);
+  EXPECT_EQ(mem.peek_u32(2 * kPage + 8), 0xAAAAu);
+
+  // A reload that recreates a dropped page leaves it unwritten.
+  ASSERT_TRUE(mem.store(2 * kPage + 8, 4, 4));
+  mem.rewind([&mem](std::uint64_t lo, std::uint64_t) {
+    mem.poke_u32(static_cast<std::uint32_t>(lo) + 8, 0xAAAA);
+  });
+  EXPECT_EQ(mem.peek_u32(2 * kPage + 8), 0xAAAAu);
+  EXPECT_TRUE(rewind_ranges(mem).empty());
+
+  mem.clear();
+  EXPECT_EQ(rewind_ranges(mem), (Ranges{{0, kAll}}));
 }
 
 TEST(MainMemory, ClearResets) {
