@@ -77,9 +77,9 @@ struct CountingSink {
     return use[physical];
   }
   void claim(std::size_t) {}
-  void emit(const Operation& op, const DecodedOp&, int, int) {
+  void emit(const DecodedOp& dec, int, int) {
     ++emitted;
-    keep_alive(op);
+    keep_alive(dec.op);
   }
   void clear() {
     use.fill(ResourceUse{});

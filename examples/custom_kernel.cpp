@@ -75,8 +75,7 @@ Program build_fir(const MachineConfig& cfg) {
   std::vector<std::uint32_t> words;
   for (int k = 0; k < kN + 8; ++k)
     words.push_back(static_cast<std::uint32_t>(k * 3 + ((k * 37) % 11)));
-  prog.add_data_words(kIn, words);
-  prog.finalize();
+  prog.add_data_words(kIn, words);  // compile() already finalized the code
   return prog;
 }
 

@@ -12,9 +12,9 @@ ThreadContext::ThreadContext(int asid, std::shared_ptr<const Program> program)
   VEXSIM_CHECK_MSG(program_->finalized(),
                    "program must be finalize()d before execution");
   VEXSIM_CHECK(!program_->code.empty());
-  code_ = program_->code.data();
   code_size_ = static_cast<std::uint32_t>(program_->code.size());
   decoded_insns_ = program_->decoded->data();
+  decoded_ops_ = program_->decoded->ops();
   instr_addr_ = program_->instr_addr.data();
   respawn();
   respawns = 0;
@@ -45,11 +45,12 @@ void ThreadContext::respawn() {
   mem.rewind([this](std::uint64_t lo, std::uint64_t hi) {
     for (const DataSegment& seg : program_->data) {
       const std::uint64_t from = std::max<std::uint64_t>(lo, seg.addr);
+      const DataImage& bytes = seg.bytes();
       const std::uint64_t to =
-          std::min<std::uint64_t>(hi, seg.addr + seg.bytes.size());
+          std::min<std::uint64_t>(hi, seg.addr + bytes.size());
       if (from < to)
         mem.poke_bytes(static_cast<std::uint32_t>(from),
-                       seg.bytes.data() + (from - seg.addr), to - from);
+                       bytes.data() + (from - seg.addr), to - from);
     }
   });
   ++respawns;

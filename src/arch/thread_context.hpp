@@ -7,6 +7,12 @@
 // are *logical* (program view); the static cluster renaming of Section IV is
 // applied only when mapping to physical machine resources.
 //
+// The context reads its program only through immutable, possibly shared
+// structures: the decode cache (per-instruction summaries and the flat op
+// table) and the data images, which several programs may reference at once.
+// Its memory is private: loading copies the image bytes into its own pages,
+// so a store never reaches an image or another context.
+//
 // Field layout is deliberate: the members the cycle loop touches every cycle
 // (pc, run state, the three issue gates, issue progress) sit together at the
 // front of the object so a refill/merge probe of an idle thread stays within
@@ -98,7 +104,7 @@ class ThreadContext {
  public:
   ThreadContext(int asid, std::shared_ptr<const Program> program);
 
-  // Restart the program from scratch (respawn): restores the data image,
+  // Restart the program from scratch (respawn): restores the data images,
   // clears registers/buffers, keeps `total_instructions` accumulating. Only
   // the pages the finished run wrote are dropped and re-poked from the
   // segments (MainMemory::rewind), so a respawn costs what the run wrote,
@@ -112,13 +118,13 @@ class ThreadContext {
   }
   [[nodiscard]] int asid() const { return asid_; }
 
-  [[nodiscard]] const VliwInstruction& current_instruction() const {
-    return code_[pc];
-  }
   // The decode-cache entry of the instruction at `pc`.
   [[nodiscard]] const DecodedInstruction& current_decoded() const {
     return decoded_insns_[pc];
   }
+  // The program's flat op table (DecodedProgram::ops()): the merge engine
+  // reads bundle c's operations at decoded_ops() + bundle(c).first_op.
+  [[nodiscard]] const DecodedOp* decoded_ops() const { return decoded_ops_; }
   // Byte address of the instruction at `at` (ICache model).
   [[nodiscard]] std::uint32_t instr_addr(std::uint32_t at) const {
     return instr_addr_[at];
@@ -165,9 +171,11 @@ class ThreadContext {
   int asid_;
   std::shared_ptr<const Program> program_;
   // Raw views into program_-owned storage: the per-cycle accessors above
-  // index these directly instead of chasing shared_ptr/vector headers.
-  const VliwInstruction* code_ = nullptr;
+  // index these directly instead of chasing shared_ptr/vector headers. They
+  // stay valid for the context's lifetime because program_ keeps the
+  // immutable Program (and its DecodedProgram) alive.
   const DecodedInstruction* decoded_insns_ = nullptr;
+  const DecodedOp* decoded_ops_ = nullptr;
   const std::uint32_t* instr_addr_ = nullptr;
   std::uint32_t code_size_ = 0;
 };

@@ -13,9 +13,9 @@
 namespace vexsim {
 
 struct SelectedOp {
-  Operation op;
-  // Decode-cache entry of `op` (operand-read flags, class, access size);
-  // points into the owning program's immutable DecodedProgram.
+  Operation op;  // copy of dec->op, for tracing tools and the figure tests
+  // The operation's entry in the owning program's flat op table (operand-read
+  // flags, class, access size); the packet engine executes from it.
   const DecodedOp* dec = nullptr;
   std::int8_t hw_slot = -1;          // hardware thread slot that issued it
   std::uint8_t logical_cluster = 0;  // program-view cluster (register access)

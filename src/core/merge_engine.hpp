@@ -24,7 +24,12 @@
 //
 //   ResourceUse& used(std::size_t physical);   // the cycle's per-cluster use
 //   void claim(std::size_t physical);          // cluster ownership bookkeeping
-//   void emit(const Operation&, const DecodedOp&, int logical, int physical);
+//   void emit(const DecodedOp&, int logical, int physical);
+//
+// emit() receives the winning operation's entry in the program's flat op
+// table (DecodedOp::op is the Operation itself); the reference stays valid
+// while the thread's program lives. The engine reads operations only through
+// that table (ThreadContext::decoded_ops()), never through VliwInstruction.
 //
 // Per-cluster capacities are packed into SWAR words once at construction
 // (pack_limits), so a fits probe is one word subtract — asymmetric
@@ -70,10 +75,9 @@ struct PacketSink {
     if (packet.owner[physical] == -1)
       packet.owner[physical] = static_cast<std::int8_t>(hw_slot);
   }
-  void emit(const Operation& op, const DecodedOp& dec, int logical,
-            int physical) {
+  void emit(const DecodedOp& dec, int logical, int physical) {
     SelectedOp sel;
-    sel.op = op;
+    sel.op = dec.op;
     sel.dec = &dec;
     sel.hw_slot = static_cast<std::int8_t>(hw_slot);
     sel.logical_cluster = static_cast<std::uint8_t>(logical);
@@ -180,16 +184,18 @@ class MergeEngine {
   template <typename Sink>
   void take(ThreadContext& ctx, int cluster, std::uint8_t mask, int rotation,
             Sink& sink) {
-    const Bundle& bundle = ctx.current_instruction().bundle(cluster);
     const DecodedBundle& db = ctx.issue.dec->bundle(cluster);
+    const DecodedOp* const ops = ctx.decoded_ops() + db.first_op;
     const int physical = physical_cluster(cluster, rotation);
     const auto p = static_cast<std::size_t>(physical);
     const bool whole_bundle = mask == db.full_mask;
     if (whole_bundle) sink.used(p).add(db.whole_use);
-    for (std::size_t i = 0; i < bundle.size(); ++i) {
-      if ((mask & (1u << i)) == 0) continue;
-      if (!whole_bundle) sink.used(p).add(db.ops[i].use);
-      sink.emit(bundle[i], db.ops[i], cluster, physical);
+    // Set bits in ascending position order: bundle order.
+    for (std::uint8_t m = mask; m != 0;
+         m = static_cast<std::uint8_t>(m & (m - 1))) {
+      const DecodedOp& op = ops[std::countr_zero(static_cast<unsigned>(m))];
+      if (!whole_bundle) sink.used(p).add(op.use);
+      sink.emit(op, cluster, physical);
       --ctx.issue.pending_count;
     }
     const std::uint8_t left = static_cast<std::uint8_t>(
@@ -251,14 +257,15 @@ class MergeEngine {
       const int c = std::countr_zero(cm);
       const std::uint8_t mask =
           ctx.issue.pending_ops[static_cast<std::size_t>(c)];
-      const DecodedBundle& db = dec.bundle(c);
+      const DecodedOp* const ops =
+          ctx.decoded_ops() + dec.bundle(c).first_op;
       const int physical = physical_cluster(c, rotation);
       // Walk the set bits of the pending mask in ascending position order.
       for (std::uint8_t m = mask; m != 0;
            m = static_cast<std::uint8_t>(m & (m - 1))) {
         const auto i = static_cast<std::size_t>(
             std::countr_zero(static_cast<unsigned>(m)));
-        if (!bundle_fits(db.ops[i].use, physical, sink)) continue;
+        if (!bundle_fits(ops[i].use, physical, sink)) continue;
         take(ctx, c, static_cast<std::uint8_t>(1u << i), rotation, sink);
         ++selected;
       }
@@ -268,14 +275,19 @@ class MergeEngine {
 
   // Resource use of the pending subset of logical cluster `c`: returns the
   // decode cache's whole-bundle table when the mask is full (the only mask
-  // whole/bundle selection ever produces), computing into `scratch`
-  // otherwise. Inline: this runs once per bundle probe in the select loop.
+  // whole/bundle selection ever produces), summing the ops' singleton uses
+  // into `scratch` otherwise. Inline: this runs once per bundle probe in the
+  // select loop.
   [[nodiscard]] const ResourceUse& pending_use(const ThreadContext& ctx,
                                                int c, std::uint8_t mask,
                                                ResourceUse& scratch) const {
     const DecodedBundle& db = ctx.issue.dec->bundle(c);
     if (mask == db.full_mask) return db.whole_use;
-    scratch = bundle_use(ctx.current_instruction().bundle(c), mask);
+    const DecodedOp* const ops = ctx.decoded_ops() + db.first_op;
+    scratch = ResourceUse{};
+    for (std::uint8_t m = mask; m != 0;
+         m = static_cast<std::uint8_t>(m & (m - 1)))
+      scratch.add(ops[std::countr_zero(static_cast<unsigned>(m))].use);
     return scratch;
   }
 

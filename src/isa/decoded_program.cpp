@@ -9,6 +9,7 @@ namespace vexsim {
 
 DecodedOp DecodedProgram::decode_op(const Operation& op) {
   DecodedOp d;
+  d.op = op;
   d.cls = op.cls();
   d.use.add(op);
   std::uint8_t flags = 0;
@@ -51,6 +52,10 @@ DecodedProgram::DecodedProgram(const std::vector<VliwInstruction>& code,
         regions_[i] = SwpRegion::kEpilogue;
     }
   }
+  std::size_t total_ops = 0;
+  for (const VliwInstruction& insn : code)
+    total_ops += static_cast<std::size_t>(insn.op_count());
+  ops_.reserve(total_ops);
   insns_.reserve(code.size());
   for (const VliwInstruction& insn : code) {
     DecodedInstruction dec;
@@ -59,13 +64,14 @@ DecodedProgram::DecodedProgram(const std::vector<VliwInstruction>& code,
       const Bundle& bundle = insn.bundle(c);
       DecodedBundle& db = dec.bundles[static_cast<std::size_t>(c)];
       VEXSIM_CHECK(bundle.size() <= kMaxIssuePerCluster);
+      db.first_op = static_cast<std::uint32_t>(ops_.size());
       db.full_mask =
           static_cast<std::uint8_t>((1u << bundle.size()) - 1u);
-      for (std::size_t i = 0; i < bundle.size(); ++i) {
-        db.ops[i] = decode_op(bundle[i]);
-        db.whole_use.add(bundle[i]);
-        if (bundle[i].cls() == OpClass::kComm) dec.has_comm = true;
-        if (is_branch(bundle[i].opc)) dec.has_branch = true;
+      for (const Operation& op : bundle) {
+        ops_.push_back(decode_op(op));
+        db.whole_use.add(op);
+        if (op.cls() == OpClass::kComm) dec.has_comm = true;
+        if (is_branch(op.opc)) dec.has_branch = true;
       }
       dec.full_masks[static_cast<std::size_t>(c)] = db.full_mask;
       if (db.full_mask != 0) dec.used_cluster_mask |= 1u << c;

@@ -2,6 +2,14 @@
 // program load so the per-cycle hot paths (merge engine, operand fetch)
 // index tables instead of re-deriving facts from the instruction stream.
 //
+// Layout: one flat table of DecodedOps holds every operation of the program
+// in instruction, cluster and bundle order, each carrying its Operation and
+// the facts below. A DecodedInstruction holds per-cluster summaries only;
+// bundle c's operation i is ops()[bundle(c).first_op + i]. The cycle loop
+// reads operations only through the table, never through VliwInstruction.
+// The table costs 32 B per actual operation, so a mostly-empty wide
+// instruction stays small.
+//
 // What is cached, and why it is sufficient:
 //
 //  * Per cluster, the ResourceUse of the *whole* bundle plus a per-operation
@@ -47,7 +55,7 @@ struct SoftwarePipelinedLoop {
 
 enum class SwpRegion : std::uint8_t { kNone, kPrologue, kKernel, kEpilogue };
 
-// Dataflow facts of one operation, resolved once at decode.
+// One operation and its dataflow facts, resolved once at decode.
 struct DecodedOp {
   // Flag bits mirror the opcode.hpp classification helpers.
   static constexpr std::uint8_t kReadsSrc1 = 1u << 0;  // reads gpr[src1]
@@ -57,6 +65,7 @@ struct DecodedOp {
   static constexpr std::uint8_t kLoad = 1u << 4;       // memory read
   static constexpr std::uint8_t kDstBreg = 1u << 5;    // writes a breg
 
+  Operation op;
   OpClass cls = OpClass::kNop;
   std::uint8_t flags = 0;
   std::uint8_t mem_size = 0;  // access bytes for kMem, else 0
@@ -67,11 +76,12 @@ struct DecodedOp {
   }
 };
 
-// One cluster's slice of a decoded instruction.
+// One cluster's slice of a decoded instruction: its operations are
+// DecodedProgram::ops()[first_op, first_op + popcount(full_mask)).
 struct DecodedBundle {
-  ResourceUse whole_use;       // use of the complete bundle
-  std::uint8_t full_mask = 0;  // (1 << bundle.size()) - 1
-  std::array<DecodedOp, kMaxIssuePerCluster> ops{};  // [i] valid below size
+  ResourceUse whole_use;        // use of the complete bundle
+  std::uint32_t first_op = 0;   // index of the bundle's first op in ops()
+  std::uint8_t full_mask = 0;   // (1 << bundle.size()) - 1
 };
 
 struct DecodedInstruction {
@@ -102,6 +112,9 @@ class DecodedProgram {
     return insns_.data();
   }
   [[nodiscard]] std::size_t size() const { return insns_.size(); }
+  // The flat op table (see the layout note above).
+  [[nodiscard]] const DecodedOp* ops() const { return ops_.data(); }
+  [[nodiscard]] std::size_t op_count() const { return ops_.size(); }
 
   // Software-pipeline region of an instruction (prologue/epilogue-aware
   // decode: tools and the verifier ask, the cycle hot paths never do).
@@ -115,6 +128,7 @@ class DecodedProgram {
 
  private:
   std::vector<DecodedInstruction> insns_;
+  std::vector<DecodedOp> ops_;
   // Empty when the program has no pipelined loops (the common case).
   std::vector<SwpRegion> regions_;
 };

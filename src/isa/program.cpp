@@ -35,15 +35,10 @@ void Program::finalize() {
   decoded = std::make_shared<const DecodedProgram>(code, kernels);
 }
 
-void Program::add_data(std::uint32_t addr, std::vector<std::uint8_t> bytes) {
-  data.push_back(DataSegment{addr, std::move(bytes)});
-}
-
-void Program::add_data_words(std::uint32_t addr,
-                             const std::vector<std::uint32_t>& words) {
-  // Sized once and written in place: synth pools run to a megabyte, and
-  // every sampled geometry builds its own.
-  std::vector<std::uint8_t> bytes(words.size() * 4);
+std::shared_ptr<const DataImage> word_image(
+    const std::vector<std::uint32_t>& words) {
+  // Sized once and written in place: synth pools run to a megabyte.
+  DataImage bytes(words.size() * 4);
   std::uint8_t* out = bytes.data();
   for (const std::uint32_t w : words) {
     out[0] = static_cast<std::uint8_t>(w);
@@ -52,7 +47,22 @@ void Program::add_data_words(std::uint32_t addr,
     out[3] = static_cast<std::uint8_t>(w >> 24);
     out += 4;
   }
-  add_data(addr, std::move(bytes));
+  return std::make_shared<const DataImage>(std::move(bytes));
+}
+
+void Program::add_data(std::uint32_t addr,
+                       std::shared_ptr<const DataImage> image) {
+  VEXSIM_CHECK(image != nullptr);
+  data.push_back(DataSegment{addr, std::move(image)});
+}
+
+void Program::add_data(std::uint32_t addr, DataImage bytes) {
+  add_data(addr, std::make_shared<const DataImage>(std::move(bytes)));
+}
+
+void Program::add_data_words(std::uint32_t addr,
+                             const std::vector<std::uint32_t>& words) {
+  add_data(addr, word_image(words));
 }
 
 void Program::validate(int num_clusters) const {

@@ -1,8 +1,16 @@
 // A program: finalized VLIW code plus initial data segments.
+//
+// Programs are immutable once built and shared (the workload memo serves one
+// Program to every point that asks for it). Each data segment points at an
+// immutable byte image that may itself be shared across programs: wl_synth
+// builds one pool image per (seed, footprint) and every program generated
+// from that spec, on any machine, references it. Nothing writes through an
+// image; a ThreadContext copies the bytes into its own pages on load.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -11,9 +19,17 @@
 
 namespace vexsim {
 
+using DataImage = std::vector<std::uint8_t>;
+
+// Little-endian byte image of 32-bit words, the layout add_data_words loads.
+[[nodiscard]] std::shared_ptr<const DataImage> word_image(
+    const std::vector<std::uint32_t>& words);
+
 struct DataSegment {
   std::uint32_t addr = 0;
-  std::vector<std::uint8_t> bytes;
+  std::shared_ptr<const DataImage> image;  // never null
+
+  [[nodiscard]] const DataImage& bytes() const { return *image; }
 };
 
 struct Program {
@@ -30,7 +46,10 @@ struct Program {
 
   // Derived by finalize(): byte address of each instruction (for the ICache
   // model) computed from the binary encoding sizes, plus the decode cache
-  // the simulator hot paths index instead of re-deriving per cycle.
+  // (per-instruction summaries and the flat op table) the simulator hot
+  // paths index instead of `code`. `code` stays the format of the compiler,
+  // the verifier and the tools. cc::compile returns finalized programs;
+  // edit `code` or `kernels` afterwards and finalize() must run again.
   std::vector<std::uint32_t> instr_addr;
   std::uint32_t code_bytes = 0;
   std::shared_ptr<const DecodedProgram> decoded;
@@ -43,8 +62,11 @@ struct Program {
 
   [[nodiscard]] std::size_t size() const { return code.size(); }
 
-  // Data-segment builders.
-  void add_data(std::uint32_t addr, std::vector<std::uint8_t> bytes);
+  // Data-segment builders. The byte and word forms wrap fresh bytes in an
+  // image of their own; the image form shares an existing one. Segments do
+  // not feed finalize(), so they may be added before or after it.
+  void add_data(std::uint32_t addr, std::shared_ptr<const DataImage> image);
+  void add_data(std::uint32_t addr, DataImage bytes);
   void add_data_words(std::uint32_t addr,
                       const std::vector<std::uint32_t>& words);
 

@@ -40,6 +40,20 @@ void MainMemory::note_written(Page& p, std::uint32_t index) {
   written_.push_back(index);
 }
 
+namespace {
+
+constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+
+// kFnvPrime^k mod 2^64, by squaring.
+std::uint64_t fnv_prime_pow(std::size_t k) {
+  std::uint64_t result = 1;
+  for (std::uint64_t base = kFnvPrime; k != 0; k >>= 1, base *= base)
+    if ((k & 1) != 0) result *= base;
+  return result;
+}
+
+}  // namespace
+
 std::uint64_t MainMemory::fingerprint() const {
   // FNV-1a over (page index, page contents), pages visited in sorted order
   // so the digest is independent of hash-map iteration order.
@@ -48,7 +62,7 @@ std::uint64_t MainMemory::fingerprint() const {
   std::uint64_t h = 1469598103934665603ull;
   auto mix = [&h](std::uint8_t b) {
     h ^= b;
-    h *= 1099511628211ull;
+    h *= kFnvPrime;
   };
   for (const auto& [idx, page] : ordered) {
     bool all_zero = true;
@@ -59,7 +73,19 @@ std::uint64_t MainMemory::fingerprint() const {
     mix(static_cast<std::uint8_t>(idx >> 8));
     mix(static_cast<std::uint8_t>(idx >> 16));
     mix(static_cast<std::uint8_t>(idx >> 24));
-    for (std::uint8_t b : *page) mix(b);
+    // A zero byte leaves the xor a no-op, so a run of k zeros is k
+    // multiplies by the prime: one multiply by its k-th power, same digest.
+    const std::uint8_t* p = page->data();
+    const std::uint8_t* const end = p + page->size();
+    while (p != end) {
+      if (*p != 0) {
+        mix(*p++);
+        continue;
+      }
+      const std::uint8_t* const run = p;
+      while (p != end && *p == 0) ++p;
+      h *= fnv_prime_pow(static_cast<std::size_t>(p - run));
+    }
   }
   return h;
 }

@@ -36,8 +36,11 @@ void MultiprogramDriver::schedule_initial() {
 }
 
 bool MultiprogramDriver::budget_reached() const {
-  for (const auto& inst : instances_)
-    if (inst->total_instructions >= params_.budget) return true;
+  // Only an instance in a slot can retire, so only those can cross.
+  for (const int idx : running_)
+    if (idx >= 0 && instances_[static_cast<std::size_t>(idx)]
+                            ->total_instructions >= params_.budget)
+      return true;
   return false;
 }
 
@@ -87,6 +90,14 @@ RunResult MultiprogramDriver::run() {
     const std::uint64_t retired_before = sim_.stats().instructions_retired;
     const std::uint64_t exits_before = sim_.thread_exit_events();
     last_ops = sim_.step();
+    // The budget can only be crossed by a retirement, and the break must
+    // happen on exactly that cycle (the cycle counts in RunStats depend on
+    // it). Check against the slots as they were during the step: the exit
+    // handling below may detach the instance that halted on the very
+    // instruction that crossed the budget and pull another into its slot.
+    const bool budget_crossed =
+        sim_.stats().instructions_retired != retired_before &&
+        budget_reached();
 
     // Instance states only move when a thread halts or faults; the
     // respawn/refill scan and the all-done check are no-ops otherwise (most
@@ -127,11 +138,7 @@ RunResult MultiprogramDriver::run() {
         break;
     }
 
-    // The budget can only be crossed by a retirement; the break must happen
-    // on exactly that cycle (the cycle counts in RunStats depend on it).
-    if (sim_.stats().instructions_retired != retired_before &&
-        budget_reached())
-      break;
+    if (budget_crossed) break;
 
     // Timeslice handling: drain, then switch.
     if (!switch_pending && sim_.cycle() >= next_switch &&

@@ -32,11 +32,10 @@ struct Simulator::FusedSink {
     if (sim.packet_.owner[physical] == -1)
       sim.packet_.owner[physical] = static_cast<std::int8_t>(hw_slot);
   }
-  void emit(const Operation& op, const DecodedOp& dec, int logical,
-            int physical) {
+  void emit(const DecodedOp& dec, int logical, int physical) {
     *thread_mask |= 1u << static_cast<unsigned>(hw_slot);
     ++*ops;
-    sim.execute_op(op, dec, logical, physical, ctx);
+    sim.execute_op(dec, logical, physical, ctx);
   }
 };
 
@@ -172,10 +171,10 @@ void Simulator::write_result(ThreadContext& ctx, const Operation& op,
   ctx.pending_writes.push(w);
 }
 
-void Simulator::execute_op(const Operation& op, const DecodedOp& dec,
-                           int logical_cluster, int physical_cluster,
-                           ThreadContext& ctx) {
+void Simulator::execute_op(const DecodedOp& dec, int logical_cluster,
+                           int physical_cluster, ThreadContext& ctx) {
   if (ctx.fault.pending) return;  // instruction already faulted this cycle
+  const Operation& op = dec.op;
   const int c = logical_cluster;
 
   auto read_gpr = [&](int idx) {
@@ -496,8 +495,7 @@ int Simulator::step() {
     for (const SelectedOp& sel : packet_.ops) {
       ThreadContext& ctx = *slots_[static_cast<std::size_t>(sel.hw_slot)];
       thread_mask |= 1u << static_cast<unsigned>(sel.hw_slot);
-      execute_op(sel.op, *sel.dec, sel.logical_cluster, sel.physical_cluster,
-                 ctx);
+      execute_op(*sel.dec, sel.logical_cluster, sel.physical_cluster, ctx);
     }
     ops = packet_.op_count();
     if (profile_on_) {

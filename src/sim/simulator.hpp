@@ -184,9 +184,9 @@ class Simulator {
   // Passes the thread's refill gates (D-miss / branch-penalty / I-fetch) and
   // arms a fresh IssueProgress. Callers pre-filter null/halted/active/drain.
   void refill_slot(ThreadContext* ctx);
-  void execute_op(const Operation& op, const DecodedOp& dec,
-                  int logical_cluster, int physical_cluster,
-                  ThreadContext& ctx);
+  // Executes one operation, read from the program's flat op table.
+  void execute_op(const DecodedOp& dec, int logical_cluster,
+                  int physical_cluster, ThreadContext& ctx);
   void apply_staged_stores();
   void complete_instruction(int slot, ThreadContext& ctx);
   void rollback_fault(ThreadContext& ctx);

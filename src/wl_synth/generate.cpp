@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <utility>
 #include <vector>
 
 #include "cc/compiler.hpp"
@@ -27,6 +31,24 @@ std::vector<std::uint32_t> pool_words(std::uint64_t seed,
   std::vector<std::uint32_t> words(pool_bytes / 4);
   for (auto& w : words) w = rng.next_u32();
   return words;
+}
+
+// The pool depends only on (seed, footprint), so every program generated
+// from a spec shares one image, whatever its machine, ILP or compiler. The
+// mutex guards the map: parallel sweep workers build distinct programs at
+// once and can ask for the same pool. Intentionally leaked, like the
+// workload memo in workloads/registry.cpp: a sweep attempt abandoned by
+// --timeout may still be generating while static destructors run at process
+// exit, so these objects must outlive every such thread.
+std::shared_ptr<const DataImage> shared_pool(std::uint64_t seed,
+                                             std::uint32_t pool_bytes) {
+  static std::mutex& pools_mutex = *new std::mutex;
+  static auto& pools = *new std::map<std::pair<std::uint64_t, std::uint32_t>,
+                                     std::shared_ptr<const DataImage>>;
+  const std::lock_guard<std::mutex> lock(pools_mutex);
+  std::shared_ptr<const DataImage>& pool = pools[{seed, pool_bytes}];
+  if (pool == nullptr) pool = word_image(pool_words(seed, pool_bytes));
+  return pool;
 }
 
 }  // namespace
@@ -243,8 +265,7 @@ Program generate(const SynthSpec& spec, const MachineConfig& cfg,
   b.halt();
 
   Program prog = cc::compile(std::move(b).take(), cfg, copt, stats);
-  prog.add_data_words(kPoolBase, pool_words(spec.seed, pool_bytes));
-  prog.finalize();
+  prog.add_data(kPoolBase, shared_pool(spec.seed, pool_bytes));
   // Belt and braces: generation happens once per (spec, cfg, scale) thanks
   // to the registry memo, so static verification is effectively free.
   cc::verify_or_throw(prog, cfg);

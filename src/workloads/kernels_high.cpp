@@ -119,7 +119,6 @@ Program make_colorspace(const MachineConfig& cfg, KernelScale s) {
 
   Program prog = cc::compile(std::move(b).take(), cfg, s.compiler, s.stats);
   prog.add_data_words(kIn, random_words(0xC01055EED, 2 * kPixels));
-  prog.finalize();
   return prog;
 }
 
@@ -204,7 +203,6 @@ Program make_idct(const MachineConfig& cfg, KernelScale s) {
 
   Program prog = cc::compile(std::move(b).take(), cfg, s.compiler, s.stats);
   prog.add_data_words(kIn, random_words(0x1DC7, kBlocks * 64));
-  prog.finalize();
   return prog;
 }
 
@@ -279,7 +277,6 @@ Program make_imgpipe(const MachineConfig& cfg, KernelScale s) {
 
   Program prog = cc::compile(std::move(b).take(), cfg, s.compiler, s.stats);
   prog.add_data_words(kIn, random_words(0x1316, kWidth * (kRows + 1)));
-  prog.finalize();
   return prog;
 }
 
@@ -372,7 +369,6 @@ Program make_x264(const MachineConfig& cfg, KernelScale s) {
   Program prog = cc::compile(std::move(b).take(), cfg, s.compiler, s.stats);
   prog.add_data_words(kCur, random_words(0xC0DE, 16));
   prog.add_data_words(kRef, random_words(0xFEED, kSearch + 16));
-  prog.finalize();
   return prog;
 }
 

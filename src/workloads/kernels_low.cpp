@@ -104,7 +104,6 @@ Program make_mcf(const MachineConfig& cfg, KernelScale s) {
 
   Program prog = cc::compile(std::move(b).take(), cfg, s.compiler, s.stats);
   prog.add_data_words(kPool, pool);
-  prog.finalize();
   return prog;
 }
 
@@ -200,7 +199,6 @@ Program make_bzip2(const MachineConfig& cfg, KernelScale s) {
     }
     prog.add_data_words(kIn, words);
   }
-  prog.finalize();
   return prog;
 }
 
@@ -286,7 +284,6 @@ Program make_blowfish(const MachineConfig& cfg, KernelScale s) {
   Program prog = cc::compile(std::move(b).take(), cfg, s.compiler, s.stats);
   prog.add_data_words(kSbox, random_words(0xB70F, kSboxWords));
   prog.add_data_words(kData, random_words(0xB70D, kDataWords));
-  prog.finalize();
   return prog;
 }
 
@@ -347,7 +344,6 @@ Program make_gsmencode(const MachineConfig& cfg, KernelScale s) {
 
   Program prog = cc::compile(std::move(b).take(), cfg, s.compiler, s.stats);
   prog.add_data_words(kIn, random_words(0x65E, kSamples + 1));
-  prog.finalize();
   return prog;
 }
 

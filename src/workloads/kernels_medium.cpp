@@ -103,7 +103,6 @@ Program make_cjpeg(const MachineConfig& cfg, KernelScale s) {
 
   Program prog = cc::compile(std::move(b).take(), cfg, s.compiler, s.stats);
   prog.add_data_words(kIn, random_words(0x0CAFE, kImageWords));
-  prog.finalize();
   return prog;
 }
 
@@ -169,7 +168,6 @@ Program make_djpeg(const MachineConfig& cfg, KernelScale s) {
 
   Program prog = cc::compile(std::move(b).take(), cfg, s.compiler, s.stats);
   prog.add_data_words(kIn, random_words(0xD1BE6, kWords));
-  prog.finalize();
   return prog;
 }
 
@@ -241,7 +239,6 @@ Program make_g721(const MachineConfig& cfg, KernelScale s, bool encode) {
 
   Program prog = cc::compile(std::move(b).take(), cfg, s.compiler, s.stats);
   prog.add_data_words(kIn, random_words(encode ? 0x6721E : 0x6721D, kSamples + 4));
-  prog.finalize();
   return prog;
 }
 

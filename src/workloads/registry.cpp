@@ -137,6 +137,9 @@ std::shared_ptr<const Program> make_benchmark(const std::string& name,
         ks.stats = &built.stats;
         built.program = std::make_shared<Program>(info.factory(cfg, ks));
       }
+      // cc::compile finalizes; the factories only add data segments after.
+      VEXSIM_CHECK_MSG(built.program->finalized(),
+                       canonical << ": factory returned an unfinalized program");
       promise.set_value(std::move(built));
     } catch (...) {
       // Waiters (and later lookups) observe the same deterministic failure.

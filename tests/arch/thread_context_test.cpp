@@ -77,8 +77,8 @@ std::shared_ptr<const Program> segments_program(
 std::map<std::uint32_t, std::uint8_t> image_of(const Program& p) {
   std::map<std::uint32_t, std::uint8_t> image;
   for (const DataSegment& seg : p.data)
-    for (std::size_t i = 0; i < seg.bytes.size(); ++i)
-      image[seg.addr + static_cast<std::uint32_t>(i)] = seg.bytes[i];
+    for (std::size_t i = 0; i < seg.bytes().size(); ++i)
+      image[seg.addr + static_cast<std::uint32_t>(i)] = seg.bytes()[i];
   return image;
 }
 

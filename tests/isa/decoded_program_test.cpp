@@ -8,6 +8,7 @@
 #include "isa/program.hpp"
 #include "isa/resources.hpp"
 #include "vasm/assembler.hpp"
+#include "workloads/registry.hpp"
 
 namespace vexsim {
 namespace {
@@ -46,7 +47,8 @@ TEST(DecodedProgram, WholeBundleUseMatchesRecomputation) {
       for (std::size_t k = 0; k < bundle.size(); ++k) {
         ResourceUse one;
         one.add(bundle[k]);
-        EXPECT_EQ(db.ops[k].use, one) << i << "/" << c << "/" << k;
+        EXPECT_EQ(p.decoded->ops()[db.first_op + k].use, one)
+            << i << "/" << c << "/" << k;
       }
     }
   }
@@ -94,6 +96,48 @@ TEST(DecodedProgram, OperandFlagsMatchOpcodeHelpers) {
         EXPECT_EQ(d.mem_size, 0);
     });
   }
+}
+
+// The flat op table holds exactly each instruction's operations, in
+// cluster then bundle order, and each bundle's offset, mask and whole use
+// describe its slice.
+void expect_flat_table_matches_code(const Program& p) {
+  ASSERT_TRUE(p.finalized()) << p.name;
+  const DecodedProgram& dp = *p.decoded;
+  std::size_t next = 0;
+  for (std::size_t i = 0; i < p.code.size(); ++i) {
+    for (int c = 0; c < kMaxClusters; ++c) {
+      const Bundle& bundle = p.code[i].bundle(c);
+      const DecodedBundle& db = dp.insn(i).bundle(c);
+      ASSERT_EQ(db.first_op, next) << p.name << " [" << i << "] c" << c;
+      EXPECT_EQ(db.full_mask, (1u << bundle.size()) - 1u)
+          << p.name << " [" << i << "] c" << c;
+      ResourceUse sum;
+      for (std::size_t k = 0; k < bundle.size(); ++k, ++next) {
+        ASSERT_LT(next, dp.op_count()) << p.name;
+        const DecodedOp& op = dp.ops()[next];
+        EXPECT_EQ(op.op, bundle[k]) << p.name << " [" << i << "] c" << c;
+        sum.add(op.use);
+      }
+      EXPECT_EQ(db.whole_use, sum) << p.name << " [" << i << "] c" << c;
+    }
+  }
+  EXPECT_EQ(next, dp.op_count()) << p.name;
+}
+
+TEST(DecodedProgram, FlatTableMatchesEveryRegistryKernel) {
+  const MachineConfig cfg = MachineConfig::paper(4, Technique::csmt());
+  for (const wl::BenchmarkInfo& info : wl::benchmark_registry())
+    expect_flat_table_matches_code(*wl::make_benchmark(info.name, cfg, 0.05));
+  expect_flat_table_matches_code(sample_program());
+}
+
+TEST(DecodedProgram, FlatTableMatchesSynthSpecs) {
+  const MachineConfig cfg = MachineConfig::paper(4, Technique::csmt());
+  for (const char* spec :
+       {"synth:i0.9-m0.3-b0.1-c0.2-s3", "synth:i0.2-m0.5-b0.2-s4-f256",
+        "synth:i1-m0.2-p0.5-n128-s5-ccpipe2", "synth:i0.5-m0.4-st64-s6"})
+    expect_flat_table_matches_code(*wl::make_benchmark(spec, cfg, 0.05));
 }
 
 TEST(DecodedProgram, SingletonUseIsOneSlotOfTheRightClass) {

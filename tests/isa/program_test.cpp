@@ -43,9 +43,9 @@ TEST(Program, DataWords) {
   prog.add_data_words(0x2000, {0x11223344u, 0xAABBCCDDu});
   ASSERT_EQ(prog.data.size(), 1u);
   EXPECT_EQ(prog.data[0].addr, 0x2000u);
-  ASSERT_EQ(prog.data[0].bytes.size(), 8u);
-  EXPECT_EQ(prog.data[0].bytes[0], 0x44);  // little endian
-  EXPECT_EQ(prog.data[0].bytes[7], 0xAA);
+  ASSERT_EQ(prog.data[0].bytes().size(), 8u);
+  EXPECT_EQ(prog.data[0].bytes()[0], 0x44);  // little endian
+  EXPECT_EQ(prog.data[0].bytes()[7], 0xAA);
 }
 
 TEST(Program, ValidateAcceptsGoodProgram) {

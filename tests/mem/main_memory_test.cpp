@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <utility>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace vexsim {
 namespace {
@@ -92,6 +96,73 @@ TEST(MainMemory, FingerprintIgnoresZeroWrites) {
   MainMemory a, b;
   ASSERT_TRUE(a.store(0x5000, 4, 0));
   EXPECT_EQ(a.fingerprint(), b.fingerprint());
+}
+
+// The digest as a plain FNV-1a byte loop over (page index, page bytes) in
+// page order, all-zero pages skipped: the oracle for the zero-run folding.
+std::uint64_t byte_loop_fingerprint(
+    const std::map<std::uint32_t, std::vector<std::uint8_t>>& pages) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](std::uint8_t b) {
+    h ^= b;
+    h *= 1099511628211ull;
+  };
+  for (const auto& [idx, bytes] : pages) {
+    if (std::all_of(bytes.begin(), bytes.end(),
+                    [](std::uint8_t b) { return b == 0; }))
+      continue;
+    for (int shift = 0; shift < 32; shift += 8)
+      mix(static_cast<std::uint8_t>(idx >> shift));
+    for (const std::uint8_t b : bytes) mix(b);
+  }
+  return h;
+}
+
+std::uint64_t fingerprint_of(
+    const std::map<std::uint32_t, std::vector<std::uint8_t>>& pages) {
+  MainMemory mem;
+  for (const auto& [idx, bytes] : pages)
+    mem.poke_bytes(idx << MainMemory::kPageBits, bytes.data(), bytes.size());
+  return mem.fingerprint();
+}
+
+std::vector<std::uint8_t> nonzero_page(Rng& rng) {
+  std::vector<std::uint8_t> page(MainMemory::kPageSize);
+  for (auto& b : page) b = static_cast<std::uint8_t>(1 + rng.below(255));
+  return page;
+}
+
+TEST(MainMemory, FingerprintFoldsZeroRunsLikeTheByteLoop) {
+  constexpr std::size_t kPage = MainMemory::kPageSize;
+  Rng rng(0xF1A7);
+  for (const std::size_t len : {0, 1, 2, 63, 64, 65535, 65536}) {
+    // Start, an unaligned start, middle and end of the page.
+    for (const std::size_t at : {std::size_t{0}, std::size_t{3},
+                                 (kPage - len) / 2, kPage - len}) {
+      const std::size_t off = std::min(at, kPage - len);
+      std::vector<std::uint8_t> page = nonzero_page(rng);
+      std::fill_n(page.begin() + static_cast<std::ptrdiff_t>(off), len, 0);
+      const std::map<std::uint32_t, std::vector<std::uint8_t>> pages = {
+          {0x12, nonzero_page(rng)}, {0x60, page}};
+      EXPECT_EQ(fingerprint_of(pages), byte_loop_fingerprint(pages))
+          << "zero run of " << len << " at " << off;
+    }
+  }
+  // Random pages: runs of zeros and of nonzero bytes, 1..300 bytes long.
+  std::map<std::uint32_t, std::vector<std::uint8_t>> pages;
+  for (std::uint32_t idx : {0x1u, 0x2u, 0x70u, 0x71u, 0xFFFFu}) {
+    std::vector<std::uint8_t> page(kPage);
+    for (std::size_t i = 0; i < kPage;) {
+      const std::size_t run =
+          std::min<std::size_t>(1 + rng.below(300), kPage - i);
+      const bool zero = rng.chance(0.5);
+      for (std::size_t k = 0; k < run; ++k, ++i)
+        page[i] = zero ? 0 : static_cast<std::uint8_t>(rng.next_u32());
+    }
+    pages[idx] = std::move(page);
+  }
+  pages[0x3] = std::vector<std::uint8_t>(kPage, 0);  // skipped page
+  EXPECT_EQ(fingerprint_of(pages), byte_loop_fingerprint(pages));
 }
 
 TEST(MainMemory, MovedFromMemoryKeepsNoPages) {

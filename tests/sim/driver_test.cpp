@@ -79,6 +79,40 @@ TEST(Driver, BudgetStopsTheRun) {
   EXPECT_LT(r.instances[0].instructions, 100u + 50u);
 }
 
+// A straight-line program of three instructions, the last one a halt.
+std::shared_ptr<const Program> three_step_program(const std::string& name) {
+  return test::finalize(assemble(
+      "c0 add r1 = r1, 1\n"
+      "c0 add r1 = r1, 2\n"
+      "c0 halt\n",
+      name));
+}
+
+TEST(Driver, BudgetCrossedByAHaltStopsOnThatCycle) {
+  // One slot, two instances, respawn on: instance 0 retires its sixth
+  // instruction on its second halt, exactly at the budget. The exit
+  // handling detaches it (no respawn at the budget) and pulls instance 1
+  // into the slot on that same cycle; the run must still stop there.
+  DriverParams params;
+  params.budget = 6;
+  params.max_cycles = 100'000;
+  MultiprogramDriver driver(
+      machine(1), {three_step_program("a"), three_step_program("b")}, params);
+  const RunResult r = driver.run();
+  ASSERT_EQ(r.instances.size(), 2u);
+  EXPECT_EQ(r.instances[0].instructions, 6u);
+  EXPECT_EQ(r.instances[0].respawns, 1u);
+  EXPECT_EQ(r.instances[1].instructions, 0u);
+  EXPECT_EQ(r.sim.instructions_retired, 6u);
+  int at_budget = 0;
+  for (const InstanceResult& inst : r.instances)
+    if (inst.instructions >= params.budget) ++at_budget;
+  EXPECT_EQ(at_budget, 1);
+  // The same instance alone ends on the same cycle (nothing left to run).
+  MultiprogramDriver solo(machine(1), {three_step_program("a")}, params);
+  EXPECT_EQ(r.sim.cycles, solo.run().sim.cycles);
+}
+
 TEST(Driver, DeterministicForSeed) {
   auto run_once = [](std::uint64_t seed) {
     DriverParams params;

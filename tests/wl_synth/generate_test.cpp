@@ -20,8 +20,8 @@ std::string fingerprint(const Program& prog) {
   std::string fp = to_string(prog);
   for (const DataSegment& seg : prog.data) {
     fp += "@" + std::to_string(seg.addr) + ":";
-    fp.append(reinterpret_cast<const char*>(seg.bytes.data()),
-              seg.bytes.size());
+    fp.append(reinterpret_cast<const char*>(seg.bytes().data()),
+              seg.bytes().size());
   }
   return fp;
 }
