@@ -11,8 +11,8 @@ ThreadContext::ThreadContext(int asid, std::shared_ptr<const Program> program)
   VEXSIM_CHECK(program_ != nullptr);
   VEXSIM_CHECK_MSG(program_->finalized(),
                    "program must be finalize()d before execution");
-  VEXSIM_CHECK(!program_->code.empty());
-  code_size_ = static_cast<std::uint32_t>(program_->code.size());
+  VEXSIM_CHECK(program_->size() != 0);
+  code_size_ = static_cast<std::uint32_t>(program_->size());
   decoded_insns_ = program_->decoded->data();
   decoded_ops_ = program_->decoded->ops();
   instr_addr_ = program_->instr_addr.data();

@@ -40,22 +40,21 @@ namespace {
 
 // The single control-flow operation of an instruction, if any (the verifier
 // rejects instructions with more than one; this takes the first).
-const Operation* control_op(const VliwInstruction& insn) {
-  for (const Bundle& b : insn.bundles)
-    for (const Operation& op : b)
-      if (is_branch(op.opc)) return &op;
+const Operation* control_op(const InstructionView& insn) {
+  for (const Operation& op : insn.ops())
+    if (is_branch(op.opc)) return &op;
   return nullptr;
 }
 
 bool target_in_range(const Program& prog, std::int32_t target) {
-  return target >= 0 && static_cast<std::size_t>(target) < prog.code.size();
+  return target >= 0 && static_cast<std::size_t>(target) < prog.size();
 }
 
 }  // namespace
 
 Cfg Cfg::build(const Program& prog) {
   Cfg cfg;
-  const std::size_t n = prog.code.size();
+  const std::size_t n = prog.size();
   cfg.block_of_.assign(n, 0);
   if (n == 0) return cfg;
 
@@ -64,7 +63,7 @@ Cfg Cfg::build(const Program& prog) {
   std::set<std::uint32_t> leaders;
   leaders.insert(0);
   for (std::size_t i = 0; i < n; ++i) {
-    const Operation* ctl = control_op(prog.code[i]);
+    const Operation* ctl = control_op(prog.insn(i));
     if (ctl == nullptr) continue;
     if (i + 1 < n) leaders.insert(static_cast<std::uint32_t>(i + 1));
     if (ctl->opc != Opcode::kHalt && target_in_range(prog, ctl->imm))
@@ -92,7 +91,7 @@ Cfg Cfg::build(const Program& prog) {
   };
   for (std::size_t b = 0; b < cfg.blocks_.size(); ++b) {
     const CfgBlock& block = cfg.blocks_[b];
-    const Operation* ctl = control_op(prog.code[block.end - 1]);
+    const Operation* ctl = control_op(prog.insn(block.end - 1));
     const bool has_next = block.end < n;
     if (ctl == nullptr) {
       if (has_next) add_edge(static_cast<int>(b), cfg.block_of_[block.end]);
@@ -132,7 +131,7 @@ Cfg Cfg::build(const Program& prog) {
 }
 
 Liveness solve_liveness(const Program& prog, const Cfg& cfg) {
-  const std::size_t n = prog.code.size();
+  const std::size_t n = prog.size();
   Liveness out;
   out.live_in.assign(n, LocSet{});
   out.live_out.assign(n, LocSet{});
@@ -145,12 +144,12 @@ Liveness solve_liveness(const Program& prog, const Cfg& cfg) {
   for (std::size_t b = 0; b < nb; ++b) {
     const CfgBlock& block = cfg.blocks()[b];
     for (std::uint32_t pc = block.first; pc < block.end; ++pc) {
-      prog.code[pc].for_each_op([&](const Operation& op) {
+      prog.insn(pc).for_each_op([&](const Operation& op) {
         for_each_read(op, [&](int loc) {
           if (!def[b].contains(loc)) use[b].insert(loc);
         });
       });
-      prog.code[pc].for_each_op([&](const Operation& op) {
+      prog.insn(pc).for_each_op([&](const Operation& op) {
         for_each_write(op, [&](int loc) { def[b].insert(loc); });
       });
     }
@@ -181,10 +180,10 @@ Liveness solve_liveness(const Program& prog, const Cfg& cfg) {
     LocSet live = block_out[b];
     for (std::uint32_t pc = block.end; pc-- > block.first;) {
       out.live_out[pc] = live;
-      prog.code[pc].for_each_op([&](const Operation& op) {
+      prog.insn(pc).for_each_op([&](const Operation& op) {
         for_each_write(op, [&](int loc) { live.erase(loc); });
       });
-      prog.code[pc].for_each_op([&](const Operation& op) {
+      prog.insn(pc).for_each_op([&](const Operation& op) {
         for_each_read(op, [&](int loc) { live.insert(loc); });
       });
       out.live_in[pc] = live;
@@ -194,7 +193,7 @@ Liveness solve_liveness(const Program& prog, const Cfg& cfg) {
 }
 
 Assigned solve_definitely_assigned(const Program& prog, const Cfg& cfg) {
-  const std::size_t n = prog.code.size();
+  const std::size_t n = prog.size();
   Assigned out;
   out.assigned_in.assign(n, LocSet{});
   if (n == 0) return out;
@@ -204,7 +203,7 @@ Assigned solve_definitely_assigned(const Program& prog, const Cfg& cfg) {
   for (std::size_t b = 0; b < nb; ++b) {
     const CfgBlock& block = cfg.blocks()[b];
     for (std::uint32_t pc = block.first; pc < block.end; ++pc)
-      prog.code[pc].for_each_op([&](const Operation& op) {
+      prog.insn(pc).for_each_op([&](const Operation& op) {
         for_each_write(op, [&](int loc) { def[b].insert(loc); });
       });
   }
@@ -247,7 +246,7 @@ Assigned solve_definitely_assigned(const Program& prog, const Cfg& cfg) {
     LocSet assigned = block_in[b];
     for (std::uint32_t pc = block.first; pc < block.end; ++pc) {
       out.assigned_in[pc] = assigned;
-      prog.code[pc].for_each_op([&](const Operation& op) {
+      prog.insn(pc).for_each_op([&](const Operation& op) {
         for_each_write(op, [&](int loc) { assigned.insert(loc); });
       });
     }
@@ -304,7 +303,7 @@ std::vector<std::uint32_t> ReachingDefs::reaching(std::size_t pc,
 
 ReachingDefs solve_reaching_defs(const Program& prog, const Cfg& cfg) {
   ReachingDefs out;
-  const std::size_t n = prog.code.size();
+  const std::size_t n = prog.size();
   out.reaching_in.assign(n, {});
   if (n == 0) return out;
 
@@ -313,7 +312,7 @@ ReachingDefs solve_reaching_defs(const Program& prog, const Cfg& cfg) {
   std::vector<std::vector<std::uint32_t>> defs_of_loc(kMaxLocs);
   for (std::size_t pc = 0; pc < n; ++pc) {
     LocSet written;
-    prog.code[pc].for_each_op([&](const Operation& op) {
+    prog.insn(pc).for_each_op([&](const Operation& op) {
       for_each_write(op, [&](int loc) { written.insert(loc); });
     });
     written.for_each([&](int loc) {
@@ -380,7 +379,7 @@ ReachingDefs solve_reaching_defs(const Program& prog, const Cfg& cfg) {
 
 PressureResult register_pressure(const Program& prog, const Liveness& live) {
   PressureResult out;
-  for (std::size_t pc = 0; pc < prog.code.size(); ++pc) {
+  for (std::size_t pc = 0; pc < prog.size(); ++pc) {
     std::array<int, kMaxClusters> gprs{};
     std::array<int, kMaxClusters> bregs{};
     live.live_in[pc].for_each([&](int loc) {

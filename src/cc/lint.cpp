@@ -24,10 +24,10 @@ struct Reporter {
 
 void check_uninit_reads(const Program& prog, const Cfg& cfg,
                         const Assigned& assigned, const Reporter& report) {
-  for (std::size_t pc = 0; pc < prog.code.size(); ++pc) {
+  for (std::size_t pc = 0; pc < prog.size(); ++pc) {
     if (!cfg.reachable(cfg.block_of(pc))) continue;
     const LocSet& ok = assigned.assigned_in[pc];
-    prog.code[pc].for_each_op([&](const Operation& op) {
+    prog.insn(pc).for_each_op([&](const Operation& op) {
       for_each_read(op, [&](int loc) {
         if (!ok.contains(loc))
           report("uninit-read", pc,
@@ -42,9 +42,9 @@ void check_uninit_reads(const Program& prog, const Cfg& cfg,
 // ---- same-cycle-waw -------------------------------------------------------
 
 void check_same_cycle_waw(const Program& prog, const Reporter& report) {
-  for (std::size_t pc = 0; pc < prog.code.size(); ++pc) {
+  for (std::size_t pc = 0; pc < prog.size(); ++pc) {
     LocSet written;
-    prog.code[pc].for_each_op([&](const Operation& op) {
+    prog.insn(pc).for_each_op([&](const Operation& op) {
       for_each_write(op, [&](int loc) {
         if (written.contains(loc))
           report("same-cycle-waw", pc,
@@ -60,8 +60,8 @@ void check_same_cycle_waw(const Program& prog, const Reporter& report) {
 
 void check_dead_copies(const Program& prog, const Liveness& live,
                        const Reporter& report) {
-  for (std::size_t pc = 0; pc < prog.code.size(); ++pc) {
-    prog.code[pc].for_each_op([&](const Operation& op) {
+  for (std::size_t pc = 0; pc < prog.size(); ++pc) {
+    prog.insn(pc).for_each_op([&](const Operation& op) {
       if (op.opc != Opcode::kRecv || op.dst == 0) return;
       const int loc = gpr_loc(op.cluster, op.dst);
       if (!live.live_out[pc].contains(loc))
@@ -100,16 +100,15 @@ bool rematerialization(const Operation& op) {
 
 void check_dead_code(const Program& prog, const Cfg& cfg, const Liveness& live,
                      const Reporter& report) {
-  for (std::size_t pc = 0; pc < prog.code.size(); ++pc) {
+  for (std::size_t pc = 0; pc < prog.size(); ++pc) {
     if (!cfg.reachable(cfg.block_of(pc))) continue;
-    const SwpRegion region =
-        prog.decoded != nullptr ? prog.decoded->region_of(pc) : SwpRegion::kNone;
+    const SwpRegion region = prog.decoded->region_of(pc);
     // Prologue/epilogue stages legitimately compute partial-iteration
     // results that drain unused; only straight-line code and the steady-
     // state kernel are held to strict deadness.
     if (region == SwpRegion::kPrologue || region == SwpRegion::kEpilogue)
       continue;
-    prog.code[pc].for_each_op([&](const Operation& op) {
+    prog.insn(pc).for_each_op([&](const Operation& op) {
       if (!pure_op(op) || rematerialization(op)) return;
       for_each_write(op, [&](int loc) {
         if (live.live_out[pc].contains(loc)) return;
@@ -136,10 +135,10 @@ void check_unreachable(const Program& prog, const Cfg& cfg,
     if (cfg.reachable(static_cast<int>(b))) continue;
     const CfgBlock& block = cfg.blocks()[b];
     for (std::uint32_t pc = block.first; pc < block.end; ++pc)
-      if (!prog.code[pc].empty())
+      if (!prog.insn(pc).empty())
         report("unreachable", pc,
                "instruction is unreachable from entry (" +
-                   std::to_string(prog.code[pc].op_count()) + " op(s))");
+                   std::to_string(prog.insn(pc).op_count()) + " op(s))");
   }
 }
 
@@ -193,7 +192,7 @@ void check_stale_clones(const Program& prog, const Cfg& cfg,
     };
 
     for (std::uint32_t pc = block.first; pc < block.end; ++pc) {
-      const VliwInstruction& insn = prog.code[pc];
+      const InstructionView insn = prog.insn(pc);
 
       // Phase 1: reads observe pre-instruction state. Snapshot channel
       // payloads and run the clone consistency checks.
@@ -275,7 +274,7 @@ std::string to_string(const Program& prog, const LintFinding& finding) {
 LintReport lint_program(const Program& prog, const MachineConfig& cfg) {
   (void)cfg;  // geometry legality is the verifier's concern
   LintReport report;
-  if (prog.code.empty()) return report;
+  if (prog.size() == 0) return report;
 
   const Cfg graph = Cfg::build(prog);
   const Liveness live = solve_liveness(prog, graph);

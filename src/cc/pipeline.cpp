@@ -105,6 +105,8 @@ class EmitPass final : public Pass {
 
     Program prog;
     prog.name = lfn.name;
+    // The builder form; finalize() packs it into the program's tables.
+    std::vector<VliwInstruction> code;
 
     // Block start indices for branch patching.
     std::vector<std::uint32_t> block_start(lfn.blocks.size(), 0);
@@ -113,6 +115,7 @@ class EmitPass final : public Pass {
       block_start[b] = index;
       index += static_cast<std::uint32_t>(fsched.blocks[b].length);
     }
+    code.resize(index);
 
     struct Patch {
       std::size_t instr;
@@ -125,7 +128,7 @@ class EmitPass final : public Pass {
     for (std::size_t b = 0; b < lfn.blocks.size(); ++b) {
       const LBlock& block = lfn.blocks[b];
       const BlockSchedule& bs = fsched.blocks[b];
-      std::vector<VliwInstruction> insns(static_cast<std::size_t>(bs.length));
+      VliwInstruction* insns = code.data() + block_start[b];
 
       for (std::size_t i = 0; i < block.body.size(); ++i) {
         const LOp& op = block.body[i];
@@ -154,14 +157,14 @@ class EmitPass final : public Pass {
             Operation br = block.branch_if_false ? ops::brf(0, breg, 0)
                                                  : ops::br(0, breg, 0);
             insns[tc].add(br);
-            patches.push_back(Patch{prog.code.size() + tc, 0,
+            patches.push_back(Patch{block_start[b] + tc, 0,
                                     insns[tc].bundle(0).size() - 1,
                                     block.target});
             break;
           }
           case Terminator::kGoto: {
             insns[tc].add(ops::jump(0, 0));
-            patches.push_back(Patch{prog.code.size() + tc, 0,
+            patches.push_back(Patch{block_start[b] + tc, 0,
                                     insns[tc].bundle(0).size() - 1,
                                     block.target});
             break;
@@ -174,21 +177,19 @@ class EmitPass final : public Pass {
         }
       }
 
-      prog.labels[static_cast<std::uint32_t>(prog.code.size())] =
-          lfn.name + "_b" + std::to_string(b);
-      for (VliwInstruction& insn : insns) prog.code.push_back(insn);
+      prog.labels[block_start[b]] = lfn.name + "_b" + std::to_string(b);
     }
 
     for (const Patch& p : patches) {
       Bundle& bundle =
-          prog.code[p.instr].bundles[static_cast<std::size_t>(p.cluster)];
+          code[p.instr].bundles[static_cast<std::size_t>(p.cluster)];
       bundle[p.op_index].imm = static_cast<std::int32_t>(
           block_start[static_cast<std::size_t>(p.target_block)]);
     }
 
     // Software-pipeline metadata: instruction spans of each
     // prologue/kernel/epilogue region, for the verifier and the decode
-    // cache.
+    // tables.
     for (const SwpLoop& loop : ctx.swp.loops) {
       SoftwarePipelinedLoop info;
       info.prologue_start = block_start[loop.prologue_block];
@@ -202,16 +203,14 @@ class EmitPass final : public Pass {
       prog.kernels.push_back(info);
     }
 
-    prog.finalize();
+    prog.finalize(std::move(code));
     prog.validate(ctx.cfg.clusters);
 
-    ctx.stats.instructions = static_cast<int>(prog.code.size());
-    ctx.stats.operations = 0;
+    ctx.stats.instructions = static_cast<int>(prog.size());
+    ctx.stats.operations = static_cast<int>(prog.decoded->op_count());
     ctx.stats.empty_instructions = 0;
-    for (const VliwInstruction& insn : prog.code) {
-      ctx.stats.operations += insn.op_count();
-      if (insn.empty()) ++ctx.stats.empty_instructions;
-    }
+    for (std::size_t pc = 0; pc < prog.size(); ++pc)
+      if (prog.insn(pc).empty()) ++ctx.stats.empty_instructions;
     ctx.prog = std::move(prog);
   }
 };
@@ -271,7 +270,7 @@ namespace {
 // damage instead of at program-verify (or worse, in the simulator).
 void check_pass_invariants(PassContext& ctx, std::string_view pass) {
   try {
-    if (!ctx.prog.code.empty()) {
+    if (ctx.prog.size() != 0) {
       verify_or_throw(ctx.prog, ctx.cfg);
       lint_or_throw(ctx.prog, ctx.cfg);
     } else if (!ctx.lfn.blocks.empty()) {

@@ -35,7 +35,7 @@ void verify_kernel_windows(
     for (int m = 0; m < ii; ++m) {
       const long t = static_cast<long>(pass) * ii + m;
       const std::size_t pc = k.kernel_start + static_cast<std::size_t>(m);
-      const VliwInstruction& insn = prog.code[pc];
+      const InstructionView insn = prog.insn(pc);
       auto check_read = [&](bool breg, int cluster, int idx) {
         const auto it = last.find({breg, cluster, idx});
         if (it == last.end()) return;
@@ -84,14 +84,14 @@ std::vector<VerifyIssue> verify_program(const Program& prog,
     issues.push_back(VerifyIssue{i, what});
   };
 
-  for (std::size_t i = 0; i < prog.code.size(); ++i) {
-    const VliwInstruction& insn = prog.code[i];
+  for (std::size_t i = 0; i < prog.size(); ++i) {
+    const InstructionView insn = prog.insn(i);
     int branches = 0;
     std::array<int, kNumChannels> sends{};
     std::array<int, kNumChannels> recvs{};
 
     for (int c = 0; c < cfg.clusters; ++c) {
-      const Bundle& bundle = insn.bundle(c);
+      const OpRange bundle = insn.bundle(c);
       if (bundle.empty()) continue;
       ResourceUse use;
       for (const Operation& op : bundle) {
@@ -110,7 +110,7 @@ std::vector<VerifyIssue> verify_program(const Program& prog,
         if ((op.opc == Opcode::kBr || op.opc == Opcode::kBrf ||
              op.opc == Opcode::kGoto) &&
             (op.imm < 0 ||
-             static_cast<std::size_t>(op.imm) >= prog.code.size()))
+             static_cast<std::size_t>(op.imm) >= prog.size()))
           report(i, "branch target out of range");
       }
       ResourceUse empty;
@@ -138,7 +138,7 @@ std::vector<VerifyIssue> verify_program(const Program& prog,
   // Software-pipelined kernels: span sanity, the closing back-branch, and
   // the cyclic latency-window replay.
   for (const SoftwarePipelinedLoop& k : prog.kernels) {
-    if (k.epilogue_end > prog.code.size() || k.ii < 1 || k.stages < 2 ||
+    if (k.epilogue_end > prog.size() || k.ii < 1 || k.stages < 2 ||
         k.prologue_start > k.kernel_start ||
         k.kernel_start + k.ii > k.epilogue_end) {
       report(k.kernel_start, "malformed software-pipeline span");
@@ -147,7 +147,7 @@ std::vector<VerifyIssue> verify_program(const Program& prog,
     const std::size_t last = k.kernel_start + k.ii - 1;
     bool closes = false;
     for (int c = 0; c < cfg.clusters; ++c)
-      for (const Operation& op : prog.code[last].bundle(c))
+      for (const Operation& op : prog.insn(last).bundle(c))
         if ((op.opc == Opcode::kBr || op.opc == Opcode::kBrf) &&
             static_cast<std::uint32_t>(op.imm) == k.kernel_start)
           closes = true;

@@ -1,6 +1,7 @@
 #include "isa/decoded_program.hpp"
 
 #include <algorithm>
+#include <sstream>
 
 #include "isa/opcode.hpp"
 #include "util/check.hpp"
@@ -80,6 +81,18 @@ DecodedProgram::DecodedProgram(const std::vector<VliwInstruction>& code,
     dec.op_count = static_cast<std::uint8_t>(ops);
     insns_.push_back(dec);
   }
+}
+
+std::string to_string(const InstructionView& insn) {
+  if (insn.empty()) return "nop";
+  std::ostringstream os;
+  bool first = true;
+  for (const Operation& op : insn.ops()) {
+    if (!first) os << " ; ";
+    first = false;
+    os << to_string(op);
+  }
+  return os.str();
 }
 
 }  // namespace vexsim

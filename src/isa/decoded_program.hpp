@@ -1,13 +1,17 @@
-// Precomputed decode cache: the per-instruction side-structure built once at
-// program load so the per-cycle hot paths (merge engine, operand fetch)
-// index tables instead of re-deriving facts from the instruction stream.
+// The program's code: one flat table of DecodedOps and one per-instruction
+// table, built once by Program::finalize() from the builder instructions and
+// then the only form of the code that exists. The simulator's per-cycle hot
+// paths (merge engine, operand fetch) index these tables instead of
+// re-deriving facts from operations, and every other reader (validate, the
+// verifier, lint, dataflow, the reference interpreter, disassembly, the
+// encoder) walks them through an InstructionView.
 //
-// Layout: one flat table of DecodedOps holds every operation of the program
-// in instruction, cluster and bundle order, each carrying its Operation and
-// the facts below. A DecodedInstruction holds per-cluster summaries only;
-// bundle c's operation i is ops()[bundle(c).first_op + i]. The cycle loop
-// reads operations only through the table, never through VliwInstruction.
-// The table costs 32 B per actual operation, so a mostly-empty wide
+// Layout: the table holds every operation of the program in instruction,
+// cluster and bundle order, each carrying its Operation and the facts below.
+// A DecodedInstruction holds per-cluster summaries only; bundle c's operation
+// i is ops()[bundle(c).first_op + i], and an instruction's operations are the
+// contiguous run starting at bundle(0).first_op. The table costs 32 B per
+// actual operation plus 144 B per instruction, so a mostly-empty wide
 // instruction stays small.
 //
 // What is cached, and why it is sufficient:
@@ -24,13 +28,16 @@
 //  * Per instruction, the op count and has_comm/has_branch summaries that
 //    gate split-issue policy (CommPolicy::kNoSplit) and completion.
 //
-// The cache is immutable and machine-independent (no latencies, no cluster
+// The tables are immutable and machine-independent (no latencies, no cluster
 // limits), so one DecodedProgram serves every simulator configuration the
-// program runs on. Program::finalize() builds it.
+// program runs on.
 #pragma once
 
+#include <bit>
 #include <cstdint>
-#include <memory>
+#include <ranges>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "isa/instruction.hpp"
@@ -74,6 +81,8 @@ struct DecodedOp {
   [[nodiscard]] bool has(std::uint8_t flag) const {
     return (flags & flag) != 0;
   }
+
+  friend bool operator==(const DecodedOp&, const DecodedOp&) = default;
 };
 
 // One cluster's slice of a decoded instruction: its operations are
@@ -82,6 +91,8 @@ struct DecodedBundle {
   ResourceUse whole_use;        // use of the complete bundle
   std::uint32_t first_op = 0;   // index of the bundle's first op in ops()
   std::uint8_t full_mask = 0;   // (1 << bundle.size()) - 1
+
+  friend bool operator==(const DecodedBundle&, const DecodedBundle&) = default;
 };
 
 struct DecodedInstruction {
@@ -97,10 +108,57 @@ struct DecodedInstruction {
   [[nodiscard]] const DecodedBundle& bundle(int cluster) const {
     return bundles[static_cast<std::size_t>(cluster)];
   }
+
+  friend bool operator==(const DecodedInstruction&,
+                         const DecodedInstruction&) = default;
 };
+
+// The operations of one bundle, or of a whole instruction: a range of
+// `const Operation&` over a slice of the flat table. Copies no operation.
+using OpRange = std::ranges::transform_view<std::span<const DecodedOp>,
+                                            Operation DecodedOp::*>;
+
+// A lightweight read-only view of one instruction: raw pointers into the
+// program's shared tables, valid while the Program lives (the same rule as
+// ThreadContext's views). Operations come in cluster and bundle order.
+class InstructionView {
+ public:
+  InstructionView(const DecodedInstruction& insn, const DecodedOp* ops)
+      : insn_(&insn), ops_(ops) {}
+
+  [[nodiscard]] OpRange bundle(int cluster) const {
+    const DecodedBundle& b = insn_->bundle(cluster);
+    return slice(b.first_op,
+                 static_cast<std::size_t>(std::popcount(b.full_mask)));
+  }
+  // Every operation of the instruction.
+  [[nodiscard]] OpRange ops() const {
+    return slice(insn_->bundles[0].first_op, insn_->op_count);
+  }
+  template <typename Fn>
+  void for_each_op(Fn&& fn) const {
+    for (const Operation& op : ops()) fn(op);
+  }
+
+  [[nodiscard]] int op_count() const { return insn_->op_count; }
+  [[nodiscard]] bool empty() const { return insn_->op_count == 0; }
+
+ private:
+  [[nodiscard]] OpRange slice(std::size_t first, std::size_t n) const {
+    return OpRange(std::span<const DecodedOp>(ops_ + first, n),
+                   &DecodedOp::op);
+  }
+
+  const DecodedInstruction* insn_;
+  const DecodedOp* ops_;
+};
+
+// Renders as one assembler line: ops joined by " ; ", "nop" when empty.
+[[nodiscard]] std::string to_string(const InstructionView& insn);
 
 class DecodedProgram {
  public:
+  // Packs the builder instructions into the tables.
   explicit DecodedProgram(const std::vector<VliwInstruction>& code,
                           const std::vector<SoftwarePipelinedLoop>& kernels =
                               {});
@@ -112,6 +170,9 @@ class DecodedProgram {
     return insns_.data();
   }
   [[nodiscard]] std::size_t size() const { return insns_.size(); }
+  [[nodiscard]] InstructionView view(std::size_t pc) const {
+    return InstructionView(insns_[pc], ops_.data());
+  }
   // The flat op table (see the layout note above).
   [[nodiscard]] const DecodedOp* ops() const { return ops_.data(); }
   [[nodiscard]] std::size_t op_count() const { return ops_.size(); }

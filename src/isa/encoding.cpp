@@ -69,7 +69,7 @@ Operation decode_op(std::uint64_t w, bool* stop, bool* has_ext) {
 }
 }  // namespace
 
-std::uint32_t encoded_size_bytes(const VliwInstruction& insn) {
+std::uint32_t encoded_size_bytes(const InstructionView& insn) {
   std::uint32_t words = 0;
   insn.for_each_op([&words](const Operation& op) {
     words += imm_fits16(op.imm) ? 1u : 2u;
@@ -78,7 +78,7 @@ std::uint32_t encoded_size_bytes(const VliwInstruction& insn) {
   return words * 8;
 }
 
-void encode(const VliwInstruction& insn, std::vector<std::uint64_t>& out) {
+void encode(const InstructionView& insn, std::vector<std::uint64_t>& out) {
   const int total = insn.op_count();
   if (total == 0) {
     bool ext = false;
@@ -112,20 +112,6 @@ VliwInstruction decode(std::span<const std::uint64_t> words,
     if (!op.is_nop()) insn.add(op);
   }
   return insn;
-}
-
-std::vector<std::uint64_t> encode_program(const Program& prog) {
-  std::vector<std::uint64_t> out;
-  for (const VliwInstruction& insn : prog.code) encode(insn, out);
-  return out;
-}
-
-std::vector<VliwInstruction> decode_program(
-    std::span<const std::uint64_t> words) {
-  std::vector<VliwInstruction> code;
-  std::size_t pos = 0;
-  while (pos < words.size()) code.push_back(decode(words, pos));
-  return code;
 }
 
 }  // namespace vexsim

@@ -5,11 +5,16 @@
 // bundles forms the *VLIW instruction*. Merging and split-issue act on this
 // structure: CSMT/CCSI at bundle granularity, SMT/COSI/OOSI at operation
 // granularity.
+//
+// VliwInstruction is the *builder* form: a fixed cluster × slot grid
+// (1,088 B whatever it holds) that the compiler's emit pass, the assembler,
+// the binary decoder and tests fill in and patch. It is never stored in a
+// finalized Program: Program::finalize() consumes a vector of them and packs
+// the operations into the flat table of decoded_program.hpp, which readers
+// walk through an InstructionView.
 #pragma once
 
 #include <array>
-#include <cstdint>
-#include <string>
 
 #include "isa/operation.hpp"
 #include "util/inline_vec.hpp"
@@ -31,14 +36,6 @@ struct VliwInstruction {
     return bundles[static_cast<std::size_t>(cluster)];
   }
 
-  // Bitmask of clusters with a non-empty bundle.
-  [[nodiscard]] std::uint32_t used_cluster_mask() const {
-    std::uint32_t mask = 0;
-    for (int c = 0; c < kMaxClusters; ++c)
-      if (!bundles[static_cast<std::size_t>(c)].empty()) mask |= 1u << c;
-    return mask;
-  }
-
   [[nodiscard]] int op_count() const {
     int n = 0;
     for (const Bundle& b : bundles) n += static_cast<int>(b.size());
@@ -46,29 +43,6 @@ struct VliwInstruction {
   }
 
   [[nodiscard]] bool empty() const { return op_count() == 0; }
-
-  // True if any operation is a send or recv: such instructions are the
-  // subject of the paper's NS ("no split communication") configuration.
-  [[nodiscard]] bool has_comm() const {
-    for (const Bundle& b : bundles)
-      for (const Operation& op : b)
-        if (op.cls() == OpClass::kComm) return true;
-    return false;
-  }
-
-  [[nodiscard]] bool has_branch() const {
-    for (const Bundle& b : bundles)
-      for (const Operation& op : b)
-        if (is_branch(op.opc)) return true;
-    return false;
-  }
-
-  [[nodiscard]] bool has_mem() const {
-    for (const Bundle& b : bundles)
-      for (const Operation& op : b)
-        if (is_mem(op.opc)) return true;
-    return false;
-  }
 
   template <typename Fn>
   void for_each_op(Fn&& fn) const {
@@ -79,8 +53,5 @@ struct VliwInstruction {
   friend bool operator==(const VliwInstruction&,
                          const VliwInstruction&) = default;
 };
-
-// Renders as one assembler line: ops joined by " ; ", "nop" when empty.
-[[nodiscard]] std::string to_string(const VliwInstruction& insn);
 
 }  // namespace vexsim

@@ -7,17 +7,9 @@
 
 namespace vexsim {
 
-void Program::finalize() {
-  instr_addr.clear();
-  instr_addr.reserve(code.size());
-  std::uint32_t addr = code_base;
-  for (const VliwInstruction& insn : code) {
-    instr_addr.push_back(addr);
-    addr += encoded_size_bytes(insn);
-  }
-  code_bytes = addr - code_base;
+void Program::finalize(std::vector<VliwInstruction> code) {
   // Software-pipeline spans must describe a well-formed
-  // prologue/kernel/epilogue region before they reach the decode cache or
+  // prologue/kernel/epilogue region before they reach the decode tables or
   // the verifier.
   for (const SoftwarePipelinedLoop& k : kernels) {
     VEXSIM_CHECK_MSG(k.ii >= 1 && k.stages >= 2,
@@ -32,7 +24,16 @@ void Program::finalize() {
             k.epilogue_end <= code.size(),
         name << ": software-pipeline span out of range");
   }
-  decoded = std::make_shared<const DecodedProgram>(code, kernels);
+  auto tables = std::make_shared<const DecodedProgram>(code, kernels);
+  instr_addr.clear();
+  instr_addr.reserve(tables->size());
+  std::uint32_t addr = code_base;
+  for (std::size_t pc = 0; pc < tables->size(); ++pc) {
+    instr_addr.push_back(addr);
+    addr += encoded_size_bytes(tables->view(pc));
+  }
+  code_bytes = addr - code_base;
+  decoded = std::move(tables);
 }
 
 std::shared_ptr<const DataImage> word_image(
@@ -66,39 +67,38 @@ void Program::add_data_words(std::uint32_t addr,
 }
 
 void Program::validate(int num_clusters) const {
-  for (std::size_t i = 0; i < code.size(); ++i) {
-    code[i].for_each_op([&](const Operation& op) {
-      VEXSIM_CHECK_MSG(op.cluster < num_clusters,
-                       name << "[" << i << "]: cluster " << int(op.cluster)
-                            << " out of range");
-      if (op.writes_gpr())
-        VEXSIM_CHECK_MSG(op.dst < kNumGprs, name << "[" << i << "]: bad dst");
-      if (op.writes_breg())
-        VEXSIM_CHECK_MSG(op.dst < kNumBregs, name << "[" << i << "]: bad breg");
-      if (reads_bsrc(op.opc))
-        VEXSIM_CHECK_MSG(op.bsrc < kNumBregs, name << "[" << i << "]: bad bsrc");
+  for (std::size_t i = 0; i < size(); ++i) {
+    insn(i).for_each_op([&](const Operation& op) {
+      auto check = [&](bool ok, const char* what) {
+        VEXSIM_CHECK_MSG(ok, name << "[" << i << "]: " << what << " in "
+                                  << to_string(op));
+      };
+      check(op.cluster < num_clusters, "cluster out of range");
+      if (op.writes_gpr()) check(op.dst < kNumGprs, "bad dst");
+      if (op.writes_breg()) check(op.dst < kNumBregs, "bad breg");
+      if (reads_src1(op.opc)) check(op.src1 < kNumGprs, "bad src1");
+      if (reads_src2(op.opc) && !op.src2_is_imm)
+        check(op.src2 < kNumGprs,
+              is_store(op.opc) ? "bad store value" : "bad src2");
+      if (reads_bsrc(op.opc)) check(op.bsrc < kNumBregs, "bad bsrc");
       if (op.opc == Opcode::kBr || op.opc == Opcode::kBrf ||
-          op.opc == Opcode::kGoto) {
-        VEXSIM_CHECK_MSG(op.imm >= 0 &&
-                             static_cast<std::size_t>(op.imm) < code.size(),
-                         name << "[" << i << "]: branch target " << op.imm
-                              << " out of range");
-      }
+          op.opc == Opcode::kGoto)
+        check(op.imm >= 0 && static_cast<std::size_t>(op.imm) < size(),
+              "branch target out of range");
       if (op.cls() == OpClass::kComm)
-        VEXSIM_CHECK_MSG(op.chan < kNumChannels,
-                         name << "[" << i << "]: bad channel");
+        check(op.chan < kNumChannels, "bad channel");
     });
   }
 }
 
 std::string to_string(const Program& prog) {
   std::ostringstream os;
-  os << ";; program: " << prog.name << " (" << prog.code.size()
+  os << ";; program: " << prog.name << " (" << prog.size()
      << " instructions)\n";
-  for (std::size_t i = 0; i < prog.code.size(); ++i) {
+  for (std::size_t i = 0; i < prog.size(); ++i) {
     const auto label = prog.labels.find(static_cast<std::uint32_t>(i));
     if (label != prog.labels.end()) os << label->second << ":\n";
-    os << "  " << to_string(prog.code[i]) << "\n";
+    os << "  " << to_string(prog.insn(i)) << "\n";
   }
   return os.str();
 }

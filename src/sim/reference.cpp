@@ -30,7 +30,7 @@ bool ReferenceInterpreter::step(ThreadContext& ctx, RefResult& result) const {
     result.halted = true;
     return false;
   }
-  const VliwInstruction& insn = ctx.program().code[ctx.pc];
+  const InstructionView insn = ctx.program().insn(ctx.pc);
 
   InlineVec<RegEffect, kMaxTotalIssue> reg_effects;
   InlineVec<StoreEffect, kMaxTotalIssue> store_effects;

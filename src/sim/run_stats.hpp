@@ -33,13 +33,6 @@ struct SimStats {
   }
 
   // Issue-slot waste split per the paper's Section I definitions.
-  [[nodiscard]] double vertical_waste_fraction(int issue_width) const {
-    if (cycles == 0) return 0.0;
-    return static_cast<double>(vertical_waste_cycles) /
-           static_cast<double>(cycles) * 1.0 *
-           static_cast<double>(issue_width) /
-           static_cast<double>(issue_width);
-  }
   [[nodiscard]] double horizontal_waste_fraction(int issue_width) const {
     if (cycles == 0) return 0.0;
     const double total_slots =

@@ -1,6 +1,8 @@
 #include "vasm/assembler.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <vector>
@@ -36,7 +38,8 @@ class OpScanner {
     return std::string(text_.substr(start, pos_ - start));
   }
 
-  std::int64_t integer() {
+  // An immediate: any value that fits in 32 bits, signed or unsigned.
+  std::int32_t imm32() {
     skip_ws();
     std::size_t start = pos_;
     if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+'))
@@ -49,8 +52,13 @@ class OpScanner {
       while (pos_ < text_.size() && std::isdigit(byte(pos_))) ++pos_;
     }
     VEXSIM_CHECK_MSG(pos_ > start, err("expected integer"));
-    return std::strtoll(std::string(text_.substr(start, pos_ - start)).c_str(),
-                        nullptr, 0);
+    // strtoll saturates on overflow, which the range check then rejects.
+    const long long v = std::strtoll(
+        std::string(text_.substr(start, pos_ - start)).c_str(), nullptr, 0);
+    VEXSIM_CHECK_MSG(v >= std::numeric_limits<std::int32_t>::min() &&
+                         v <= std::numeric_limits<std::uint32_t>::max(),
+                     err("immediate does not fit in 32 bits"));
+    return static_cast<std::int32_t>(static_cast<std::uint32_t>(v));
   }
 
   void expect(char c) {
@@ -80,12 +88,33 @@ class OpScanner {
            std::isdigit(byte(pos_ + 1));
   }
 
+  // rN (below kNumGprs) or bN (below kNumBregs).
   int reg(char prefix) {
-    skip_ws();
     VEXSIM_CHECK_MSG(peek_reg(prefix),
                      err(std::string("expected register '") + prefix + "N'"));
-    ++pos_;
-    return static_cast<int>(integer());
+    return index(word(), std::string(1, prefix),
+                 prefix == 'r' ? kNumGprs : kNumBregs, "register");
+  }
+
+  // The decimal index after `prefix` in `w` (c3, r12, ch0), below `limit`.
+  int index(const std::string& w, const std::string& prefix, int limit,
+            const char* what) const {
+    const bool digits =
+        w.size() > prefix.size() && w.compare(0, prefix.size(), prefix) == 0 &&
+        std::all_of(w.begin() + static_cast<std::ptrdiff_t>(prefix.size()),
+                    w.end(), [](char ch) {
+                      return std::isdigit(static_cast<unsigned char>(ch));
+                    });
+    VEXSIM_CHECK_MSG(digits, err("expected " + std::string(what) + " " +
+                                 prefix + "N, got '" + w + "'"));
+    int v = 0;
+    for (std::size_t i = prefix.size(); i < w.size(); ++i) {
+      v = v * 10 + (w[i] - '0');
+      VEXSIM_CHECK_MSG(v < limit, err(std::string(what) + " '" + w +
+                                      "' out of range (limit " +
+                                      std::to_string(limit) + ")"));
+    }
+    return v;
   }
 
   [[nodiscard]] std::string err(const std::string& what) const {
@@ -116,14 +145,7 @@ struct PendingTarget {
 Operation parse_op(std::string_view text, int line, std::size_t instr_index,
                    std::vector<PendingTarget>& targets) {
   OpScanner s(text, line);
-  // Cluster prefix.
-  std::string cword = s.word();
-  VEXSIM_CHECK_MSG(cword.size() >= 2 && cword[0] == 'c' &&
-                       std::isdigit(static_cast<unsigned char>(cword[1])),
-                   s.err("expected cluster prefix cN"));
-  const int cluster = std::stoi(cword.substr(1));
-  VEXSIM_CHECK_MSG(cluster >= 0 && cluster < kMaxClusters,
-                   s.err("cluster out of range"));
+  const int cluster = s.index(s.word(), "c", kMaxClusters, "cluster prefix");
 
   const std::string mnemonic = s.word();
   const Opcode opc = opcode_from_name(mnemonic);
@@ -139,13 +161,13 @@ Operation parse_op(std::string_view text, int line, std::size_t instr_index,
       op.src2 = static_cast<std::uint8_t>(s.reg('r'));
     } else {
       op.src2_is_imm = true;
-      op.imm = static_cast<std::int32_t>(s.integer());
+      op.imm = s.imm32();
     }
   };
 
   auto parse_target = [&](std::size_t op_index_in_bundle) {
     if (s.accept('@')) {
-      op.imm = static_cast<std::int32_t>(s.integer());
+      op.imm = s.imm32();
     } else {
       targets.push_back(PendingTarget{instr_index,
                                       static_cast<std::size_t>(cluster),
@@ -179,7 +201,7 @@ Operation parse_op(std::string_view text, int line, std::size_t instr_index,
       }
       s.expect('=');
       if (opc == Opcode::kMovi) {
-        op.imm = static_cast<std::int32_t>(s.integer());
+        op.imm = s.imm32();
         break;
       }
       op.src1 = static_cast<std::uint8_t>(s.reg('r'));
@@ -193,12 +215,12 @@ Operation parse_op(std::string_view text, int line, std::size_t instr_index,
       if (is_load(opc)) {
         op.dst = static_cast<std::uint8_t>(s.reg('r'));
         s.expect('=');
-        op.imm = static_cast<std::int32_t>(s.integer());
+        op.imm = s.imm32();
         s.expect('[');
         op.src1 = static_cast<std::uint8_t>(s.reg('r'));
         s.expect(']');
       } else {
-        op.imm = static_cast<std::int32_t>(s.integer());
+        op.imm = s.imm32();
         s.expect('[');
         op.src1 = static_cast<std::uint8_t>(s.reg('r'));
         s.expect(']');
@@ -221,17 +243,15 @@ Operation parse_op(std::string_view text, int line, std::size_t instr_index,
     case OpClass::kComm: {
       if (opc == Opcode::kSend) {
         // send chN = rS
-        std::string ch = s.word();
-        VEXSIM_CHECK_MSG(ch.rfind("ch", 0) == 0, s.err("expected chN"));
-        op.chan = static_cast<std::uint8_t>(std::stoi(ch.substr(2)));
+        op.chan = static_cast<std::uint8_t>(
+            s.index(s.word(), "ch", kNumChannels, "channel"));
         s.expect('=');
         op.src1 = static_cast<std::uint8_t>(s.reg('r'));
       } else {
         op.dst = static_cast<std::uint8_t>(s.reg('r'));
         s.expect('=');
-        std::string ch = s.word();
-        VEXSIM_CHECK_MSG(ch.rfind("ch", 0) == 0, s.err("expected chN"));
-        op.chan = static_cast<std::uint8_t>(std::stoi(ch.substr(2)));
+        op.chan = static_cast<std::uint8_t>(
+            s.index(s.word(), "ch", kNumChannels, "channel"));
       }
       break;
     }
@@ -252,6 +272,7 @@ std::string strip(std::string_view v) {
 Program assemble(std::string_view source, std::string name) {
   Program prog;
   prog.name = std::move(name);
+  std::vector<VliwInstruction> code;
   std::map<std::string, std::uint32_t> label_to_index;
   std::vector<PendingTarget> targets;
 
@@ -274,7 +295,7 @@ Program assemble(std::string_view source, std::string name) {
       VEXSIM_CHECK_MSG(!label.empty(), "line " << line_no << ": empty label");
       VEXSIM_CHECK_MSG(label_to_index.count(label) == 0,
                        "line " << line_no << ": duplicate label " << label);
-      const auto idx = static_cast<std::uint32_t>(prog.code.size());
+      const auto idx = static_cast<std::uint32_t>(code.size());
       label_to_index[label] = idx;
       prog.labels[idx] = label;
       continue;
@@ -292,7 +313,7 @@ Program assemble(std::string_view source, std::string name) {
         if (!piece.empty()) {
           const std::size_t targets_before = targets.size();
           Operation op =
-              parse_op(piece, line_no, prog.code.size(), targets);
+              parse_op(piece, line_no, code.size(), targets);
           if (!op.is_nop()) {
             insn.add(op);
             // Fix up the recorded position of a label-target op now that we
@@ -304,7 +325,7 @@ Program assemble(std::string_view source, std::string name) {
         start = sep + 1;
       }
     }
-    prog.code.push_back(insn);
+    code.push_back(insn);
   }
 
   // Patch label targets.
@@ -312,13 +333,13 @@ Program assemble(std::string_view source, std::string name) {
     const auto it = label_to_index.find(t.label);
     VEXSIM_CHECK_MSG(it != label_to_index.end(),
                      "line " << t.line << ": undefined label " << t.label);
-    Bundle& b = prog.code[t.instr_index].bundles[t.bundle_cluster];
+    Bundle& b = code[t.instr_index].bundles[t.bundle_cluster];
     VEXSIM_CHECK_MSG(t.op_index < b.size(),
                      "line " << t.line << ": could not patch branch target");
     b[t.op_index].imm = static_cast<std::int32_t>(it->second);
   }
 
-  prog.finalize();
+  prog.finalize(std::move(code));
   return prog;
 }
 

@@ -21,7 +21,6 @@ std::shared_ptr<const Program> tiny_program() {
       "c0 halt\n",
       "tiny");
   p.add_data_words(0x2000, {11, 22});
-  p.finalize();
   return std::make_shared<const Program>(std::move(p));
 }
 
@@ -69,7 +68,7 @@ std::shared_ptr<const Program> segments_program(
   Rng rng(seed);
   for (const auto& [addr, size] : extents)
     p.add_data(addr, random_bytes(rng, size));
-  return test::finalize(std::move(p));
+  return test::shared(std::move(p));
 }
 
 // The data image, built without MainMemory: segments applied in program
@@ -207,7 +206,7 @@ TEST(ThreadContextRespawn, AfterAFaultRollback) {
       "faults");
   Rng rng(6);
   src.add_data(0x30000, random_bytes(rng, 0x200));
-  const auto program = test::finalize(std::move(src));
+  const auto program = test::shared(std::move(src));
   const LoadedImage image(program);
   MachineConfig cfg = test::example_machine(2, 2, 1, Technique::smt());
   ThreadContext ctx(0, program);
@@ -229,7 +228,6 @@ TEST(ThreadContextRespawn, AfterAFaultRollback) {
 TEST(ThreadContext, RequiresFinalizedProgram) {
   auto p = std::make_shared<Program>();
   p->name = "unfinalized";
-  p->code.push_back(VliwInstruction{});
   EXPECT_THROW(ThreadContext(0, p), CheckError);
 }
 

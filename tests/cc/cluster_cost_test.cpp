@@ -103,7 +103,6 @@ TEST(ClusterCost, ArchitecturallyExactOnAsymmetricMachine) {
     Program prog =
         compile(gen.fn, cfg, CompilerOptions::parse("cost"), nullptr);
     prog.add_data_words(gen.data_base, gen.init_words);
-    prog.finalize();
     auto shared = std::make_shared<const Program>(std::move(prog));
     Simulator sim(cfg);
     ThreadContext sim_ctx(0, shared);

@@ -24,7 +24,6 @@ std::shared_ptr<const Program> finalize_gen(const GeneratedIr& gen,
                                             const MachineConfig& cfg) {
   Program prog = compile(gen.fn, cfg);
   prog.add_data_words(gen.data_base, gen.init_words);
-  prog.finalize();
   return std::make_shared<const Program>(std::move(prog));
 }
 
@@ -42,7 +41,6 @@ TEST(CompileRun, DotProductMatchesExpectedValue) {
   const MachineConfig cfg = paper_cfg();
   Program prog = compile(std::move(b).take(), cfg);
   prog.add_data_words(0x2000, {1, 2, 3, 4, 10, 20, 30, 40});
-  prog.finalize();
   auto shared = std::make_shared<const Program>(std::move(prog));
 
   Simulator sim(cfg);
@@ -79,7 +77,6 @@ TEST(CompileRun, LoopKernelMatchesReference) {
   std::vector<std::uint32_t> words;
   for (std::uint32_t i = 0; i < 16; ++i) words.push_back(i * i + 1);
   prog.add_data_words(0x2000, words);
-  prog.finalize();
   auto shared = std::make_shared<const Program>(std::move(prog));
 
   Simulator sim(cfg);
@@ -150,7 +147,7 @@ TEST(CompileRun, CompileStatsPopulated) {
   const Program prog = compile(gen.fn, cfg, &stats);
   EXPECT_GT(stats.instructions, 0);
   EXPECT_GT(stats.operations, 0);
-  EXPECT_EQ(stats.instructions, static_cast<int>(prog.code.size()));
+  EXPECT_EQ(stats.instructions, static_cast<int>(prog.size()));
   EXPECT_GT(stats.ops_per_instruction(), 0.5);
 }
 

@@ -59,14 +59,14 @@ TEST(OperandWalkers, ReadsSkipHardwiredZeroAndImmediates) {
       "c0 movi r3 = 7\n"       // no reads
       "c0 add r4 = r3, 5\n");  // immediate src2 skipped
   int reads = 0;
-  p.code[0].for_each_op([&](const Operation& op) {
+  p.insn(0).for_each_op([&](const Operation& op) {
     for_each_read(op, [&](int loc) {
       EXPECT_EQ(loc, gpr_loc(0, 2));
       ++reads;
     });
   });
   EXPECT_EQ(reads, 1);
-  p.code[2].for_each_op([&](const Operation& op) {
+  p.insn(2).for_each_op([&](const Operation& op) {
     for_each_read(op, [&](int loc) {
       EXPECT_EQ(loc, gpr_loc(0, 3));
       ++reads;
@@ -79,7 +79,7 @@ TEST(OperandWalkers, StoresReadBothOperandsAndWriteNothing) {
   const Program p = assemble("c0 stw 4[r2] = r3\n");
   int reads = 0;
   int writes = 0;
-  p.code[0].for_each_op([&](const Operation& op) {
+  p.insn(0).for_each_op([&](const Operation& op) {
     for_each_read(op, [&](int) { ++reads; });
     for_each_write(op, [&](int) { ++writes; });
   });
@@ -91,11 +91,11 @@ TEST(OperandWalkers, CompareWritesBregSlctReadsIt) {
   const Program p = assemble(
       "c1 cmplt b2 = r1, 100\n"
       "c1 slct r3 = b2, r4, r5\n");
-  p.code[0].for_each_op([&](const Operation& op) {
+  p.insn(0).for_each_op([&](const Operation& op) {
     for_each_write(op, [&](int loc) { EXPECT_EQ(loc, breg_loc(1, 2)); });
   });
   bool breg_read = false;
-  p.code[1].for_each_op([&](const Operation& op) {
+  p.insn(1).for_each_op([&](const Operation& op) {
     for_each_read(op, [&](int loc) { breg_read |= loc == breg_loc(1, 2); });
   });
   EXPECT_TRUE(breg_read);
@@ -162,8 +162,7 @@ TEST(Cfg, OutOfRangeTargetContributesNoEdge) {
   p.name = "bad";
   VliwInstruction insn;
   insn.add(ops::jump(0, 99));
-  p.code.push_back(insn);
-  p.finalize();
+  p.finalize({insn});
   const Cfg cfg = Cfg::build(p);
   ASSERT_EQ(cfg.size(), 1u);
   EXPECT_TRUE(cfg.blocks()[0].succs.empty());

@@ -9,6 +9,7 @@
 #include "cc/options.hpp"
 #include "cc/pipeline.hpp"
 #include "isa/config.hpp"
+#include "support/test_util.hpp"
 #include "workloads/registry.hpp"
 
 namespace vexsim::cc {
@@ -52,9 +53,10 @@ TEST_P(LintRegistryTest, VerifyEachPassIsCleanAndCodegenNeutral) {
   const auto plain = wl::make_benchmark("idct", cfg, kScale, opt);
   opt.verify_each_pass = true;
   const auto checked = wl::make_benchmark("idct", cfg, kScale, opt);
-  ASSERT_EQ(plain->code.size(), checked->code.size());
-  for (std::size_t pc = 0; pc < plain->code.size(); ++pc)
-    EXPECT_TRUE(plain->code[pc] == checked->code[pc]) << "pc " << pc;
+  ASSERT_EQ(plain->size(), checked->size());
+  for (std::size_t pc = 0; pc < plain->size(); ++pc)
+    EXPECT_TRUE(test::same_insn(plain->insn(pc), checked->insn(pc)))
+        << "pc " << pc;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllVariants, LintRegistryTest,

@@ -4,6 +4,7 @@
 
 #include "cc/verifier.hpp"
 #include "isa/config.hpp"
+#include "support/test_util.hpp"
 #include "util/check.hpp"
 #include "vasm/assembler.hpp"
 
@@ -153,11 +154,9 @@ TEST(Lint, FlagsSameCycleWaw) {
   VliwInstruction insn;
   insn.add(ops::alu(Opcode::kAdd, 0, 1, 2, 3));
   insn.add(ops::alu(Opcode::kSub, 0, 1, 4, 5));  // same c0:r1
-  p.code.push_back(insn);
   VliwInstruction halt;
   halt.add(ops::halt(0));
-  p.code.push_back(halt);
-  p.finalize();
+  p.finalize({insn, halt});
   const LintReport report = lint_program(p, cfg());
   ASSERT_TRUE(has_check(report, "same-cycle-waw"));
 }
@@ -262,7 +261,7 @@ Program swp_with_dead_stage_value() {
   k.ii = 3;
   k.stages = 2;
   p.kernels.push_back(k);
-  p.finalize();
+  p.finalize(test::builder_code(p));
   return p;
 }
 
@@ -325,7 +324,7 @@ TEST(Lint, KernelSpanPastEndOfCodeIsRejectedAtFinalize) {
   k.ii = 1;
   k.stages = 2;
   p.kernels.push_back(k);
-  EXPECT_THROW(p.finalize(), CheckError);
+  EXPECT_THROW(p.finalize(test::builder_code(p)), CheckError);
 }
 
 TEST(Lint, OutOfRangeBranchTargetDoesNotCrashLint) {
@@ -333,8 +332,7 @@ TEST(Lint, OutOfRangeBranchTargetDoesNotCrashLint) {
   p.name = "bad";
   VliwInstruction insn;
   insn.add(ops::jump(0, 12345));
-  p.code.push_back(insn);
-  p.finalize();
+  p.finalize({insn});
   const auto issues = verify_program(p, cfg());
   bool reported = false;
   for (const VerifyIssue& issue : issues)
@@ -351,11 +349,9 @@ TEST(Lint, UnpairedSendDoesNotCrashLint) {
   p.name = "bad";
   VliwInstruction insn;
   insn.add(ops::send(0, 1, 3));
-  p.code.push_back(insn);
   VliwInstruction halt;
   halt.add(ops::halt(0));
-  p.code.push_back(halt);
-  p.finalize();
+  p.finalize({insn, halt});
   const auto issues = verify_program(p, cfg());
   bool reported = false;
   for (const VerifyIssue& issue : issues)

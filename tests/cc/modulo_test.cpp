@@ -98,7 +98,6 @@ TEST(ModuloSched, ReductionLoopPipelines) {
   verify_or_throw(prog, cfg);
 
   prog.add_data_words(0x2000, reduction_data(trips));
-  prog.finalize();
   auto shared = std::make_shared<const Program>(std::move(prog));
   Simulator sim(cfg);
   ThreadContext ctx(0, shared);
@@ -117,7 +116,7 @@ TEST(ModuloSched, PipelinedKernelBeatsListScheduleDensity) {
   ASSERT_EQ(swp_stats.swp_loops, 1);
   // The kernel must iterate faster than the list-scheduled loop body.
   ASSERT_EQ(swp.kernels.size(), 1u);
-  EXPECT_LT(swp.kernels[0].ii, plain.code.size());
+  EXPECT_LT(swp.kernels[0].ii, plain.size());
 }
 
 TEST(ModuloSched, ShortTripCountsTakeTheGuardPath) {
@@ -128,7 +127,6 @@ TEST(ModuloSched, ShortTripCountsTakeTheGuardPath) {
                            CompilerOptions::parse("greedy_swp"), &stats);
     ASSERT_EQ(stats.swp_loops, 1) << "trips " << trips;
     prog.add_data_words(0x2000, reduction_data(trips));
-    prog.finalize();
     auto shared = std::make_shared<const Program>(std::move(prog));
     Simulator sim(cfg);
     ThreadContext ctx(0, shared);
@@ -151,7 +149,6 @@ TEST(ModuloSched, RandomIrAllVariantsAgree) {
           compile(gen.fn, cfg, CompilerOptions::parse(variant), nullptr);
       verify_or_throw(prog, cfg);
       prog.add_data_words(gen.data_base, gen.init_words);
-      prog.finalize();
       const std::uint64_t fp = run_and_check(
           prog, cfg, (std::string(variant) + "/" + std::to_string(seed))
                          .c_str());

@@ -50,13 +50,13 @@ TEST(Pipeline, PartialPipelineExposesArtifacts) {
   partial.run_passes(ctx);
   ASSERT_FALSE(ctx.lfn.blocks.empty());
   ASSERT_EQ(ctx.sched.blocks.size(), ctx.lfn.blocks.size());
-  EXPECT_TRUE(ctx.prog.code.empty());  // emit has not run
+  EXPECT_EQ(ctx.prog.size(), 0u);  // emit has not run
 
   Pipeline rest;
   rest.add(make_regalloc_pass()).add(make_emit_pass()).add(
       make_program_verify_pass());
   rest.run_passes(ctx);
-  EXPECT_FALSE(ctx.prog.code.empty());
+  EXPECT_NE(ctx.prog.size(), 0u);
   EXPECT_TRUE(ctx.prog.finalized());
 }
 
@@ -67,7 +67,7 @@ TEST(Pipeline, RunMatchesCompileEntryPoint) {
   const Program a =
       Pipeline::standard(opt).run(tiny_fn(), cfg, opt, &s1);
   const Program b = compile(tiny_fn(), cfg, opt, &s2);
-  ASSERT_EQ(a.code.size(), b.code.size());
+  ASSERT_EQ(a.size(), b.size());
   EXPECT_EQ(s1.instructions, s2.instructions);
   EXPECT_EQ(s1.operations, s2.operations);
 }
@@ -79,10 +79,10 @@ TEST(Pipeline, DefaultOptionsReproduceLegacyCompile) {
   CompileStats s1, s2;
   const Program a = compile(tiny_fn(), cfg, &s1);
   const Program b = compile(tiny_fn(), cfg, CompilerOptions{}, &s2);
-  ASSERT_EQ(a.code.size(), b.code.size());
-  for (std::size_t i = 0; i < a.code.size(); ++i)
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i)
     for (int c = 0; c < cfg.clusters; ++c)
-      EXPECT_EQ(a.code[i].bundle(c).size(), b.code[i].bundle(c).size());
+      EXPECT_EQ(a.insn(i).bundle(c).size(), b.insn(i).bundle(c).size());
   EXPECT_EQ(s1.instructions, s2.instructions);
 }
 
@@ -90,9 +90,10 @@ TEST(Pipeline, StatsAccounting) {
   const MachineConfig cfg = cfg4();
   CompileStats stats;
   const Program prog = compile(tiny_fn(), cfg, CompilerOptions{}, &stats);
-  EXPECT_EQ(stats.instructions, static_cast<int>(prog.code.size()));
+  EXPECT_EQ(stats.instructions, static_cast<int>(prog.size()));
   int ops = 0;
-  for (const VliwInstruction& insn : prog.code) ops += insn.op_count();
+  for (std::size_t pc = 0; pc < prog.size(); ++pc)
+    ops += prog.insn(pc).op_count();
   EXPECT_EQ(stats.operations, ops);
   EXPECT_EQ(stats.swp_loops, 0);
 }

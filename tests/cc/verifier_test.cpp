@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "isa/config.hpp"
+#include "support/test_util.hpp"
 #include "vasm/assembler.hpp"
 
 namespace vexsim::cc {
@@ -47,8 +48,7 @@ TEST(Verifier, RejectsUnpairedSend) {
   p.name = "bad";
   VliwInstruction insn;
   insn.add(ops::send(0, 1, 2));  // no matching recv
-  p.code.push_back(insn);
-  p.finalize();
+  p.finalize({insn});
   const auto issues = verify_program(p, cfg());
   ASSERT_FALSE(issues.empty());
   EXPECT_NE(issues[0].what.find("unpaired"), std::string::npos);
@@ -62,8 +62,7 @@ TEST(Verifier, RejectsChannelReuse) {
   insn.add(ops::send(1, 2, 0));  // same channel twice
   insn.add(ops::recv(2, 3, 0));
   insn.add(ops::recv(3, 4, 0));
-  p.code.push_back(insn);
-  p.finalize();
+  p.finalize({insn});
   EXPECT_FALSE(verify_program(p, cfg()).empty());
 }
 
@@ -73,8 +72,7 @@ TEST(Verifier, RejectsMultipleBranches) {
   VliwInstruction insn;
   insn.add(ops::jump(0, 0));
   insn.add(ops::br(1, 0, 0));
-  p.code.push_back(insn);
-  p.finalize();
+  p.finalize({insn});
   const auto issues = verify_program(p, cfg());
   ASSERT_FALSE(issues.empty());
 }
@@ -84,8 +82,7 @@ TEST(Verifier, RejectsBranchTargetOutOfRange) {
   p.name = "bad";
   VliwInstruction insn;
   insn.add(ops::jump(0, 5));
-  p.code.push_back(insn);
-  p.finalize();
+  p.finalize({insn});
   EXPECT_FALSE(verify_program(p, cfg()).empty());
 }
 
@@ -94,8 +91,7 @@ TEST(Verifier, RejectsBundleOnMissingCluster) {
   p.name = "bad";
   VliwInstruction insn;
   insn.add(ops::mov(5, 1, 2));  // cluster 5 on a 4-cluster machine
-  p.code.push_back(insn);
-  p.finalize();
+  p.finalize({insn});
   EXPECT_FALSE(verify_program(p, cfg()).empty());
 }
 
@@ -106,9 +102,7 @@ TEST(Verifier, ReportsAllIssuesNotJustFirst) {
   a.add(ops::jump(0, 9));
   VliwInstruction b;
   b.add(ops::send(0, 1, 1));
-  p.code.push_back(a);
-  p.code.push_back(b);
-  p.finalize();
+  p.finalize({a, b});
   EXPECT_GE(verify_program(p, cfg()).size(), 2u);
   // verify_or_throw aggregates every issue into one error, each line
   // prefixed with its instruction index.
@@ -189,18 +183,19 @@ Program swp_program(bool break_window, bool break_branch) {
   k.ii = 3;
   k.stages = 2;
   p.kernels.push_back(k);
+  std::vector<VliwInstruction> code = test::builder_code(p);
   if (break_window) {
     // Read r1 one cycle after its mul issues: inside the latency window
     // once the kernel wraps.
     Operation bad = ops::alu(Opcode::kAdd, 0, 10, 1, 1);
-    p.code[4].add(bad);
+    code[4].add(bad);
   }
   if (break_branch) {
     // Retarget the back-branch outside the kernel span.
-    for (Operation& op : p.code[5].bundles[0])
+    for (Operation& op : code[5].bundles[0])
       if (op.opc == Opcode::kBr) op.imm = 0;
   }
-  p.finalize();
+  p.finalize(std::move(code));
   return p;
 }
 

@@ -47,8 +47,8 @@ const Pair kPairIII = {
 std::pair<int, int> first_cycle_ops(const Pair& pair, Technique t) {
   const MachineConfig cfg = test::example_machine(4, 2, 2, t);
   Simulator sim(cfg);
-  ThreadContext ctx0(0, test::finalize(assemble(pair.t0, "t0")));
-  ThreadContext ctx1(1, test::finalize(assemble(pair.t1, "t1")));
+  ThreadContext ctx0(0, test::shared(assemble(pair.t0, "t0")));
+  ThreadContext ctx1(1, test::shared(assemble(pair.t1, "t1")));
   sim.attach(0, &ctx0);
   sim.attach(1, &ctx1);
   sim.step();
@@ -59,7 +59,7 @@ std::pair<int, int> first_cycle_ops(const Pair& pair, Technique t) {
 }
 
 int op_count(const char* text) {
-  return assemble(text).code[0].op_count();
+  return assemble(text).insn(0).op_count();
 }
 
 TEST(Figure1, PairI_NeitherMerges) {
@@ -95,8 +95,8 @@ TEST(Figure1, PairIII_MergedPacketIdenticalAcrossPolicies) {
   auto packet_keys = [](Technique t) {
     const MachineConfig cfg = test::example_machine(4, 2, 2, t);
     Simulator sim(cfg);
-    ThreadContext ctx0(0, test::finalize(assemble(kPairIII.t0, "t0")));
-    ThreadContext ctx1(1, test::finalize(assemble(kPairIII.t1, "t1")));
+    ThreadContext ctx0(0, test::shared(assemble(kPairIII.t0, "t0")));
+    ThreadContext ctx1(1, test::shared(assemble(kPairIII.t1, "t1")));
     sim.attach(0, &ctx0);
     sim.attach(1, &ctx1);
     sim.step();
@@ -111,8 +111,8 @@ TEST(Figure1, PairIII_MergedPacketIdenticalAcrossPolicies) {
 TEST(Figure1, PairI_SecondCycleIssuesThread1) {
   const MachineConfig cfg = test::example_machine(4, 2, 2, Technique::smt());
   Simulator sim(cfg);
-  ThreadContext ctx0(0, test::finalize(assemble(kPairI.t0, "t0")));
-  ThreadContext ctx1(1, test::finalize(assemble(kPairI.t1, "t1")));
+  ThreadContext ctx0(0, test::shared(assemble(kPairI.t0, "t0")));
+  ThreadContext ctx1(1, test::shared(assemble(kPairI.t1, "t1")));
   sim.attach(0, &ctx0);
   sim.attach(1, &ctx1);
   sim.step();

@@ -35,8 +35,8 @@ std::vector<PacketShape> run(Technique t) {
   Simulator sim(cfg);
   // Contexts must outlive the trace; keep them static per call via locals.
   static thread_local std::unique_ptr<ThreadContext> c0, c1;
-  c0 = std::make_unique<ThreadContext>(0, test::finalize(assemble(kT0, "t0")));
-  c1 = std::make_unique<ThreadContext>(1, test::finalize(assemble(kT1, "t1")));
+  c0 = std::make_unique<ThreadContext>(0, test::shared(assemble(kT0, "t0")));
+  c1 = std::make_unique<ThreadContext>(1, test::shared(assemble(kT1, "t1")));
   sim.attach(0, c0.get());
   sim.attach(1, c1.get());
   return test::run_and_trace(sim);
@@ -83,8 +83,8 @@ TEST(Figure5, SplitInstructionsAreCounted) {
   const MachineConfig cfg =
       test::example_machine(2, 3, 2, Technique::cosi(CommPolicy::kNoSplit));
   Simulator sim(cfg);
-  ThreadContext c0(0, test::finalize(assemble(kT0, "t0")));
-  ThreadContext c1(1, test::finalize(assemble(kT1, "t1")));
+  ThreadContext c0(0, test::shared(assemble(kT0, "t0")));
+  ThreadContext c1(1, test::shared(assemble(kT1, "t1")));
   sim.attach(0, &c0);
   sim.attach(1, &c1);
   test::run_and_trace(sim);

@@ -32,8 +32,8 @@ std::vector<PacketShape> run(Technique t) {
   const MachineConfig cfg = test::example_machine(2, 3, 2, t);
   Simulator sim(cfg);
   static thread_local std::unique_ptr<ThreadContext> c0, c1;
-  c0 = std::make_unique<ThreadContext>(0, test::finalize(assemble(kT0, "t0")));
-  c1 = std::make_unique<ThreadContext>(1, test::finalize(assemble(kT1, "t1")));
+  c0 = std::make_unique<ThreadContext>(0, test::shared(assemble(kT0, "t0")));
+  c1 = std::make_unique<ThreadContext>(1, test::shared(assemble(kT1, "t1")));
   sim.attach(0, c0.get());
   sim.attach(1, c1.get());
   return test::run_and_trace(sim);
@@ -65,8 +65,8 @@ TEST(Figure6, ClusterOwnershipIsExclusive) {
   const MachineConfig cfg =
       test::example_machine(2, 3, 2, Technique::ccsi(CommPolicy::kNoSplit));
   Simulator sim(cfg);
-  ThreadContext c0(0, test::finalize(assemble(kT0, "t0")));
-  ThreadContext c1(1, test::finalize(assemble(kT1, "t1")));
+  ThreadContext c0(0, test::shared(assemble(kT0, "t0")));
+  ThreadContext c1(1, test::shared(assemble(kT1, "t1")));
   sim.attach(0, &c0);
   sim.attach(1, &c1);
   for (int i = 0; i < 10; ++i) {
@@ -88,8 +88,8 @@ TEST(Figure6, LastPartSignalTiming) {
   const MachineConfig cfg =
       test::example_machine(2, 3, 2, Technique::ccsi(CommPolicy::kNoSplit));
   Simulator sim(cfg);
-  ThreadContext c0(0, test::finalize(assemble(kT0, "t0")));
-  ThreadContext c1(1, test::finalize(assemble(kT1, "t1")));
+  ThreadContext c0(0, test::shared(assemble(kT0, "t0")));
+  ThreadContext c1(1, test::shared(assemble(kT1, "t1")));
   sim.attach(0, &c0);
   sim.attach(1, &c1);
   sim.step();

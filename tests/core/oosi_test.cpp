@@ -19,8 +19,8 @@ TEST(Oosi, SingleOperationSqueezesIntoFreeSlot) {
         std::pair{Technique::cosi(CommPolicy::kNoSplit), 0}}) {
     const MachineConfig cfg = test::example_machine(2, 3, 2, tech);
     Simulator sim(cfg);
-    ThreadContext c0(0, test::finalize(assemble(t0, "t0")));
-    ThreadContext c1(1, test::finalize(assemble(t1, "t1")));
+    ThreadContext c0(0, test::shared(assemble(t0, "t0")));
+    ThreadContext c1(1, test::shared(assemble(t1, "t1")));
     sim.attach(0, &c0);
     sim.attach(1, &c1);
     sim.step();
@@ -41,8 +41,8 @@ TEST(Oosi, InOrderAcrossInstructions) {
   const MachineConfig cfg =
       test::example_machine(2, 3, 2, Technique::oosi(CommPolicy::kNoSplit));
   Simulator sim(cfg);
-  ThreadContext c0(0, test::finalize(assemble(t0, "t0")));
-  ThreadContext c1(1, test::finalize(assemble(t1, "t1")));
+  ThreadContext c0(0, test::shared(assemble(t0, "t0")));
+  ThreadContext c1(1, test::shared(assemble(t1, "t1")));
   sim.attach(0, &c0);
   sim.attach(1, &c1);
   sim.step();
@@ -67,8 +67,8 @@ TEST(Oosi, FuClassLimitsRespectedPerOperation) {
   Simulator sim(cfg);
   const char* t0 = "c0 mpyl r1 = r2, r3 ; c0 mpyl r4 = r5, r6\n";
   const char* t1 = "c0 mpyl r1 = r2, r3 ; c0 add r4 = r5, r6\n";
-  ThreadContext c0(0, test::finalize(assemble(t0, "t0")));
-  ThreadContext c1(1, test::finalize(assemble(t1, "t1")));
+  ThreadContext c0(0, test::shared(assemble(t0, "t0")));
+  ThreadContext c1(1, test::shared(assemble(t1, "t1")));
   sim.attach(0, &c0);
   sim.attach(1, &c1);
   sim.step();
@@ -89,8 +89,8 @@ TEST(Oosi, SplitPartsBufferUntilLastPart) {
   Simulator sim(cfg);
   const char* t0 = "c0 add r1 = r2, r3 ; c0 sub r4 = r5, r6\n";
   const char* t1 = "c0 movi r1 = 42 ; c0 movi r2 = 43\n";
-  ThreadContext c0(0, test::finalize(assemble(t0, "t0")));
-  ThreadContext c1(1, test::finalize(assemble(t1, "t1")));
+  ThreadContext c0(0, test::shared(assemble(t0, "t0")));
+  ThreadContext c1(1, test::shared(assemble(t1, "t1")));
   sim.attach(0, &c0);
   sim.attach(1, &c1);
   sim.step();  // T1 issues exactly one movi (3rd slot)

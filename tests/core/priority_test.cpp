@@ -21,8 +21,8 @@ const char* conflicting_program(int n) {
 TEST(Priority, AlternatesBetweenTwoConflictingThreads) {
   const MachineConfig cfg = test::example_machine(1, 3, 2, Technique::csmt());
   Simulator sim(cfg);
-  ThreadContext c0(0, test::finalize(assemble(conflicting_program(4), "t0")));
-  ThreadContext c1(1, test::finalize(assemble(conflicting_program(4), "t1")));
+  ThreadContext c0(0, test::shared(assemble(conflicting_program(4), "t0")));
+  ThreadContext c1(1, test::shared(assemble(conflicting_program(4), "t1")));
   sim.attach(0, &c0);
   sim.attach(1, &c1);
   std::vector<int> winner;
@@ -40,7 +40,7 @@ TEST(Priority, FairShareOverFourThreads) {
   std::vector<std::unique_ptr<ThreadContext>> ctxs;
   for (int i = 0; i < 4; ++i) {
     ctxs.push_back(std::make_unique<ThreadContext>(
-        i, test::finalize(assemble(conflicting_program(8), "t"))));
+        i, test::shared(assemble(conflicting_program(8), "t"))));
     sim.attach(i, ctxs.back().get());
   }
   std::array<int, 4> issued{};
@@ -61,8 +61,8 @@ TEST(Priority, TopThreadAlwaysIssuesInFull) {
   const char* wide =
       "c0 add r1 = r2, r3 ; c0 sub r4 = r5, r6 ; "
       "c1 or r1 = r2, r3 ; c1 xor r4 = r5, r6\n";
-  ThreadContext c0(0, test::finalize(assemble(wide, "t0")));
-  ThreadContext c1(1, test::finalize(assemble(wide, "t1")));
+  ThreadContext c0(0, test::shared(assemble(wide, "t0")));
+  ThreadContext c1(1, test::shared(assemble(wide, "t1")));
   sim.attach(0, &c0);
   sim.attach(1, &c1);
   sim.step();
@@ -79,8 +79,8 @@ TEST(Priority, LowerPriorityGetsLeftovers) {
   Simulator sim(cfg);
   const char* narrow = "c0 add r1 = r2, r3\n";
   const char* narrow2 = "c0 sub r4 = r5, r6\n";
-  ThreadContext c0(0, test::finalize(assemble(narrow, "t0")));
-  ThreadContext c1(1, test::finalize(assemble(narrow2, "t1")));
+  ThreadContext c0(0, test::shared(assemble(narrow, "t0")));
+  ThreadContext c1(1, test::shared(assemble(narrow2, "t1")));
   sim.attach(0, &c0);
   sim.attach(1, &c1);
   sim.step();

@@ -16,8 +16,8 @@ TEST(Renaming, CsmtMergesRotatedThreads) {
   MachineConfig cfg = test::example_machine(4, 2, 2, Technique::csmt());
   cfg.cluster_renaming = true;
   Simulator sim(cfg);
-  ThreadContext c0(0, test::finalize(assemble(kCluster0Heavy, "t0")));
-  ThreadContext c1(1, test::finalize(assemble(kCluster0Heavy, "t1")));
+  ThreadContext c0(0, test::shared(assemble(kCluster0Heavy, "t0")));
+  ThreadContext c1(1, test::shared(assemble(kCluster0Heavy, "t1")));
   sim.attach(0, &c0);
   sim.attach(1, &c1);
   sim.step();
@@ -31,8 +31,8 @@ TEST(Renaming, WithoutRenamingSameClusterConflicts) {
   MachineConfig cfg = test::example_machine(4, 2, 2, Technique::csmt());
   cfg.cluster_renaming = false;
   Simulator sim(cfg);
-  ThreadContext c0(0, test::finalize(assemble(kCluster0Heavy, "t0")));
-  ThreadContext c1(1, test::finalize(assemble(kCluster0Heavy, "t1")));
+  ThreadContext c0(0, test::shared(assemble(kCluster0Heavy, "t0")));
+  ThreadContext c1(1, test::shared(assemble(kCluster0Heavy, "t1")));
   sim.attach(0, &c0);
   sim.attach(1, &c1);
   sim.step();
@@ -46,8 +46,8 @@ TEST(Renaming, FunctionalStateUsesLogicalClusters) {
   MachineConfig cfg = test::example_machine(4, 2, 2, Technique::csmt());
   cfg.cluster_renaming = true;
   Simulator sim(cfg);
-  ThreadContext c0(0, test::finalize(assemble("c0 movi r1 = 5\n", "t0")));
-  ThreadContext c1(1, test::finalize(assemble("c0 movi r1 = 9\n", "t1")));
+  ThreadContext c0(0, test::shared(assemble("c0 movi r1 = 5\n", "t0")));
+  ThreadContext c1(1, test::shared(assemble("c0 movi r1 = 9\n", "t1")));
   sim.attach(0, &c0);
   sim.attach(1, &c1);
   sim.step();
@@ -64,7 +64,7 @@ TEST(Renaming, FourThreadsFullRotation) {
   std::vector<std::unique_ptr<ThreadContext>> ctxs;
   for (int i = 0; i < 4; ++i) {
     ctxs.push_back(std::make_unique<ThreadContext>(
-        i, test::finalize(assemble(kCluster0Heavy, "t"))));
+        i, test::shared(assemble(kCluster0Heavy, "t"))));
     sim.attach(i, ctxs.back().get());
   }
   sim.step();
@@ -83,8 +83,8 @@ TEST(Renaming, MemoryPortsFollowPhysicalClusters) {
   cfg.cluster_renaming = true;
   Simulator sim(cfg);
   const char* store_prog = "c0 stw 0x200[r0] = r1\n";
-  ThreadContext c0(0, test::finalize(assemble(store_prog, "t0")));
-  ThreadContext c1(1, test::finalize(assemble(store_prog, "t1")));
+  ThreadContext c0(0, test::shared(assemble(store_prog, "t0")));
+  ThreadContext c1(1, test::shared(assemble(store_prog, "t1")));
   sim.attach(0, &c0);
   sim.attach(1, &c1);
   sim.step();

@@ -35,7 +35,6 @@ TEST_P(GeometryEquivalence, StateMatchesReference) {
   const cc::GeneratedIr gen = cc::generate_ir(seed);
   Program compiled = cc::compile(gen.fn, cfg);
   compiled.add_data_words(gen.data_base, gen.init_words);
-  compiled.finalize();
   auto prog = std::make_shared<const Program>(std::move(compiled));
 
   ThreadContext ref_ctx(0, prog);

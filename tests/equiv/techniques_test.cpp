@@ -21,7 +21,6 @@ std::shared_ptr<const Program> build_program(std::uint64_t seed,
   const GeneratedIr gen = generate_ir(seed);
   Program prog = cc::compile(gen.fn, cfg);
   prog.add_data_words(gen.data_base, gen.init_words);
-  prog.finalize();
   return std::make_shared<const Program>(std::move(prog));
 }
 

@@ -20,7 +20,7 @@ SingleRun run_single(const char* source, std::uint64_t max_cycles = 10'000) {
   Simulator sim(cfg);
   SingleRun r;
   r.ctx = std::make_unique<ThreadContext>(
-      0, test::finalize(assemble(source, "prog")));
+      0, test::shared(assemble(source, "prog")));
   sim.attach(0, r.ctx.get());
   r.halted = sim.run_to_halt(max_cycles);
   r.stats = sim.stats();

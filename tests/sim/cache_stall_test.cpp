@@ -19,7 +19,7 @@ MachineConfig machine(bool perfect_d, bool perfect_i, int threads = 1) {
 
 std::uint64_t run_cycles(const MachineConfig& cfg, const char* source) {
   Simulator sim(cfg);
-  ThreadContext ctx(0, test::finalize(assemble(source, "prog")));
+  ThreadContext ctx(0, test::shared(assemble(source, "prog")));
   sim.attach(0, &ctx);
   EXPECT_TRUE(sim.run_to_halt(1'000'000));
   return sim.stats().cycles;
@@ -75,7 +75,7 @@ TEST(CacheStall, InstructionFetchMissDelaysStartup) {
 TEST(CacheStall, DMissBlockCyclesCounted) {
   MachineConfig cfg = machine(false, true);
   Simulator sim(cfg);
-  ThreadContext ctx(0, test::finalize(assemble(kLoadProgram, "p")));
+  ThreadContext ctx(0, test::shared(assemble(kLoadProgram, "p")));
   sim.attach(0, &ctx);
   ASSERT_TRUE(sim.run_to_halt(1'000));
   EXPECT_GE(ctx.counters.dmiss_block_cycles, 19u);
@@ -104,8 +104,8 @@ TEST(CacheStall, SmtFillsMissStallWithOtherThread) {
       "c0 halt\n";
   MachineConfig cfg = machine(false, true, 2);
   Simulator sim(cfg);
-  ThreadContext t0(0, test::finalize(assemble(miss_prog, "t0")));
-  ThreadContext t1(1, test::finalize(assemble(alu_prog, "t1")));
+  ThreadContext t0(0, test::shared(assemble(miss_prog, "t0")));
+  ThreadContext t1(1, test::shared(assemble(alu_prog, "t1")));
   sim.attach(0, &t0);
   sim.attach(1, &t1);
   ASSERT_TRUE(sim.run_to_halt(10'000));
@@ -134,7 +134,7 @@ TEST(CacheStall, CapacityMissesOnBigWorkingSet) {
       "nop\n"
       "c0 br b0, top\n"
       "c0 halt\n";
-  ThreadContext ctx(0, test::finalize(assemble(stream, "p")));
+  ThreadContext ctx(0, test::shared(assemble(stream, "p")));
   sim.attach(0, &ctx);
   ASSERT_TRUE(sim.run_to_halt(200'000));
   EXPECT_EQ(sim.dcache().stats().misses, 2048u);

@@ -12,7 +12,7 @@ namespace {
 
 // A short counted loop: 10 iterations, ~43 VLIW instructions per completion.
 std::shared_ptr<const Program> loop_program(const std::string& name) {
-  return test::finalize(assemble(
+  return test::shared(assemble(
       "c0 movi r1 = 10\n"
       "top:\n"
       "c0 add r2 = r2, 1\n"
@@ -81,7 +81,7 @@ TEST(Driver, BudgetStopsTheRun) {
 
 // A straight-line program of three instructions, the last one a halt.
 std::shared_ptr<const Program> three_step_program(const std::string& name) {
-  return test::finalize(assemble(
+  return test::shared(assemble(
       "c0 add r1 = r1, 1\n"
       "c0 add r1 = r1, 2\n"
       "c0 halt\n",

@@ -20,7 +20,7 @@ TEST(Exception, LoadFaultHaltsPrecisely) {
       "c0 ldw r2 = 0x10[r0]\n"  // guard page → fault
       "c0 movi r3 = 7\n"        // never executes
       "c0 halt\n";
-  ThreadContext ctx(0, test::finalize(assemble(prog, "p")));
+  ThreadContext ctx(0, test::shared(assemble(prog, "p")));
   sim.attach(0, &ctx);
   sim.run_to_halt(100);
   EXPECT_EQ(ctx.state, RunState::kFaulted);
@@ -34,7 +34,7 @@ TEST(Exception, LoadFaultHaltsPrecisely) {
 TEST(Exception, MisalignedStoreFaults) {
   MachineConfig cfg = test::example_machine(4, 4, 1, Technique::smt());
   Simulator sim(cfg);
-  ThreadContext ctx(0, test::finalize(assemble(
+  ThreadContext ctx(0, test::shared(assemble(
                            "c0 movi r1 = 0x201\n"
                            "c0 stw 0[r1] = r1\n"
                            "c0 halt\n",
@@ -54,7 +54,7 @@ TEST(Exception, SameInstructionEffectsSuppressed) {
       "c0 movi r1 = 0x200 ; c1 movi r9 = 3\n"
       "c0 stw 0[r1] = r1 ; c1 ldw r2 = 0x10[r0]\n"
       "c0 halt\n";
-  ThreadContext ctx(0, test::finalize(assemble(prog, "p")));
+  ThreadContext ctx(0, test::shared(assemble(prog, "p")));
   sim.attach(0, &ctx);
   sim.run_to_halt(100);
   EXPECT_EQ(ctx.state, RunState::kFaulted);
@@ -74,8 +74,8 @@ TEST(Exception, SplitPartRollbackDiscardsBuffers) {
   const char* t1_src =
       "c0 stw 0x200[r0] = r2 ; c1 ldw r5 = 0x10[r0]\n"  // c1 load faults
       "c0 halt\n";
-  ThreadContext t0(0, test::finalize(assemble(t0_src, "t0")));
-  ThreadContext t1(1, test::finalize(assemble(t1_src, "t1")));
+  ThreadContext t0(0, test::shared(assemble(t0_src, "t0")));
+  ThreadContext t1(1, test::shared(assemble(t1_src, "t1")));
   t1.regs.set_gpr(0, 2, 55);
   sim.attach(0, &t0);
   sim.attach(1, &t1);
@@ -102,8 +102,8 @@ TEST(Exception, SplitRegisterWritesRolledBack) {
   const char* t1_src =
       "c0 add r7 = r2, r2 ; c1 ldw r5 = 0x10[r0]\n"
       "c0 halt\n";
-  ThreadContext t0(0, test::finalize(assemble(t0_src, "t0")));
-  ThreadContext t1(1, test::finalize(assemble(t1_src, "t1")));
+  ThreadContext t0(0, test::shared(assemble(t0_src, "t0")));
+  ThreadContext t1(1, test::shared(assemble(t1_src, "t1")));
   t1.regs.set_gpr(0, 2, 21);
   t1.regs.set_gpr(0, 7, 1);
   sim.attach(0, &t0);
@@ -120,12 +120,12 @@ TEST(Exception, ReferenceInterpreterAgreesOnFault) {
       "c0 halt\n";
   MachineConfig cfg = test::example_machine(4, 4, 1, Technique::smt());
   Simulator sim(cfg);
-  ThreadContext sim_ctx(0, test::finalize(assemble(prog, "p")));
+  ThreadContext sim_ctx(0, test::shared(assemble(prog, "p")));
   sim.attach(0, &sim_ctx);
   sim.run_to_halt(100);
 
   ReferenceInterpreter ref(cfg.clusters);
-  ThreadContext ref_ctx(0, test::finalize(assemble(prog, "p")));
+  ThreadContext ref_ctx(0, test::shared(assemble(prog, "p")));
   RefResult rr = ref.run(ref_ctx, 1000);
   EXPECT_TRUE(rr.faulted);
   EXPECT_EQ(rr.fault_pc, sim_ctx.fault.pc);

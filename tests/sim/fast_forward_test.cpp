@@ -103,7 +103,7 @@ TEST(FastForward, SkipsIdleCyclesInOneCall) {
   cfg.icache.perfect = false;  // cold ICache: first fetch misses
   cfg.validate();
   Simulator sim(cfg);
-  ThreadContext ctx(0, test::finalize(assemble(
+  ThreadContext ctx(0, test::shared(assemble(
                            "c0 movi r1 = 1\n"
                            "c0 halt\n",
                            "p")));
@@ -125,7 +125,7 @@ TEST(FastForward, RespectsTheLimit) {
   cfg.icache.perfect = false;
   cfg.validate();
   Simulator sim(cfg);
-  ThreadContext ctx(0, test::finalize(assemble(
+  ThreadContext ctx(0, test::shared(assemble(
                            "c0 movi r1 = 1\n"
                            "c0 halt\n",
                            "p")));
@@ -143,7 +143,7 @@ TEST(FastForward, DisabledIsANoOp) {
   cfg.validate();
   Simulator sim(cfg);
   sim.set_fast_forward(false);
-  ThreadContext ctx(0, test::finalize(assemble(
+  ThreadContext ctx(0, test::shared(assemble(
                            "c0 movi r1 = 1\n"
                            "c0 halt\n",
                            "p")));
@@ -158,7 +158,7 @@ TEST(FastForward, NeverSkipsWithWorkInFlight) {
   // remaining parts merge every cycle, so nothing may be skipped.
   MachineConfig cfg = test::example_machine(2, 4, 1, Technique::smt());
   Simulator sim(cfg);
-  ThreadContext ctx(0, test::finalize(assemble(
+  ThreadContext ctx(0, test::shared(assemble(
                            "c0 movi r1 = 1\n"
                            "c0 halt\n",
                            "p")));

@@ -38,8 +38,8 @@ struct Rig {
   ThreadContext t1;
   explicit Rig(const MachineConfig& cfg)
       : sim(cfg),
-        t0(0, test::finalize(assemble(kT0, "t0"))),
-        t1(1, test::finalize(assemble(kT1, "t1"))) {
+        t0(0, test::shared(assemble(kT0, "t0"))),
+        t1(1, test::shared(assemble(kT1, "t1"))) {
     t1.regs.set_gpr(0, 2, 55);
     sim.attach(0, &t0);
     sim.attach(1, &t1);

@@ -23,7 +23,7 @@ SingleRun run_single(const char* source) {
   Simulator sim(cfg);
   SingleRun r;
   r.ctx = std::make_unique<ThreadContext>(
-      0, test::finalize(assemble(source, "prog")));
+      0, test::shared(assemble(source, "prog")));
   sim.attach(0, r.ctx.get());
   EXPECT_TRUE(sim.run_to_halt(10'000));
   r.stats = sim.stats();

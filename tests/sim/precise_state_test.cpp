@@ -19,7 +19,7 @@ TEST(PreciseState, DetachCommitsPendingNualWrites) {
   // that detach() must commit for the switched-out state to be precise.
   MachineConfig cfg = test::example_machine(2, 4, 1, Technique::smt());
   Simulator sim(cfg);
-  ThreadContext ctx(0, test::finalize(assemble(
+  ThreadContext ctx(0, test::shared(assemble(
                            "c0 movi r1 = 6\n"
                            "c0 mpyl r2 = r1, r1\n"
                            "c0 add r3 = r1, r1\n"
@@ -51,7 +51,7 @@ TEST(PreciseState, DetachCommitsPendingNualWrites) {
 TEST(PreciseState, DetachRefusesInFlightInstruction) {
   MachineConfig cfg = test::example_machine(2, 4, 1, Technique::smt());
   Simulator sim(cfg);
-  ThreadContext ctx(0, test::finalize(assemble(
+  ThreadContext ctx(0, test::shared(assemble(
                            "c0 movi r1 = 1\n"
                            "c0 halt\n",
                            "p")));
@@ -78,12 +78,12 @@ TEST(PreciseState, DetachedContextFingerprintMatchesUninterruptedRun) {
   MachineConfig cfg = test::example_machine(2, 4, 1, Technique::smt());
 
   Simulator a(cfg);
-  ThreadContext plain(0, test::finalize(assemble(src, "p")));
+  ThreadContext plain(0, test::shared(assemble(src, "p")));
   a.attach(0, &plain);
   ASSERT_TRUE(a.run_to_halt(100));
 
   Simulator b(cfg);
-  ThreadContext interrupted(0, test::finalize(assemble(src, "p")));
+  ThreadContext interrupted(0, test::shared(assemble(src, "p")));
   b.attach(0, &interrupted);
   b.step();
   b.step();
@@ -113,8 +113,8 @@ TEST(PreciseState, RollbackDiscardsDelayBuffersAndFaultingWrites) {
   const char* t1_src =
       "c0 add r7 = r2, r2 ; c0 stw 0x400[r0] = r2 ; c1 ldw r5 = 0x10[r0]\n"
       "c0 halt\n";
-  ThreadContext t0(0, test::finalize(assemble(t0_src, "t0")));
-  ThreadContext t1(1, test::finalize(assemble(t1_src, "t1")));
+  ThreadContext t0(0, test::shared(assemble(t0_src, "t0")));
+  ThreadContext t1(1, test::shared(assemble(t1_src, "t1")));
   t1.regs.set_gpr(0, 2, 11);
   sim.attach(0, &t0);
   sim.attach(1, &t1);
@@ -138,7 +138,7 @@ TEST(PreciseState, RollbackCommitsEarlierInFlightWrites) {
   // architecturally determined) while discarding the faulter's own writes.
   MachineConfig cfg = test::example_machine(2, 4, 1, Technique::smt());
   Simulator sim(cfg);
-  ThreadContext ctx(0, test::finalize(assemble(
+  ThreadContext ctx(0, test::shared(assemble(
                            "c0 movi r1 = 7\n"
                            "c0 mpyl r2 = r1, r1\n"
                            "c0 ldw r3 = 0x10[r0]\n"  // guard page → fault
@@ -155,7 +155,7 @@ TEST(PreciseState, RollbackCommitsEarlierInFlightWrites) {
 TEST(PreciseState, FaultedContextCanRespawn) {
   MachineConfig cfg = test::example_machine(2, 4, 1, Technique::smt());
   Simulator sim(cfg);
-  ThreadContext ctx(0, test::finalize(assemble(
+  ThreadContext ctx(0, test::shared(assemble(
                            "c0 movi r1 = 3\n"
                            "c0 halt\n",
                            "p")));

@@ -9,7 +9,7 @@ namespace vexsim {
 namespace {
 
 ThreadContext make_ctx(const char* source) {
-  return ThreadContext(0, test::finalize(assemble(source, "ref")));
+  return ThreadContext(0, test::shared(assemble(source, "ref")));
 }
 
 TEST(Reference, StraightLineArithmetic) {

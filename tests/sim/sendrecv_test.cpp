@@ -28,8 +28,8 @@ struct Rig {
   ThreadContext t1;
   Rig(const MachineConfig& cfg, const char* t0_src)
       : sim(cfg),
-        t0(0, test::finalize(assemble(t0_src, "t0"))),
-        t1(1, test::finalize(assemble(kCopy, "t1"))) {
+        t0(0, test::shared(assemble(t0_src, "t0"))),
+        t1(1, test::shared(assemble(kCopy, "t1"))) {
     t1.regs.set_gpr(0, 3, 77);
     sim.attach(0, &t0);
     sim.attach(1, &t1);
@@ -41,7 +41,7 @@ TEST(SendRecv, SameCycleTransfer) {
   MachineConfig cfg =
       test::example_machine(2, 3, 1, Technique::smt());
   Simulator sim(cfg);
-  ThreadContext ctx(0, test::finalize(assemble(kCopy, "t")));
+  ThreadContext ctx(0, test::shared(assemble(kCopy, "t")));
   ctx.regs.set_gpr(0, 3, 77);
   sim.attach(0, &ctx);
   ASSERT_TRUE(sim.run_to_halt(50));
@@ -99,7 +99,7 @@ TEST(SendRecv, MultipleChannelsInOneInstruction) {
       "c0 send ch0 = r3 ; c1 recv r5 = ch0 ; "
       "c1 send ch1 = r6 ; c0 recv r7 = ch1\n"
       "c0 halt\n";
-  ThreadContext ctx(0, test::finalize(assemble(two_copies, "t")));
+  ThreadContext ctx(0, test::shared(assemble(two_copies, "t")));
   ctx.regs.set_gpr(0, 3, 111);
   ctx.regs.set_gpr(1, 6, 222);
   sim.attach(0, &ctx);
@@ -117,7 +117,7 @@ TEST(SendRecv, ValueReadAtSendIssueCycle) {
       "c0 send ch0 = r3 ; c1 recv r5 = ch0\n"
       "c0 movi r3 = 999\n"
       "c0 halt\n";
-  ThreadContext ctx(0, test::finalize(assemble(prog, "t")));
+  ThreadContext ctx(0, test::shared(assemble(prog, "t")));
   ctx.regs.set_gpr(0, 3, 42);
   sim.attach(0, &ctx);
   ASSERT_TRUE(sim.run_to_halt(50));

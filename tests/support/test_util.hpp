@@ -1,6 +1,7 @@
 // Shared helpers for the vexsim test suite.
 #pragma once
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -10,12 +11,32 @@
 #include "isa/config.hpp"
 #include "isa/program.hpp"
 #include "sim/simulator.hpp"
+#include "util/check.hpp"
 
 namespace vexsim::test {
 
-inline std::shared_ptr<const Program> finalize(Program prog) {
-  prog.finalize();
+// Shares a finalized program (assemble() and cc::compile finalize).
+inline std::shared_ptr<const Program> shared(Program prog) {
+  VEXSIM_CHECK(prog.finalized());
   return std::make_shared<const Program>(std::move(prog));
+}
+
+// The builder form of a finalized program's code, for tests that edit code
+// after building: edit the vector, then finalize it again.
+inline std::vector<VliwInstruction> builder_code(const Program& prog) {
+  std::vector<VliwInstruction> code(prog.size());
+  for (std::size_t pc = 0; pc < prog.size(); ++pc)
+    for (int c = 0; c < kMaxClusters; ++c)
+      for (const Operation& op : prog.insn(pc).bundle(c))
+        code[pc].bundle(c).push_back(op);
+  return code;
+}
+
+// Two instructions hold the same operations in the same bundles.
+inline bool same_insn(const InstructionView& a, const InstructionView& b) {
+  for (int c = 0; c < kMaxClusters; ++c)
+    if (!std::ranges::equal(a.bundle(c), b.bundle(c))) return false;
+  return true;
 }
 
 // A small machine for the paper's worked examples: `clusters` × `issue`

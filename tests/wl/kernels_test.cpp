@@ -31,7 +31,7 @@ TEST(Kernels, AllCompileAndVerify) {
   for (const BenchmarkInfo& info : benchmark_registry()) {
     const auto prog = make_benchmark(info.name, cfg, 0.02);
     ASSERT_NE(prog, nullptr);
-    EXPECT_GT(prog->code.size(), 4u) << info.name;
+    EXPECT_GT(prog->size(), 4u) << info.name;
     const auto issues = cc::verify_program(*prog, cfg);
     EXPECT_TRUE(issues.empty())
         << info.name << ": " << (issues.empty() ? "" : issues.front().what);

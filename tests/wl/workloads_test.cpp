@@ -166,7 +166,7 @@ TEST(Workloads, BuildWorkloadAggregatesCompileSummary) {
   ASSERT_EQ(programs.size(), 4u);
   EXPECT_TRUE(sum.present);
   std::uint64_t instr = 0;
-  for (const auto& p : programs) instr += p->code.size();
+  for (const auto& p : programs) instr += p->size();
   EXPECT_EQ(sum.instructions, instr);
   EXPECT_GT(sum.ops_per_instruction(), 1.0);
 }

@@ -100,9 +100,9 @@ TEST(SynthGenerate, IlpDialMovesScheduleDensity) {
   auto density = [&](const char* name) {
     const Program prog = generate(parse_spec(name), cfg, 0.1);
     std::uint64_t ops = 0;
-    for (const VliwInstruction& insn : prog.code)
-      ops += static_cast<std::uint64_t>(insn.op_count());
-    return static_cast<double>(ops) / static_cast<double>(prog.code.size());
+    for (std::size_t pc = 0; pc < prog.size(); ++pc)
+      ops += static_cast<std::uint64_t>(prog.insn(pc).op_count());
+    return static_cast<double>(ops) / static_cast<double>(prog.size());
   };
   // The static schedule of the high-ILP program packs markedly denser
   // instructions than the serial-chain program (deterministic property of
