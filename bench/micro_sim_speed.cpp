@@ -2,11 +2,11 @@
 // per wall-clock second) for representative configurations, tracked as a
 // machine-readable trajectory so every PR's hot-path claim is measurable.
 //
-// Each configuration runs twice: the reference engine (pure cycle-by-cycle
-// loop, select-then-execute, no idle-cycle batching) and the fast engine
-// (fused select+execute plus fast-forward). The two runs must produce
-// bit-identical statistics — checked here on every invocation — so the
-// speedup column is a pure wall-clock ratio at equal work.
+// Each configuration runs twice on the one cycle engine: the base leg is the
+// pure cycle-by-cycle loop (fast_forward off) and the fast leg batches
+// provably idle cycles arithmetically (fast_forward on). The two runs must
+// produce bit-identical statistics — checked here on every invocation — so
+// the speedup column is a pure wall-clock ratio at equal work.
 //
 // A second leg benchmarks the result-cache index (harness/result_cache.hpp):
 // it populates a scratch cache directory with N synthetic records, then
@@ -21,7 +21,7 @@
 //        machine description), --mem fixed|hierarchy (memory backend),
 //        --budget/--timeslice/
 //        --scale/--seed/--quick/--paper, --profile (append an untimed
-//        per-phase wall-clock breakdown for both engines to the JSON),
+//        per-phase wall-clock breakdown for both legs to the JSON),
 //        --probe-records N (single cache-probe size instead of the default
 //        1k/100k pair — 1k/10k under --quick), --probe-dir DIR (scratch
 //        cache directory, default sweep-probe-scratch, wiped before and
@@ -56,8 +56,8 @@ struct SpeedPoint {
 
 struct SpeedResult {
   RunResult run;
-  double base_seconds = 0;  // reference engine (fused + fast_forward off)
-  double fast_seconds = 0;  // fused engine + fast_forward
+  double base_seconds = 0;  // pure loop (fast_forward off)
+  double fast_seconds = 0;  // fast_forward on
   SimProfile base_profile;
   SimProfile fast_profile;
 };
@@ -72,26 +72,15 @@ double time_once(const std::string& workload, int threads, Technique t,
 
 void check_identical(const std::string& label, const RunResult& a,
                      const RunResult& b) {
-  VEXSIM_CHECK_MSG(
-      a.sim.cycles == b.sim.cycles && a.sim.ops_issued == b.sim.ops_issued &&
-          a.sim.instructions_retired == b.sim.instructions_retired &&
-          a.sim.split_instructions == b.sim.split_instructions &&
-          a.sim.vertical_waste_cycles == b.sim.vertical_waste_cycles &&
-          a.sim.multi_thread_cycles == b.sim.multi_thread_cycles &&
-          a.sim.memport_stall_cycles == b.sim.memport_stall_cycles &&
-          a.sim.drain_cycles == b.sim.drain_cycles &&
-          a.sim.taken_branches == b.sim.taken_branches &&
-          a.sim.faults == b.sim.faults &&
-          a.icache.hits == b.icache.hits &&
-          a.icache.misses == b.icache.misses &&
-          a.dcache.hits == b.dcache.hits &&
-          a.dcache.misses == b.dcache.misses,
-      "fused-engine statistics diverge from the reference loop for " << label);
+  VEXSIM_CHECK_MSG(a.sim == b.sim && a.icache == b.icache &&
+                       a.dcache == b.dcache,
+                   "fast-forward statistics diverge from the pure loop for "
+                       << label);
   VEXSIM_CHECK(a.instances.size() == b.instances.size());
   for (std::size_t i = 0; i < a.instances.size(); ++i)
-    VEXSIM_CHECK_MSG(a.instances[i].arch_fingerprint ==
-                         b.instances[i].arch_fingerprint,
-                     "fused-engine architectural state diverges for " << label);
+    VEXSIM_CHECK_MSG(
+        a.instances[i].arch_fingerprint == b.instances[i].arch_fingerprint,
+        "fast-forward architectural state diverges for " << label);
 }
 
 Json profile_json(const SimProfile& p) {
@@ -99,7 +88,6 @@ Json profile_json(const SimProfile& p) {
   j.set("commit_seconds", p.commit_seconds)
       .set("refill_seconds", p.refill_seconds)
       .set("select_seconds", p.select_seconds)
-      .set("execute_seconds", p.execute_seconds)
       .set("complete_seconds", p.complete_seconds)
       .set("fast_forward_seconds", p.fast_forward_seconds)
       .set("steps", p.steps)
@@ -107,16 +95,15 @@ Json profile_json(const SimProfile& p) {
   return j;
 }
 
-void print_profile(const std::string& label, const char* engine,
+void print_profile(const std::string& label, const char* leg,
                    const SimProfile& p) {
   const double total = p.total();
   auto pct = [total](double s) {
     return total > 0 ? Table::fmt(100.0 * s / total, 1) + "%" : "-";
   };
-  std::cout << "  " << label << " [" << engine << "] commit "
+  std::cout << "  " << label << " [" << leg << "] commit "
             << pct(p.commit_seconds) << ", refill " << pct(p.refill_seconds)
-            << ", select " << pct(p.select_seconds) << ", execute "
-            << pct(p.execute_seconds) << ", complete "
+            << ", select+execute " << pct(p.select_seconds) << ", complete "
             << pct(p.complete_seconds) << ", fast-forward "
             << pct(p.fast_forward_seconds) << " of " << Table::fmt(total, 3)
             << "s\n";
@@ -255,19 +242,16 @@ int main(int argc, char** argv) {
     SpeedResult r;
     // Warm the memoized workload cache so timing excludes compilation.
     opt.fast_forward = true;
-    opt.fused = true;
     (void)time_once(p.workload, p.threads, p.technique, opt, r.run);
 
     RunResult base_run, fast_run;
     double base = 1e300, fast = 1e300;
     for (int i = 0; i < reps; ++i) {
       opt.fast_forward = false;
-      opt.fused = false;
       base = std::min(base,
                       time_once(p.workload, p.threads, p.technique, opt,
                                 base_run));
       opt.fast_forward = true;
-      opt.fused = true;
       fast = std::min(fast,
                       time_once(p.workload, p.threads, p.technique, opt,
                                 fast_run));
@@ -282,11 +266,9 @@ int main(int argc, char** argv) {
       RunResult prof_run;
       opt.profile = true;
       opt.fast_forward = false;
-      opt.fused = false;
       (void)time_once(p.workload, p.threads, p.technique, opt, prof_run);
       r.base_profile = prof_run.profile;
       opt.fast_forward = true;
-      opt.fused = true;
       (void)time_once(p.workload, p.threads, p.technique, opt, prof_run);
       r.fast_profile = prof_run.profile;
       opt.profile = false;
@@ -360,10 +342,10 @@ int main(int argc, char** argv) {
                  "runs):\n";
     for (std::size_t i = 0; i < points.size(); ++i) {
       print_profile(points[i].label, "base", results[i].base_profile);
-      print_profile(points[i].label, "fused", results[i].fast_profile);
+      print_profile(points[i].label, "fast", results[i].fast_profile);
     }
   }
-  std::cout << "\nStats are verified bit-identical between the reference and "
-               "fused engines before any ratio is reported.\n";
+  std::cout << "\nStats are verified bit-identical between the pure loop and "
+               "fast-forward before any ratio is reported.\n";
   return 0;
 }

@@ -58,7 +58,7 @@ void run(Technique t) {
     if (sim.last_packet().op_count() == 0) std::cout << "    (idle)\n";
     for (const SelectedOp& sel : sim.last_packet().ops)
       std::cout << "    T" << int(sel.hw_slot) << "  "
-                << to_string(sel.op) << "\n";
+                << to_string(sel.dec->op) << "\n";
     if (sim.cycle() > 20) break;
   }
   std::cout << "total cycles: " << sim.cycle()

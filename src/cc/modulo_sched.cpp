@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "cc/ddg.hpp"
-#include "core/resources.hpp"
+#include "isa/resources.hpp"
 #include "util/check.hpp"
 
 namespace vexsim::cc {

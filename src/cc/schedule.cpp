@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "core/resources.hpp"
+#include "isa/resources.hpp"
 #include "util/check.hpp"
 
 namespace vexsim::cc {

@@ -6,7 +6,7 @@
 #include <sstream>
 #include <tuple>
 
-#include "core/resources.hpp"
+#include "isa/resources.hpp"
 #include "util/check.hpp"
 
 namespace vexsim::cc {

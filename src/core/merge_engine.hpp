@@ -2,9 +2,8 @@
 // technique point in (merge level) × (split level) × (comm policy).
 //
 // Each cycle the simulator walks the hardware threads in priority order and
-// calls try_select() (or the sink-templated select()) for each; the engine
-// adds as much of the thread's pending work to the cycle as the technique
-// permits:
+// calls select() for each; the engine adds as much of the thread's pending
+// work to the cycle as the technique permits:
 //
 //   split = none      → the whole remaining instruction merges or nothing
 //                        does (classic SMT / CSMT);
@@ -16,14 +15,13 @@
 // Under CommPolicy::kNoSplit, instructions containing send/recv operations
 // are forced back to all-or-nothing regardless of the split level.
 //
-// Selection is written against a Sink so the simulator can choose what
-// winning means: PacketSink materializes an ExecPacket of SelectedOps (the
-// reference engine, and what tracing tools inspect), while the simulator's
-// fused engine executes each operation the moment it wins selection — no
-// packet, no second walk. A Sink provides:
+// Selection is written against a Sink, which decides what winning means. The
+// simulator's sink records each winning operation in the cycle's ExecPacket
+// and executes it at once, so selection and issue are one walk, as in the
+// merge hardware; micro_merge_logic times the decisions alone with a sink
+// that only counts. A Sink provides:
 //
 //   ResourceUse& used(std::size_t physical);   // the cycle's per-cluster use
-//   void claim(std::size_t physical);          // cluster ownership bookkeeping
 //   void emit(const DecodedOp&, int logical, int physical);
 //
 // emit() receives the winning operation's entry in the program's flat op
@@ -40,11 +38,13 @@
 // when the delay buffers drain to the register file and memory.
 #pragma once
 
+#include <array>
 #include <bit>
+#include <cstdint>
 
 #include "arch/thread_context.hpp"
-#include "core/exec_packet.hpp"
 #include "isa/config.hpp"
+#include "isa/resources.hpp"
 
 namespace vexsim {
 
@@ -63,29 +63,6 @@ struct MergeEngineStats {
                          const MergeEngineStats&) = default;
 };
 
-// The reference sink: selection fills an ExecPacket for a later execute walk.
-struct PacketSink {
-  ExecPacket& packet;
-  int hw_slot;
-
-  [[nodiscard]] ResourceUse& used(std::size_t physical) {
-    return packet.used[physical];
-  }
-  void claim(std::size_t physical) {
-    if (packet.owner[physical] == -1)
-      packet.owner[physical] = static_cast<std::int8_t>(hw_slot);
-  }
-  void emit(const DecodedOp& dec, int logical, int physical) {
-    SelectedOp sel;
-    sel.op = dec.op;
-    sel.dec = &dec;
-    sel.hw_slot = static_cast<std::int8_t>(hw_slot);
-    sel.logical_cluster = static_cast<std::uint8_t>(logical);
-    sel.physical_cluster = static_cast<std::uint8_t>(physical);
-    packet.ops.push_back(sel);
-  }
-};
-
 class MergeEngine {
  public:
   explicit MergeEngine(const MachineConfig& cfg) : cfg_(&cfg) {
@@ -98,16 +75,9 @@ class MergeEngine {
           ResourceUse::pack_limits(cfg.cluster_at(c), cfg.branch_units_at(c));
   }
 
-  // Adds pending work of the thread to `packet` according to the technique.
-  // `rotation` is the thread's static cluster-renaming rotation; `hw_slot`
-  // identifies the hardware thread context for the packet bookkeeping.
-  SelectResult try_select(ThreadContext& ctx, int rotation, int hw_slot,
-                          ExecPacket& packet) {
-    PacketSink sink{packet, hw_slot};
-    return select(ctx, rotation, sink);
-  }
-
-  // The sink-templated core: identical selection decisions for any sink.
+  // Adds pending work of the thread to the cycle according to the technique.
+  // `rotation` is the thread's static cluster-renaming rotation. Decisions
+  // depend only on the sink's used() accounting, never on what emit() does.
   template <typename Sink>
   SelectResult select(ThreadContext& ctx, int rotation, Sink& sink) {
     SelectResult result;
@@ -202,7 +172,6 @@ class MergeEngine {
         ctx.issue.pending_ops[static_cast<std::size_t>(cluster)] & ~mask);
     ctx.issue.pending_ops[static_cast<std::size_t>(cluster)] = left;
     if (left == 0) ctx.issue.pending_clusters &= ~(1u << cluster);
-    sink.claim(p);
   }
 
   // All-or-nothing selection (split disabled or NS-forced).

@@ -32,8 +32,7 @@ bool operator==(const ExperimentOptions& a, const ExperimentOptions& b) {
   return machines_equal && a.scale == b.scale && a.budget == b.budget &&
          a.timeslice == b.timeslice && a.max_cycles == b.max_cycles &&
          a.seed == b.seed && a.fast_forward == b.fast_forward &&
-         a.fused == b.fused && a.compiler == b.compiler &&
-         a.mem_backend == b.mem_backend;
+         a.compiler == b.compiler && a.mem_backend == b.mem_backend;
 }
 
 ExperimentOptions ExperimentOptions::from_cli(const Cli& cli) {
@@ -68,13 +67,7 @@ ExperimentOptions ExperimentOptions::from_cli(const Cli& cli) {
   return opt;
 }
 
-RunResult run_workload_on(const MachineConfig& cfg,
-                          const std::string& workload_name,
-                          const ExperimentOptions& opt) {
-  const wl::WorkloadSpec spec = wl::workload(workload_name);
-  CompileSummary compile;
-  auto programs =
-      wl::build_workload(spec, cfg, opt.scale, opt.compiler, &compile);
+DriverParams driver_params(const ExperimentOptions& opt) {
   DriverParams params;
   params.timeslice = opt.timeslice;
   params.budget = opt.budget;
@@ -82,9 +75,18 @@ RunResult run_workload_on(const MachineConfig& cfg,
   params.seed = opt.seed;
   params.respawn = true;
   params.fast_forward = opt.fast_forward;
-  params.fused = opt.fused;
   params.profile = opt.profile;
-  MultiprogramDriver driver(cfg, std::move(programs), params);
+  return params;
+}
+
+RunResult run_workload_on(const MachineConfig& cfg,
+                          const std::string& workload_name,
+                          const ExperimentOptions& opt) {
+  const wl::WorkloadSpec spec = wl::workload(workload_name);
+  CompileSummary compile;
+  auto programs =
+      wl::build_workload(spec, cfg, opt.scale, opt.compiler, &compile);
+  MultiprogramDriver driver(cfg, std::move(programs), driver_params(opt));
   RunResult result = driver.run();
   result.compile = compile;
   return result;
@@ -103,14 +105,8 @@ RunResult run_single(const std::string& benchmark, bool perfect_memory,
   cc::CompileStats stats;
   auto program =
       wl::make_benchmark(benchmark, cfg, opt.scale, opt.compiler, &stats);
-  DriverParams params;
+  DriverParams params = driver_params(opt);
   params.timeslice = ~0ull;  // single program: no switching
-  params.budget = opt.budget;
-  params.max_cycles = opt.max_cycles;
-  params.seed = opt.seed;
-  params.respawn = true;
-  params.fused = opt.fused;
-  params.profile = opt.profile;
   MultiprogramDriver driver(cfg, {std::move(program)}, params);
   RunResult result = driver.run();
   result.compile.instructions = static_cast<std::uint64_t>(stats.instructions);

@@ -28,9 +28,7 @@ struct ExperimentOptions {
   // Idle-cycle batching (bit-identical stats either way); micro_sim_speed
   // turns it off to time the pure cycle-by-cycle path.
   bool fast_forward = true;
-  // Fused select+execute engine (bit-identical stats either way); the
-  // equivalence suite and micro_sim_speed's base leg turn it off to run the
-  // reference packet engine.
+  // Retired: read by nothing, kept only for vexperf/src/trace.cpp's copy.
   bool fused = true;
   // Per-phase wall-clock breakdown (Simulator::set_profile). Timing only —
   // excluded from the result-cache fingerprint, and profiled runs bypass the
@@ -90,5 +88,10 @@ struct ExperimentOptions {
 [[nodiscard]] RunResult run_workload_on(const MachineConfig& cfg,
                                         const std::string& workload_name,
                                         const ExperimentOptions& opt);
+
+// The driver parameters every run of `opt` uses: its run length, seed,
+// fast-forward and profile settings, with respawning on. run_single then
+// turns off the timeslice.
+[[nodiscard]] DriverParams driver_params(const ExperimentOptions& opt);
 
 }  // namespace vexsim::harness

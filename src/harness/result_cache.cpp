@@ -344,7 +344,9 @@ std::uint64_t point_fingerprint(const MachineConfig& cfg,
       .u64(opt.max_cycles)
       .u64(opt.seed)
       .flag(opt.fast_forward)
-      .flag(opt.fused);
+      // Slot of the retired fused-engine option, true in every cached run:
+      // hashing the constant keeps every existing cache key valid.
+      .flag(true);
   // Compiler pass-pipeline options: every knob the compiled code depends
   // on, so points simulated under different compiler settings can never
   // alias one cache record. verify_each_pass is deliberately excluded —

@@ -53,7 +53,6 @@ Scenario scenario_from(const ConfigFile& file, const Interp& interp,
   s.opt.max_cycles = get_u64(r, "max_cycles", s.opt.max_cycles, diags);
   s.opt.seed = get_u64(r, "seed", s.opt.seed, diags);
   s.opt.fast_forward = r.get_bool("fast_forward", s.opt.fast_forward);
-  s.opt.fused = r.get_bool("fused", s.opt.fused);
   if (const Entry* entry = sec->find("compiler"); entry != nullptr) {
     if (const auto name = r.get_string_opt("compiler")) {
       try {
@@ -100,7 +99,6 @@ std::string to_config(const Scenario& s) {
      << "max_cycles = " << s.opt.max_cycles << "\n"
      << "seed = " << s.opt.seed << "\n"
      << "fast_forward = " << (s.opt.fast_forward ? "true" : "false") << "\n"
-     << "fused = " << (s.opt.fused ? "true" : "false") << "\n"
      << "compiler = '" << s.opt.compiler.name() << "'\n";
   return os.str();
 }

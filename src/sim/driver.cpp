@@ -13,7 +13,6 @@ MultiprogramDriver::MultiprogramDriver(
     : cfg_(cfg), params_(params), sim_(cfg), rng_(params.seed) {
   VEXSIM_CHECK_MSG(!programs.empty(), "workload needs at least one program");
   sim_.set_fast_forward(params_.fast_forward);
-  sim_.set_fused(params_.fused);
   if (params_.profile) sim_.set_profile(true);
   instances_.reserve(programs.size());
   for (std::size_t i = 0; i < programs.size(); ++i)

@@ -30,8 +30,7 @@ struct DriverParams {
   // Statistics are bit-identical either way; off retains the pure
   // cycle-by-cycle loop for cross-checking and speed measurement.
   bool fast_forward = true;
-  // Run the fused select+execute engine (Simulator::set_fused). Statistics
-  // are bit-identical either way; off retains the reference packet engine.
+  // Retired: read by nothing, kept only for vexperf/src/trace.cpp's copy.
   bool fused = true;
   // Per-phase wall-clock accounting (Simulator::set_profile); timing only.
   bool profile = false;

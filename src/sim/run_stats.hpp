@@ -20,8 +20,8 @@ struct SimStats {
   std::uint64_t taken_branches = 0;
   std::uint64_t faults = 0;
 
-  // Field-wise equality: the fused-engine equivalence suite asserts runs are
-  // bit-identical across engine variants.
+  // Field-wise equality: the equivalence suites assert runs are bit-identical
+  // across fast-forward, geometry and compiler variants.
   friend bool operator==(const SimStats&, const SimStats&) = default;
 
   // Operations per cycle — the paper's IPC metric (an "instruction" in the

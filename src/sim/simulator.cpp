@@ -12,29 +12,23 @@ namespace {
 using ProfClock = std::chrono::steady_clock;
 }  // namespace
 
-// The fused engine's selection sink: executes each operation the instant its
-// bundle wins selection, instead of materializing a SelectedOp. Selection
-// order equals the reference packet's execution order, and execute_op writes
-// nothing selection reads (it touches pending writes, caches, channels and
-// staged stores — never issue masks or packet use), so the two engines make
-// identical decisions and produce identical statistics.
-struct Simulator::FusedSink {
+// The engine's selection sink: records each operation in the cycle's packet
+// and executes it the instant it wins selection. execute_op writes nothing
+// selection reads (it touches pending writes, caches, channels and staged
+// stores — never issue masks or cluster use), so executing inside the walk
+// leaves every decision as a select-then-execute machine would make it.
+struct Simulator::IssueSink {
   Simulator& sim;
   ThreadContext& ctx;
-  int hw_slot;
-  std::uint32_t* thread_mask;
-  int* ops;
+  std::int8_t hw_slot;
 
   [[nodiscard]] ResourceUse& used(std::size_t physical) {
     return sim.packet_.used[physical];
   }
-  void claim(std::size_t physical) {
-    if (sim.packet_.owner[physical] == -1)
-      sim.packet_.owner[physical] = static_cast<std::int8_t>(hw_slot);
-  }
   void emit(const DecodedOp& dec, int logical, int physical) {
-    *thread_mask |= 1u << static_cast<unsigned>(hw_slot);
-    ++*ops;
+    sim.packet_.ops.push_back(SelectedOp{
+        &dec, hw_slot, static_cast<std::uint8_t>(logical),
+        static_cast<std::uint8_t>(physical)});
     sim.execute_op(dec, logical, physical, ctx);
   }
 };
@@ -46,7 +40,6 @@ Simulator::Simulator(const MachineConfig& cfg)
       icache_ptr_(&backend_->icache()),
       dcache_ptr_(&backend_->dcache()) {
   cfg_.validate();
-  packet_.clear(cfg_.clusters);
   for (const OpClass cls : {OpClass::kNop, OpClass::kAlu, OpClass::kMul,
                             OpClass::kMem, OpClass::kBranch, OpClass::kComm})
     lat_by_class_[static_cast<std::size_t>(cls)] = cfg_.lat.for_class(cls);
@@ -304,8 +297,8 @@ void Simulator::apply_staged_stores() {
     if (st.ctx->fault.pending) continue;
     if (st.ctx->issue.pending_count > 0) {
       // Not the last part: the store drains through the split delay buffer
-      // at instruction completion. The pending count is cycle-final here
-      // (execution never changes it), so both engines decide identically.
+      // at instruction completion. The pending count is cycle-final here:
+      // the whole merge walk has run.
       st.ctx->store_buffer.push_back(
           BufferedStore{st.cluster, st.addr, st.size, st.value});
     } else {
@@ -405,7 +398,7 @@ int Simulator::step() {
   // memory ports ("the pipeline is stalled till all the memory operations
   // have been performed", Section V-D).
   if (cycle_ < stall_until_) {
-    packet_.clear(cfg_.clusters);  // nothing issues this cycle
+    packet_.clear();  // nothing issues this cycle
     ++stats_.cycles;
     ++stats_.memport_stall_cycles;
     ++stats_.vertical_waste_cycles;
@@ -419,8 +412,8 @@ int Simulator::step() {
     t0 = ProfClock::now();
     // Profiled: commit and refill in separate timed passes. They are
     // per-thread independent (a thread's refill never observes another
-    // thread's commits), so the split is behaviour-identical to the fused
-    // loop below.
+    // thread's commits), so the split is behaviour-identical to the
+    // single-pass loop below.
     for (int s = 0; s < n; ++s)
       if (ThreadContext* ctx = slots_[static_cast<std::size_t>(s)])
         if (ctx->pending_writes.earliest_visible_at() <= cycle_)
@@ -456,54 +449,27 @@ int Simulator::step() {
     }
   }
 
-  // Merge: rotating thread priority (Section VI-A). The fused engine
-  // executes inside the walk; the reference engine fills packet_.ops and
-  // executes in a second walk below.
-  packet_.clear(cfg_.clusters);
+  // Merge and execute: rotating thread priority (Section VI-A).
+  packet_.clear();
   mem_port_use_.fill(0);
   staged_.clear();
   std::uint32_t thread_mask = 0;
-  int ops = 0;
-  if (fused_) {
-    for (int k = 0; k < n; ++k) {
-      int s = priority_base_ + k;
-      if (s >= n) s -= n;
-      ThreadContext* ctx = slots_[static_cast<std::size_t>(s)];
-      if (ctx == nullptr || ctx->state != RunState::kReady) continue;
-      FusedSink sink{*this, *ctx, s, &thread_mask, &ops};
-      merge_.select(*ctx, rotation_[static_cast<std::size_t>(s)], sink);
-    }
-  } else {
-    for (int k = 0; k < n; ++k) {
-      int s = priority_base_ + k;
-      if (s >= n) s -= n;
-      ThreadContext* ctx = slots_[static_cast<std::size_t>(s)];
-      if (ctx == nullptr || ctx->state != RunState::kReady) continue;
-      merge_.try_select(*ctx, rotation_[static_cast<std::size_t>(s)], s,
-                        packet_);
-    }
+  for (int k = 0; k < n; ++k) {
+    int s = priority_base_ + k;
+    if (s >= n) s -= n;
+    ThreadContext* ctx = slots_[static_cast<std::size_t>(s)];
+    if (ctx == nullptr || ctx->state != RunState::kReady) continue;
+    IssueSink sink{*this, *ctx, static_cast<std::int8_t>(s)};
+    if (merge_.select(*ctx, rotation_[static_cast<std::size_t>(s)], sink)
+            .selected_any)
+      thread_mask |= 1u << static_cast<unsigned>(s);
   }
   priority_base_ = priority_base_ + 1 >= n ? 0 : priority_base_ + 1;
+  const int ops = packet_.op_count();
   if (profile_on_) {
     const auto t1 = ProfClock::now();
     profile_.select_seconds += std::chrono::duration<double>(t1 - t0).count();
     t0 = t1;
-  }
-
-  // Execute (reference engine only; the fused engine already did).
-  if (!fused_) {
-    for (const SelectedOp& sel : packet_.ops) {
-      ThreadContext& ctx = *slots_[static_cast<std::size_t>(sel.hw_slot)];
-      thread_mask |= 1u << static_cast<unsigned>(sel.hw_slot);
-      execute_op(*sel.dec, sel.logical_cluster, sel.physical_cluster, ctx);
-    }
-    ops = packet_.op_count();
-    if (profile_on_) {
-      const auto t1 = ProfClock::now();
-      profile_.execute_seconds +=
-          std::chrono::duration<double>(t1 - t0).count();
-      t0 = t1;
-    }
   }
 
   if (!staged_.empty()) apply_staged_stores();

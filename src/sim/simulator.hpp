@@ -18,18 +18,14 @@
 // instruction boundary: split-issued parts only ever wrote the delay
 // buffers, so rollback = discard buffers (Section V-B).
 //
-// Engines: phases 3 and 4 run on one of two equivalent engines. The
-// reference engine materializes an ExecPacket of SelectedOps in the merge
-// walk and executes it in a second walk (last_packet() exposes it to tracing
-// tools and the figure tests). The fused engine (set_fused) executes each
-// operation inside the merge walk, the moment its bundle wins selection —
-// no packet body, no second decode walk. Selection order equals the packet's
-// execution order and execution never writes state selection reads, so the
-// two engines are statistics-bit-identical; the golden suite and
-// micro_sim_speed's self-check enforce it. Stores are staged in both engines
-// and applied after the whole merge walk (same-cycle loads must see
+// Phases 3 and 4 are one walk: each operation executes the moment it wins
+// selection, as the merge hardware issues what its collision logic picks
+// (Figure 7), and the walk appends a SelectedOp for it to the cycle's
+// ExecPacket, so last_packet() is the cycle's issue record. Execution never
+// writes state selection reads (issue masks, cluster use). Stores are staged
+// and applied after the whole walk: same-cycle loads must see
 // pre-instruction memory, and the buffered-store decision needs the
-// cycle-final pending count).
+// cycle-final pending count.
 //
 // Fast path: step() always simulates exactly one cycle, but when every
 // hardware context is provably blocked until a known future cycle (memory
@@ -61,17 +57,14 @@ namespace vexsim {
 struct SimProfile {
   double commit_seconds = 0;
   double refill_seconds = 0;
-  // Merge walk. Under the fused engine this includes execution (the point of
-  // the fusion is that the two are one walk); execute_seconds stays 0.
-  double select_seconds = 0;
-  double execute_seconds = 0;       // reference engine's packet walk
+  double select_seconds = 0;        // merge walk, execution included
   double complete_seconds = 0;      // staged stores, completion, faults
   double fast_forward_seconds = 0;  // inside Simulator::fast_forward
   std::uint64_t steps = 0;          // step() calls measured
 
   [[nodiscard]] double total() const {
     return commit_seconds + refill_seconds + select_seconds +
-           execute_seconds + complete_seconds + fast_forward_seconds;
+           complete_seconds + fast_forward_seconds;
   }
 };
 
@@ -104,13 +97,6 @@ class Simulator {
   void set_fast_forward(bool on) { fast_forward_on_ = on; }
   [[nodiscard]] bool fast_forward_enabled() const { return fast_forward_on_; }
 
-  // Selects the fused select+execute engine. Off (default) keeps the
-  // reference packet engine, whose last_packet() the tracing tests inspect;
-  // the driver and harness turn fusion on. Stats are bit-identical either
-  // way (fused-equivalence suite + micro_sim_speed self-check).
-  void set_fused(bool on) { fused_ = on; }
-  [[nodiscard]] bool fused_enabled() const { return fused_; }
-
   // Opt-in per-phase wall-clock accounting; resets the accumulators.
   void set_profile(bool on) {
     profile_on_ = on;
@@ -142,9 +128,8 @@ class Simulator {
     return *backend_;
   }
 
-  // Last cycle's packet, for tracing tools and the figure tests. Only the
-  // reference engine fills the op list (the fused engine's point is to never
-  // materialize it); cluster use/ownership is filled by both.
+  // Last cycle's issue record: every operation issued, in issue order, and
+  // the per-cluster resource use (empty after a stalled cycle).
   [[nodiscard]] const ExecPacket& last_packet() const { return packet_; }
 
   // Convenience: run until all attached threads halt or `max_cycles` pass.
@@ -152,7 +137,7 @@ class Simulator {
   bool run_to_halt(std::uint64_t max_cycles);
 
  private:
-  struct FusedSink;  // executes ops as they win selection (simulator.cpp)
+  struct IssueSink;  // records and executes ops as they win selection
 
   // Commits every pending write whose latency window closed this cycle.
   // Inline: step() calls it for every thread with writes due (about two
@@ -198,7 +183,7 @@ class Simulator {
   // A store captured during execution; applied after the whole merge walk so
   // same-cycle loads observe pre-instruction memory. Whether it goes to the
   // split delay buffer is decided at apply time from the cycle-final pending
-  // count (identical in both engines by construction).
+  // count.
   struct StagedStore {
     ThreadContext* ctx = nullptr;
     std::uint8_t cluster = 0;
@@ -225,7 +210,6 @@ class Simulator {
   int priority_base_ = 0;
   bool drain_ = false;
   bool fast_forward_on_ = true;
-  bool fused_ = false;
   bool profile_on_ = false;
   // Result latency per operation class, resolved once from the config so the
   // execute path indexes a table instead of switching on the class.

@@ -13,6 +13,17 @@
 
 namespace vexsim {
 
+namespace detail {
+// Out of line and cold, so that the bound check leaves push_back a compare
+// and a branch: small enough to inline into the simulator's per-operation
+// issue path.
+[[noreturn, gnu::cold, gnu::noinline]] inline void inline_vec_overflow(
+    std::size_t capacity) {
+  VEXSIM_CHECK_MSG(false, "InlineVec capacity " << capacity << " exceeded");
+  std::abort();  // unreachable: the check above throws
+}
+}  // namespace detail
+
 template <typename T, std::size_t Capacity>
 class InlineVec {
  public:
@@ -27,15 +38,13 @@ class InlineVec {
   }
 
   constexpr void push_back(const T& v) {
-    VEXSIM_CHECK_MSG(size_ < Capacity, "InlineVec capacity " << Capacity
-                                                             << " exceeded");
+    if (size_ >= Capacity) detail::inline_vec_overflow(Capacity);
     items_[size_++] = v;
   }
 
   template <typename... Args>
   constexpr T& emplace_back(Args&&... args) {
-    VEXSIM_CHECK_MSG(size_ < Capacity, "InlineVec capacity " << Capacity
-                                                             << " exceeded");
+    if (size_ >= Capacity) detail::inline_vec_overflow(Capacity);
     items_[size_] = T{static_cast<Args&&>(args)...};
     return items_[size_++];
   }

@@ -102,7 +102,7 @@ TEST(Figure1, PairIII_MergedPacketIdenticalAcrossPolicies) {
     sim.step();
     std::multiset<OpKey> keys;
     for (const SelectedOp& sel : sim.last_packet().ops)
-      keys.insert({sel.hw_slot, sel.physical_cluster, int(sel.op.opc)});
+      keys.insert({sel.hw_slot, sel.physical_cluster, int(sel.dec->op.opc)});
     return keys;
   };
   EXPECT_EQ(packet_keys(Technique::smt()), packet_keys(Technique::csmt()));

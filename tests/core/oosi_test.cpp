@@ -75,7 +75,7 @@ TEST(Oosi, FuClassLimitsRespectedPerOperation) {
   int t1_mul = 0, t1_alu = 0;
   for (const SelectedOp& sel : sim.last_packet().ops) {
     if (sel.hw_slot != 1) continue;
-    (sel.op.cls() == OpClass::kMul ? t1_mul : t1_alu)++;
+    (sel.dec->op.cls() == OpClass::kMul ? t1_mul : t1_alu)++;
   }
   EXPECT_EQ(t1_mul, 0);
   EXPECT_EQ(t1_alu, 1);

@@ -1,4 +1,4 @@
-#include "core/resources.hpp"
+#include "isa/resources.hpp"
 
 #include <gtest/gtest.h>
 
@@ -85,26 +85,6 @@ TEST(Resources, BundleUseMask) {
   EXPECT_EQ(first_two.mem(), 0);
   const ResourceUse none = bundle_use(bundle, 0);
   EXPECT_TRUE(none.empty());
-}
-
-TEST(Resources, ClusterCollisionPrimitive) {
-  EXPECT_TRUE(cluster_collision(0b0101, 0b0100));
-  EXPECT_FALSE(cluster_collision(0b0101, 0b1010));
-  EXPECT_FALSE(cluster_collision(0, 0b1111));
-}
-
-TEST(Resources, OperationCollisionPrimitive) {
-  ResourceUse a;
-  a.add(ops::alu(Opcode::kAdd, 0, 1, 2, 3));
-  a.add(ops::alu(Opcode::kSub, 0, 1, 2, 3));
-  ResourceUse b;
-  b.add(ops::alu(Opcode::kOr, 0, 1, 2, 3));
-  b.add(ops::alu(Opcode::kAnd, 0, 1, 2, 3));
-  const ClusterResourceConfig cl = paper_cluster();
-  EXPECT_FALSE(operation_collision(a, b, cl, 1));  // 4 ALU ops fit
-  ResourceUse c = b;
-  c.add(ops::alu(Opcode::kXor, 0, 1, 2, 3));
-  EXPECT_TRUE(operation_collision(a, c, cl, 1));  // 5 slots
 }
 
 }  // namespace

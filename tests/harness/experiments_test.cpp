@@ -49,6 +49,51 @@ TEST(Experiments, RunSingleProducesSaneStats) {
   EXPECT_GE(r.instances[0].instructions, tiny().budget);
 }
 
+TEST(Experiments, DriverParamsCarryEveryOption) {
+  ExperimentOptions opt;
+  opt.budget = 1'234;
+  opt.timeslice = 567;
+  opt.max_cycles = 89'000;
+  opt.seed = 17;
+  opt.fast_forward = false;
+  opt.profile = true;
+  const DriverParams p = driver_params(opt);
+  EXPECT_EQ(p.budget, 1'234u);
+  EXPECT_EQ(p.timeslice, 567u);
+  EXPECT_EQ(p.max_cycles, 89'000u);
+  EXPECT_EQ(p.seed, 17u);
+  EXPECT_TRUE(p.respawn);
+  EXPECT_FALSE(p.fast_forward);
+  EXPECT_TRUE(p.profile);
+
+  const DriverParams d = driver_params(ExperimentOptions{});
+  EXPECT_TRUE(d.fast_forward);
+  EXPECT_FALSE(d.profile);
+}
+
+TEST(Experiments, RunSingleHonoursFastForward) {
+  // Real memory, so D-misses leave idle cycles for fast_forward to skip.
+  // The profile counts step() calls, which is where skipping shows; the
+  // statistics must not move.
+  ExperimentOptions opt = tiny();
+  opt.profile = true;
+  opt.fast_forward = true;
+  const RunResult skipping = run_single("djpeg", /*perfect=*/false, opt);
+  opt.fast_forward = false;
+  const RunResult stepping = run_single("djpeg", /*perfect=*/false, opt);
+  EXPECT_EQ(skipping.sim, stepping.sim);
+  EXPECT_EQ(skipping.icache, stepping.icache);
+  EXPECT_EQ(skipping.dcache, stepping.dcache);
+  EXPECT_EQ(skipping.merge, stepping.merge);
+  ASSERT_EQ(skipping.instances.size(), 1u);
+  ASSERT_EQ(stepping.instances.size(), 1u);
+  EXPECT_EQ(skipping.instances[0].arch_fingerprint,
+            stepping.instances[0].arch_fingerprint);
+  EXPECT_EQ(skipping.instances[0].instructions,
+            stepping.instances[0].instructions);
+  EXPECT_LT(skipping.profile.steps, stepping.profile.steps);
+}
+
 TEST(Experiments, RunWorkloadUsesFourInstances) {
   const RunResult r = run_workload("mmmm", 2, Technique::csmt(), tiny());
   EXPECT_EQ(r.instances.size(), 4u);

@@ -45,7 +45,6 @@ TEST(MdesScenario, ReadsEveryField) {
       "max_cycles = 1000000\n"
       "seed      = 11\n"
       "fast_forward = false\n"
-      "fused = false\n"
       "compiler  = 'cost_swp'\n");
   EXPECT_EQ(s.workload, "llhh");
   EXPECT_EQ(s.contexts, 4);
@@ -57,7 +56,6 @@ TEST(MdesScenario, ReadsEveryField) {
   EXPECT_EQ(s.opt.max_cycles, 1000000u);
   EXPECT_EQ(s.opt.seed, 11u);
   EXPECT_FALSE(s.opt.fast_forward);
-  EXPECT_FALSE(s.opt.fused);
   EXPECT_EQ(s.opt.compiler.name(), "cost_swp");
 }
 
@@ -86,6 +84,20 @@ TEST(MdesScenario, ProblemsAreAggregatedDiagnostics) {
             std::string::npos);
   EXPECT_NE(diags.all()[3].message.find("O9"), std::string::npos);
   EXPECT_NE(diags.all()[4].message.find("unknown key 'typo'"),
+            std::string::npos);
+}
+
+TEST(MdesScenario, RetiredFusedKeyIsUnknown) {
+  // The simulator has one cycle engine, so there is no engine to select.
+  Diagnostics diags;
+  (void)parse_scenario(
+      "[scenario]\n"
+      "workload = 'llhh'\n"
+      "fused    = false\n",
+      diags);
+  ASSERT_EQ(diags.all().size(), 1u);
+  EXPECT_EQ(diags.all()[0].loc.line, 3);
+  EXPECT_NE(diags.all()[0].message.find("unknown key 'fused'"),
             std::string::npos);
 }
 
