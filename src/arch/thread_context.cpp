@@ -1,7 +1,5 @@
 #include "arch/thread_context.hpp"
 
-#include <algorithm>
-
 #include "util/check.hpp"
 
 namespace vexsim {
@@ -16,6 +14,11 @@ ThreadContext::ThreadContext(int asid, std::shared_ptr<const Program> program)
   decoded_insns_ = program_->decoded->data();
   decoded_ops_ = program_->decoded->ops();
   instr_addr_ = program_->instr_addr.data();
+  std::vector<PageImage::Segment> segments;
+  segments.reserve(program_->data.size());
+  for (const DataSegment& seg : program_->data)
+    segments.push_back({seg.addr, seg.image});
+  image_ = std::make_shared<const PageImage>(segments);
   respawn();
   respawns = 0;
 }
@@ -38,21 +41,7 @@ void ThreadContext::respawn() {
   channels.fill(ChannelState{});
   channels_dirty = false;
   fault = FaultInfo{};
-  // Only the pages the finished run wrote can differ from the data image (on
-  // the first load, every page). Re-poke the segment bytes that fall on each
-  // dropped range in segment order, so later segments still overwrite
-  // earlier ones.
-  mem.rewind([this](std::uint64_t lo, std::uint64_t hi) {
-    for (const DataSegment& seg : program_->data) {
-      const std::uint64_t from = std::max<std::uint64_t>(lo, seg.addr);
-      const DataImage& bytes = seg.bytes();
-      const std::uint64_t to =
-          std::min<std::uint64_t>(hi, seg.addr + bytes.size());
-      if (from < to)
-        mem.poke_bytes(static_cast<std::uint32_t>(from),
-                       bytes.data() + (from - seg.addr), to - from);
-    }
-  });
+  mem.reset(image_);  // drops the pages the finished run wrote
   ++respawns;
 }
 

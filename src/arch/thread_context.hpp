@@ -10,8 +10,11 @@
 // The context reads its program only through immutable, possibly shared
 // structures: the decode cache (per-instruction summaries and the flat op
 // table) and the data images, which several programs may reference at once.
-// Its memory is private: loading copies the image bytes into its own pages,
-// so a store never reaches an image or another context.
+// Its memory is a copy-on-write overlay (mem/main_memory.hpp): the
+// constructor builds the program's initial page image once, pointing at the
+// data images wherever a page lies wholly inside one, and the memory owns
+// only the pages its stores write, so a store never reaches an image or
+// another context.
 //
 // Field layout is deliberate: the members the cycle loop touches every cycle
 // (pc, run state, the three issue gates, issue progress) sit together at the
@@ -105,11 +108,11 @@ class ThreadContext {
   ThreadContext(int asid, std::shared_ptr<const Program> program);
 
   // Restart the program from scratch (respawn): restores the data images,
-  // clears registers/buffers, keeps `total_instructions` accumulating. Only
-  // the pages the finished run wrote are dropped and re-poked from the
-  // segments (MainMemory::rewind), so a respawn costs what the run wrote,
-  // not the program's data footprint; the resulting memory is byte-identical
-  // to a freshly constructed context's.
+  // clears registers/buffers, keeps `total_instructions` accumulating. The
+  // memory drops the pages the finished run wrote and reads the initial
+  // page image again, so a respawn costs what the run wrote, not the
+  // program's data footprint, and leaves the memory byte-identical to a
+  // freshly constructed context's.
   void respawn();
 
   [[nodiscard]] const Program& program() const { return *program_; }
@@ -170,6 +173,9 @@ class ThreadContext {
  private:
   int asid_;
   std::shared_ptr<const Program> program_;
+  // The program's data segments as memory pages, built once at
+  // construction; every respawn resets `mem` to it.
+  std::shared_ptr<const PageImage> image_;
   // Raw views into program_-owned storage: the per-cycle accessors above
   // index these directly instead of chasing shared_ptr/vector headers. They
   // stay valid for the context's lifetime because program_ keeps the

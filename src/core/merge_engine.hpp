@@ -65,7 +65,7 @@ struct MergeEngineStats {
 
 class MergeEngine {
  public:
-  explicit MergeEngine(const MachineConfig& cfg) : cfg_(&cfg) {
+  explicit MergeEngine(const MachineConfig& cfg) {
     cluster_level_merge_ = cfg.technique.merge == MergeLevel::kCluster;
     split_ = cfg.technique.split;
     comm_no_split_ = cfg.technique.comm == CommPolicy::kNoSplit;
@@ -260,12 +260,11 @@ class MergeEngine {
     return scratch;
   }
 
-  const MachineConfig* cfg_;
   // Per-physical-cluster capacities in the packed SWAR form, hoisted from
   // the config once at construction (cluster_at() indirection would
   // otherwise run per fits probe on asymmetric machines). The technique
   // fields are hoisted for the same reason: select() runs per thread per
-  // cycle and must not chase the config pointer.
+  // cycle and must not chase the config.
   std::array<std::uint64_t, kMaxClusters> packed_limits_{};
   bool cluster_level_merge_ = false;
   bool comm_no_split_ = false;

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <bit>
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -395,7 +396,16 @@ ResultCache::ResultCache(std::string dir) : dir_(std::move(dir)) {
   std::filesystem::create_directories(dir_, ec);
   VEXSIM_CHECK_MSG(!ec, "cannot create result cache directory " << dir_ << ": "
                                                                 << ec.message());
-  if (!read_index()) rebuild_index();
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (read_index_locked()) return;
+  // No readable index. Caches opened at once on a fresh directory (shard
+  // processes, sweep threads) each build one from the records, and the
+  // first to link it into place wins; the others read the winner's, since
+  // replacing it would drop the lines appended to it since. An index that
+  // exists but still fails to read is corrupt and is replaced.
+  scan_records_locked();
+  if (write_index_locked(/*replace=*/false) || read_index_locked()) return;
+  write_index_locked(/*replace=*/true);
 }
 
 std::string ResultCache::entry_path(std::uint64_t key) const {
@@ -414,7 +424,7 @@ std::size_t ResultCache::index_size() const {
   return index_.size();
 }
 
-bool ResultCache::read_index() {
+bool ResultCache::read_index_locked() {
   std::ifstream is(index_path(), std::ios::binary);
   if (!is.good()) return false;
   std::string line;
@@ -429,12 +439,11 @@ bool ResultCache::read_index() {
     if (file.find('/') != std::string::npos) return false;
     loaded[parse_hex16(hex)] = std::move(file);
   }
-  const std::lock_guard<std::mutex> lock(mu_);
   index_ = std::move(loaded);
   return true;
 }
 
-void ResultCache::write_index_locked() const {
+bool ResultCache::write_index_locked(bool replace) const {
   static std::atomic<std::uint64_t> counter{0};
   std::ostringstream tmp_name;
   tmp_name << index_path() << ".tmp." << ::getpid() << "."
@@ -448,13 +457,30 @@ void ResultCache::write_index_locked() const {
     os.flush();
     VEXSIM_CHECK_MSG(os.good(), "failed writing " << tmp_name.str());
   }
+  if (!replace) {
+    // link(2) fails rather than replace an existing file.
+    const bool linked =
+        ::link(tmp_name.str().c_str(), index_path().c_str()) == 0;
+    if (linked || errno == EEXIST) {
+      std::remove(tmp_name.str().c_str());
+      return linked;
+    }
+    // Any other failure (a filesystem without hard links): fall back to
+    // rename(2) and its race.
+  }
   VEXSIM_CHECK_MSG(
       std::rename(tmp_name.str().c_str(), index_path().c_str()) == 0,
       "failed to move " << tmp_name.str() << " over " << index_path());
+  return true;
 }
 
 void ResultCache::rebuild_index() const {
   const std::lock_guard<std::mutex> lock(mu_);
+  scan_records_locked();
+  write_index_locked(/*replace=*/true);
+}
+
+void ResultCache::scan_records_locked() const {
   index_.clear();
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
@@ -468,7 +494,6 @@ void ResultCache::rebuild_index() const {
   }
   VEXSIM_CHECK_MSG(!ec, "cannot scan result cache directory " << dir_ << ": "
                                                               << ec.message());
-  write_index_locked();
 }
 
 std::optional<RunResult> ResultCache::read_record(const std::string& path,
@@ -605,7 +630,7 @@ CacheGcStats ResultCache::gc(std::uint64_t max_bytes) const {
   stats.evicted = evict;
   stats.records_after = entries.size() - evict;
   stats.bytes_after = bytes_left;
-  write_index_locked();
+  write_index_locked(/*replace=*/true);
   return stats;
 }
 

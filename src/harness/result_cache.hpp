@@ -26,9 +26,13 @@
 //  * a missing, truncated, or otherwise corrupt index is rebuilt
 //    transparently by scanning the directory for record files — hit results
 //    are identical either way, the rebuild only restores O(1) probing;
-//  * gc() and rebuild_index() rewrite the index via temp file + rename, so
-//    readers never observe a half-written index.
-// The one benign race: an index rewrite can drop a line appended by a
+//  * a missing index is published with link(2), which never replaces a
+//    file: caches opened at once on a fresh directory all end up appending
+//    to the first one's index;
+//  * gc(), rebuild_index() and the repair of a corrupt index rewrite the
+//    index via temp file + rename, so readers never observe a half-written
+//    index.
+// The one benign race: a rename rewrite can drop a line appended by a
 // concurrent writer. The record file itself survives, so the entry misses
 // once, re-simulates (or re-loads on rebuild), and is re-appended —
 // convergent, never corrupt.
@@ -123,10 +127,17 @@ class ResultCache {
   CacheGcStats gc(std::uint64_t max_bytes) const;
 
  private:
-  [[nodiscard]] bool read_index();
+  // Loads the index file into index_; false when it is missing or corrupt.
+  // Caller holds mu_.
+  [[nodiscard]] bool read_index_locked();
   void append_index_line(std::uint64_t key) const;
-  // Writes index_ to disk (temp file + rename). Caller holds mu_.
-  void write_index_locked() const;
+  // Fills index_ from the record files in dir_. Caller holds mu_.
+  void scan_records_locked() const;
+  // Writes index_ to a temp file and moves it into place: renamed over any
+  // existing index with `replace`, linked in otherwise, which returns false
+  // and leaves the file alone where an index already exists. Caller holds
+  // mu_.
+  bool write_index_locked(bool replace) const;
   [[nodiscard]] std::optional<RunResult> read_record(const std::string& path,
                                                      std::uint64_t key) const;
 

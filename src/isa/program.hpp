@@ -13,7 +13,8 @@
 // immutable byte image that may itself be shared across programs: wl_synth
 // builds one pool image per (seed, footprint) and every program generated
 // from that spec, on any machine, references it. Nothing writes through an
-// image; a ThreadContext copies the bytes into its own pages on load.
+// image: a ThreadContext's memory reads the images in place and copies a
+// page only when a store first writes it (mem/main_memory.hpp).
 #pragma once
 
 #include <cstdint>

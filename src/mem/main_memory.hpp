@@ -5,12 +5,14 @@
 // kGuardLimit or misaligned accesses fault — used by the precise-exception
 // machinery and its tests.
 //
-// Written-page contract: the memory records every page a store or a poke
-// has written since the last rewind(). A new or cleared memory counts every
-// page as written. rewind() drops the written pages and hands their address
-// ranges back to the owner to reload, so restoring a loaded image costs what
-// the last run wrote, not the image's size; pages nobody wrote keep their
-// bytes.
+// Copy-on-write: a memory is an immutable base (a PageImage holding the
+// loaded program's initial contents, shared with every copy of the memory)
+// plus the private pages this memory has written. A load reads the private
+// page where one exists, the base page otherwise, and zero where neither
+// does. The first store or poke to a page creates its private copy, from the
+// base page or zero-filled. reset(base) drops every private page, so
+// restoring a loaded image costs what the last run wrote, not the image's
+// size, and nothing ever writes through the base.
 //
 // load/store are inline: they run once per executed memory operation, and
 // with the page memo the whole fast path is a handful of instructions — a
@@ -30,39 +32,71 @@
 
 namespace vexsim {
 
+// An immutable initial memory image: page index -> kPageSize bytes, built
+// once from segments (address, bytes) applied in order, later ones on top,
+// and clipped at 2^32. A page that lies wholly inside the last segment
+// covering it points into that segment's bytes, with no copy; every other
+// covered page is composed once, zero-filled and then overlaid with each
+// segment in order. The image keeps the segments' bytes alive.
+class PageImage {
+ public:
+  // 64 KiB pages. MainMemory::fingerprint() mixes in the page index, so
+  // another page size would change every digest (and every cache key).
+  static constexpr std::uint32_t kPageBits = 16;
+  static constexpr std::uint32_t kPageSize = 1u << kPageBits;
+
+  using Bytes = std::vector<std::uint8_t>;
+  struct Segment {
+    std::uint32_t addr = 0;
+    std::shared_ptr<const Bytes> bytes;  // never null
+  };
+
+  explicit PageImage(const std::vector<Segment>& segments);
+
+  // The bytes of page `index`, or nullptr where no segment reaches it.
+  [[nodiscard]] const std::uint8_t* page(std::uint32_t index) const;
+
+  // Every covered page, ascending by index.
+  [[nodiscard]] const std::vector<std::pair<std::uint32_t,
+                                            const std::uint8_t*>>&
+  pages() const {
+    return pages_;
+  }
+
+ private:
+  std::vector<std::pair<std::uint32_t, const std::uint8_t*>> pages_;
+  Bytes composed_;  // the composed pages, back to back
+  std::vector<std::shared_ptr<const Bytes>> owners_;
+};
+
 class MainMemory {
  public:
-  static constexpr std::uint32_t kPageBits = 16;  // 64 KiB pages
-  static constexpr std::uint32_t kPageSize = 1u << kPageBits;
+  static constexpr std::uint32_t kPageBits = PageImage::kPageBits;
+  static constexpr std::uint32_t kPageSize = PageImage::kPageSize;
   static constexpr std::uint32_t kGuardLimit = 0x100;  // null-page guard
 
   MainMemory() = default;
-  // No two memories may share page storage through the memo: a copy starts
-  // with an empty memo, and a moved-from memory is left cleared.
+  // A copy shares the base and copies the private pages. No two memories
+  // may share private pages through the memo: a copy starts with an empty
+  // memo, and a moved-from memory keeps no base and no pages.
   MainMemory(const MainMemory& other)
-      : pages_(other.pages_),
-        written_(other.written_),
-        all_written_(other.all_written_) {}
+      : base_(other.base_), private_(other.private_) {}
   MainMemory& operator=(const MainMemory& other) {
-    pages_ = other.pages_;
-    written_ = other.written_;
-    all_written_ = other.all_written_;
+    base_ = other.base_;
+    private_ = other.private_;
     reset_memo();
     return *this;
   }
   MainMemory(MainMemory&& other) noexcept
-      : pages_(std::move(other.pages_)),
-        written_(std::move(other.written_)),
-        all_written_(other.all_written_) {
-    other.clear();
+      : base_(std::move(other.base_)), private_(std::move(other.private_)) {
+    other.reset(nullptr);
   }
   MainMemory& operator=(MainMemory&& other) noexcept {
     if (this == &other) return *this;
-    pages_ = std::move(other.pages_);
-    written_ = std::move(other.written_);
-    all_written_ = other.all_written_;
+    base_ = std::move(other.base_);
+    private_ = std::move(other.private_);
     reset_memo();
-    other.clear();
+    other.reset(nullptr);
     return *this;
   }
 
@@ -127,109 +161,81 @@ class MainMemory {
     return true;
   }
 
-  // Unchecked helpers for program loading and test setup. Pokes count as
-  // writes.
+  // Unchecked helpers for test and example setup. A poke writes like a
+  // store.
   void poke_bytes(std::uint32_t addr, const std::uint8_t* bytes,
                   std::size_t n);
   void poke_u32(std::uint32_t addr, std::uint32_t value);
   [[nodiscard]] std::uint32_t peek_u32(std::uint32_t addr) const;
 
-  // Drops every page, which leaves every page counted as written.
-  void clear() {
-    pages_.clear();
-    written_.clear();
-    all_written_ = true;
+  // Drops every private page and reads `base` from now on (nothing, and so
+  // all zeros, when null).
+  void reset(std::shared_ptr<const PageImage> base) {
+    base_ = std::move(base);
+    private_.clear();
     reset_memo();
   }
 
-  // Restores a loaded image: drops every page written since the last rewind
-  // (all of memory, the first time and after clear()), then calls
-  // reload(lo, hi) once per dropped address range [lo, hi) for the owner to
-  // poke the image bytes that fall in it. Afterwards no page counts as
-  // written, the reloaded ones included.
-  template <class Reload>
-  void rewind(Reload&& reload) {
-    // reload() appends the pages it recreates to written_, after the
-    // `dropped` entries whose pages are gone.
-    std::size_t dropped = 0;
-    if (all_written_) {
-      clear();
-      reload(std::uint64_t{0}, std::uint64_t{1} << 32);
-    } else {
-      dropped = written_.size();
-      for (std::size_t i = 0; i < dropped; ++i) pages_.erase(written_[i]);
-      reset_memo();
-      for (std::size_t i = 0; i < dropped; ++i) {
-        const std::uint64_t lo = std::uint64_t{written_[i]} << kPageBits;
-        reload(lo, lo + kPageSize);
-      }
-    }
-    for (std::size_t i = dropped; i < written_.size(); ++i)
-      pages_.find(written_[i])->second.written = false;
-    written_.clear();
-    all_written_ = false;
-  }
+  // Pages this memory owns: the ones written since the last reset().
+  [[nodiscard]] std::size_t private_pages() const { return private_.size(); }
 
-  // Deterministic digest of all touched pages — used by equivalence tests to
-  // compare final memory states across techniques.
+  // Deterministic digest of the memory's contents — used by equivalence
+  // tests to compare final memory states across techniques.
   [[nodiscard]] std::uint64_t fingerprint() const;
 
  private:
-  struct Page {
-    std::vector<std::uint8_t> bytes = std::vector<std::uint8_t>(kPageSize);
-    bool written = false;  // listed in written_
-  };
   static constexpr std::uint32_t kNoPage = ~0u;
 
   [[nodiscard]] const std::uint8_t* find_page(std::uint32_t addr) const {
     const std::uint32_t index = addr >> kPageBits;
     const std::uint32_t lane = index & (kMemoLanes - 1);
-    if (index == cached_index_[lane]) return cached_page_[lane]->bytes.data();
-    const auto it = pages_.find(index);
-    if (it == pages_.end()) return nullptr;  // absence is not cached: a store
-                                             // may create the page later
-    cached_index_[lane] = index;
-    cached_page_[lane] = const_cast<Page*>(&it->second);
-    return it->second.bytes.data();
+    if (index == load_index_[lane]) return load_page_[lane];
+    const std::uint8_t* p = nullptr;
+    if (const auto it = private_.find(index); it != private_.end())
+      p = it->second.data();
+    else if (base_ != nullptr)
+      p = base_->page(index);
+    if (p == nullptr) return nullptr;  // absence is not cached: a store
+                                       // may create the page later
+    load_index_[lane] = index;
+    load_page_[lane] = p;
+    return p;
   }
 
-  // The page to write `addr` into, created if absent and recorded as
-  // written: past the memo, the only cost is one flag test.
+  // The private page to write `addr` into: past the memo, created from the
+  // base page (or zero-filled) on the first write.
   std::uint8_t* page_for(std::uint32_t addr) {
     const std::uint32_t index = addr >> kPageBits;
     const std::uint32_t lane = index & (kMemoLanes - 1);
-    Page* p = cached_page_[lane];
-    if (index != cached_index_[lane]) {
-      p = &pages_[index];
-      cached_index_[lane] = index;
-      cached_page_[lane] = p;
-    }
-    if (!p->written) note_written(*p, index);
-    return p->bytes.data();
+    if (index == store_index_[lane]) return store_page_[lane];
+    return own_page(index, lane);
   }
 
-  void note_written(Page& p, std::uint32_t index);  // out of line: cold
+  std::uint8_t* own_page(std::uint32_t index, std::uint32_t lane);
 
   void reset_memo() {
-    cached_index_.fill(kNoPage);
-    cached_page_.fill(nullptr);
+    load_index_.fill(kNoPage);
+    load_page_.fill(nullptr);
+    store_index_.fill(kNoPage);
+    store_page_.fill(nullptr);
   }
 
-  std::unordered_map<std::uint32_t, Page> pages_;
-  // Indices of the pages whose `written` flag is set, in first-write order.
-  // While all_written_ is set, every page counts as written regardless.
-  std::vector<std::uint32_t> written_;
-  bool all_written_ = true;
-  // Small direct-mapped page memo (indexed by the low page-index bits):
+  std::shared_ptr<const PageImage> base_;
+  std::unordered_map<std::uint32_t, std::vector<std::uint8_t>> private_;
+  // Small direct-mapped page memos (indexed by the low page-index bits):
   // kernel working sets hammer a handful of pages, so the common access
-  // skips the hash lookup, and a load stream on one page no longer evicts
-  // the memo for a store stream on another. Page storage is node-based
-  // (unordered_map), so cached pointers stay valid until the page is
-  // dropped (clear(), rewind()).
+  // skips the lookups. A load lane may hold a base page or a private one; a
+  // store lane holds only private pages, and creating a private page points
+  // the load lane of its index at it too, so a later load sees the store.
+  // Private pages live in node-based storage, so cached pointers stay valid
+  // until reset() drops the pages.
   static constexpr std::uint32_t kMemoLanes = 4;  // power of two
-  mutable std::array<std::uint32_t, kMemoLanes> cached_index_{
+  mutable std::array<std::uint32_t, kMemoLanes> load_index_{
       kNoPage, kNoPage, kNoPage, kNoPage};
-  mutable std::array<Page*, kMemoLanes> cached_page_{};
+  mutable std::array<const std::uint8_t*, kMemoLanes> load_page_{};
+  std::array<std::uint32_t, kMemoLanes> store_index_{kNoPage, kNoPage,
+                                                     kNoPage, kNoPage};
+  std::array<std::uint8_t*, kMemoLanes> store_page_{};
 };
 
 }  // namespace vexsim

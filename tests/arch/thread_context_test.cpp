@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <set>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -11,6 +13,7 @@
 #include "support/test_util.hpp"
 #include "util/rng.hpp"
 #include "vasm/assembler.hpp"
+#include "workloads/registry.hpp"
 
 namespace vexsim {
 namespace {
@@ -223,6 +226,65 @@ TEST(ThreadContextRespawn, AfterAFaultRollback) {
         {0x30100, 0x30101, 0x30102, 0x30103, 0x30104, 0x30105, 0x30106,
          0x30107, 0x90000, 0x90001, 0x90002, 0x90003}));
   }
+}
+
+// --- Copy-on-write: contexts read the program's images in place ----------
+
+// A synth program with a 1 MiB pool (16 whole pages at 0x600000) whose
+// stores all go to one output page outside it.
+std::shared_ptr<const Program> f1024_program(const MachineConfig& cfg) {
+  return wl::make_benchmark("synth:i0.5-m0.4-f1024-s7", cfg, 0.05);
+}
+
+std::uint32_t image_word(const DataSegment& seg, std::uint32_t offset) {
+  std::uint32_t v = 0;
+  std::memcpy(&v, seg.bytes().data() + offset, 4);
+  return v;
+}
+
+TEST(ThreadContextCow, LoadingASynthProgramCopiesNoPage) {
+  const auto program =
+      f1024_program(MachineConfig::paper(1, Technique::smt()));
+  ASSERT_EQ(program->data.size(), 1u);
+  const DataSegment& pool = program->data[0];
+  ASSERT_EQ(pool.bytes().size(), 1024u * 1024);
+  ThreadContext ctx(0, program);
+  EXPECT_EQ(ctx.mem.private_pages(), 0u);
+  EXPECT_EQ(ctx.mem.peek_u32(pool.addr + 0x4'0010), image_word(pool, 0x4'0010));
+
+  ASSERT_TRUE(ctx.mem.store(pool.addr + 0x4'0010, 4, 0x5EED));
+  EXPECT_EQ(ctx.mem.private_pages(), 1u);
+  EXPECT_EQ(ctx.mem.peek_u32(pool.addr + 0x4'0010), 0x5EEDu);
+  EXPECT_EQ(ctx.mem.peek_u32(pool.addr + 0x4'0014), image_word(pool, 0x4'0014));
+  EXPECT_NE(image_word(pool, 0x4'0010), 0x5EEDu);  // the pool is untouched
+  ctx.respawn();
+  EXPECT_EQ(ctx.mem.private_pages(), 0u);
+  EXPECT_EQ(ctx.mem.peek_u32(pool.addr + 0x4'0010), image_word(pool, 0x4'0010));
+}
+
+TEST(ThreadContextCow, ThreadsRunningOneSharedProgramMatchOneThread) {
+  // Two threads each run a context of the same program at once; both read
+  // the shared pool in place and must end in the single-thread state.
+  const MachineConfig cfg = MachineConfig::paper(1, Technique::smt());
+  const auto program = f1024_program(cfg);
+  const auto run = [&cfg, &program] {
+    ThreadContext ctx(0, program);
+    Simulator sim(cfg);
+    sim.attach(0, &ctx);
+    EXPECT_TRUE(sim.run_to_halt(2'000'000));
+    EXPECT_EQ(ctx.state, RunState::kHalted);
+    EXPECT_EQ(ctx.mem.private_pages(), 1u);  // the output page alone
+    return ctx.arch_fingerprint(cfg.clusters);
+  };
+  const std::uint64_t alone = run();
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+  std::thread ta([&] { a = run(); });
+  std::thread tb([&] { b = run(); });
+  ta.join();
+  tb.join();
+  EXPECT_EQ(a, alone);
+  EXPECT_EQ(b, alone);
 }
 
 TEST(ThreadContext, RequiresFinalizedProgram) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -183,74 +185,214 @@ TEST(MainMemory, MovedFromMemoryKeepsNoPages) {
   EXPECT_EQ(b.peek_u32(0x2000), 0x44444444u);
 }
 
-using Ranges = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
-constexpr std::uint64_t kPage = MainMemory::kPageSize;
-constexpr std::uint64_t kAll = std::uint64_t{1} << 32;
+// --- Copy-on-write over a PageImage ---------------------------------------
 
-Ranges rewind_ranges(MainMemory& mem) {
-  Ranges got;
-  mem.rewind([&got](std::uint64_t lo, std::uint64_t hi) {
-    got.emplace_back(lo, hi);
-  });
-  return got;
+constexpr std::uint32_t kPage = MainMemory::kPageSize;
+
+using Extents = std::vector<std::pair<std::uint32_t, std::size_t>>;
+
+// Segments at `extents` ({addr, size}), in this order, filled with nonzero
+// seeded bytes.
+std::vector<PageImage::Segment> seeded_segments(const Extents& extents,
+                                                std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<PageImage::Segment> segments;
+  for (const auto& [addr, size] : extents) {
+    PageImage::Bytes bytes(size);
+    for (auto& b : bytes) b = static_cast<std::uint8_t>(1 + rng.below(255));
+    segments.push_back(
+        {addr, std::make_shared<const PageImage::Bytes>(std::move(bytes))});
+  }
+  return segments;
 }
 
-TEST(MainMemory, MoveTakesTheWrittenPagesAlong) {
-  MainMemory a;
-  EXPECT_EQ(rewind_ranges(a), (Ranges{{0, kAll}}));
-  ASSERT_TRUE(a.store(3 * kPage, 4, 1));
-  MainMemory b = std::move(a);
-  EXPECT_EQ(rewind_ranges(b), (Ranges{{3 * kPage, 4 * kPage}}));
-  EXPECT_EQ(rewind_ranges(a), (Ranges{{0, kAll}}));  // left cleared
-
-  ASSERT_TRUE(b.store(5 * kPage, 4, 1));
-  MainMemory c;
-  EXPECT_EQ(rewind_ranges(c), (Ranges{{0, kAll}}));
-  c = std::move(b);
-  EXPECT_EQ(rewind_ranges(c), (Ranges{{5 * kPage, 6 * kPage}}));
-  EXPECT_EQ(rewind_ranges(b), (Ranges{{0, kAll}}));
-}
-
-TEST(MainMemory, RewindDropsExactlyTheWrittenPages) {
+// A memory whose private pages hold the segments: poked in order and
+// clipped at 2^32, the way a context used to load its program.
+MainMemory poked(const std::vector<PageImage::Segment>& segments) {
   MainMemory mem;
-  // A new memory counts every page as written; the reload's own pokes are
-  // the loaded image, not writes.
-  mem.rewind([&mem](std::uint64_t, std::uint64_t) {
-    mem.poke_u32(2 * kPage + 8, 0xAAAA);
-  });
-  EXPECT_TRUE(rewind_ranges(mem).empty());
-  EXPECT_EQ(mem.peek_u32(2 * kPage + 8), 0xAAAAu);  // unwritten pages stay
+  for (const PageImage::Segment& seg : segments)
+    mem.poke_bytes(seg.addr, seg.bytes->data(),
+                   std::min<std::uint64_t>(seg.bytes->size(),
+                                           (std::uint64_t{1} << 32) - seg.addr));
+  return mem;
+}
+
+MainMemory backed_by(const std::shared_ptr<const PageImage>& image) {
+  MainMemory mem;
+  mem.reset(image);
+  return mem;
+}
+
+TEST(MainMemoryCow, LoadAfterStoreToABasePageSeesTheStore) {
+  const auto segments = seeded_segments({{4 * kPage, kPage}}, 1);
+  const auto image = std::make_shared<const PageImage>(segments);
+  MainMemory mem = backed_by(image);
+  const std::uint32_t addr = 4 * kPage + 0x40;
+  const std::uint32_t before = mem.peek_u32(addr);  // memo holds the base
+  ASSERT_TRUE(mem.store(addr, 4, ~before));
+  EXPECT_EQ(mem.peek_u32(addr), ~before);
+  std::uint32_t b = 0;
+  ASSERT_TRUE(mem.load(addr + 1, 1, b));
+  EXPECT_EQ(b, (~before >> 8) & 0xFF);
+}
+
+TEST(MainMemoryCow, StoreCopiesOnlyItsPageAndLeavesTheBaseAlone) {
+  const auto segments = seeded_segments({{4 * kPage, 2 * kPage}}, 2);
+  const PageImage::Bytes original = *segments[0].bytes;
+  const auto image = std::make_shared<const PageImage>(segments);
+  MainMemory mem = backed_by(image);
+  MainMemory other = backed_by(image);
+  EXPECT_EQ(mem.private_pages(), 0u);
+
+  const std::uint32_t addr = 5 * kPage + 0x100;
+  ASSERT_TRUE(mem.store(addr, 4, 0xDEADBEEF));
+  EXPECT_EQ(mem.private_pages(), 1u);
+  for (std::uint32_t a = 4 * kPage; a < 6 * kPage; a += 4) {
+    std::uint32_t want = 0;
+    std::memcpy(&want, original.data() + (a - 4 * kPage), 4);
+    if (a != addr) {
+      ASSERT_EQ(mem.peek_u32(a), want) << std::hex << a;
+    }
+    ASSERT_EQ(other.peek_u32(a), want) << std::hex << a;
+  }
+  EXPECT_EQ(*segments[0].bytes, original);  // the image bytes are untouched
+  EXPECT_EQ(other.private_pages(), 0u);
+
+  mem.reset(image);
+  EXPECT_EQ(mem.private_pages(), 0u);
+  EXPECT_EQ(mem.fingerprint(), other.fingerprint());
+}
+
+TEST(MainMemoryCow, FingerprintMatchesPokedSegments) {
+  const std::vector<Extents> layouts = {
+      {{3 * kPage, kPage}},                      // one whole page
+      {{3 * kPage + 0x10, 0x100}},               // part of a page
+      {{6 * kPage - 0x300, 0x600}},              // straddles pages 5|6
+      {{2 * kPage, 3 * kPage + 0x20}},           // whole pages and a tail
+      {{8 * kPage - 0x200, 0x800},               // overlapping: B on A, C
+       {8 * kPage + 0x100, 0x100},               // across both and the
+       {8 * kPage - 0x80, 0x200}},               // 7|8 boundary
+      {{9 * kPage, 2 * kPage}, {9 * kPage + 0x40, 0x10}},  // a hole in an
+                                                           // aliased page
+      {{0xFFFF'0000u, kPage}},                   // the last page
+      {{0xFFFF'FF00u, 0x200}},                   // clipped at 2^32
+      {{4 * kPage, 0}},                          // empty
+  };
+  for (std::size_t n = 0; n < layouts.size(); ++n) {
+    const auto segments = seeded_segments(layouts[n], 10 + n);
+    const auto image = std::make_shared<const PageImage>(segments);
+    MainMemory mem = backed_by(image);
+    MainMemory oracle = poked(segments);
+    ASSERT_EQ(mem.fingerprint(), oracle.fingerprint()) << "layout " << n;
+    ASSERT_EQ(mem.private_pages(), 0u);
+
+    // Seeded stores on and around every segment, to both memories.
+    Rng rng(100 + n);
+    for (int i = 0; i < 64; ++i) {
+      const auto& [addr, size] =
+          layouts[n][rng.below(static_cast<std::uint32_t>(layouts[n].size()))];
+      const std::uint32_t a =
+          (addr - 0x80 + rng.below(static_cast<std::uint32_t>(size) + 0x100)) &
+          ~3u;
+      if (a < MainMemory::kGuardLimit) continue;
+      const std::uint32_t v = rng.next_u32();
+      ASSERT_TRUE(mem.store(a, 4, v));
+      ASSERT_TRUE(oracle.store(a, 4, v));
+      ASSERT_EQ(mem.peek_u32(a), v);
+    }
+    EXPECT_EQ(mem.fingerprint(), oracle.fingerprint()) << "layout " << n;
+    mem.reset(image);
+    EXPECT_EQ(mem.fingerprint(), poked(segments).fingerprint())
+        << "layout " << n;
+  }
+}
+
+TEST(MainMemoryCow, WholePagesAliasTheSegmentBytes) {
+  // Page 1 of the first segment is wholly inside it; page 2 is covered
+  // last by the second segment, whole; page 3 is partly covered.
+  const auto segments =
+      seeded_segments({{kPage, 2 * kPage + 0x10}, {2 * kPage, kPage}}, 3);
+  const PageImage image(segments);
+  ASSERT_EQ(image.pages().size(), 3u);
+  EXPECT_EQ(image.page(1), segments[0].bytes->data());
+  EXPECT_EQ(image.page(2), segments[1].bytes->data());
+  EXPECT_NE(image.page(3), nullptr);
+  EXPECT_EQ(image.page(3)[0], (*segments[0].bytes)[2 * kPage]);
+  EXPECT_EQ(image.page(3)[0x10], 0);
+  EXPECT_EQ(image.page(0), nullptr);
+  EXPECT_EQ(image.page(4), nullptr);
+}
+
+TEST(MainMemory, MoveTakesThePrivatePagesAlong) {
+  const auto image = std::make_shared<const PageImage>(
+      seeded_segments({{3 * kPage, kPage}}, 4));
+  MainMemory a = backed_by(image);
+  ASSERT_TRUE(a.store(3 * kPage, 4, 1));
+  ASSERT_TRUE(a.store(5 * kPage, 4, 2));
+  MainMemory b = std::move(a);
+  EXPECT_EQ(b.private_pages(), 2u);
+  EXPECT_EQ(b.peek_u32(3 * kPage), 1u);
+  EXPECT_EQ(b.peek_u32(5 * kPage), 2u);
+  EXPECT_EQ(a.private_pages(), 0u);  // left with no base and no pages
+  EXPECT_EQ(a.fingerprint(), MainMemory().fingerprint());
+
+  MainMemory c = backed_by(image);
+  ASSERT_TRUE(c.store(6 * kPage, 4, 3));
+  c = std::move(b);
+  EXPECT_EQ(c.private_pages(), 2u);
+  EXPECT_EQ(c.peek_u32(6 * kPage), 0u);
+  EXPECT_EQ(c.peek_u32(3 * kPage), 1u);
+  EXPECT_EQ(b.private_pages(), 0u);
+  EXPECT_EQ(b.fingerprint(), MainMemory().fingerprint());
+
+  // A copy shares the base and copies the pages: neither sees the other's
+  // stores.
+  MainMemory d = c;
+  ASSERT_TRUE(d.store(3 * kPage, 4, 7));
+  ASSERT_TRUE(c.store(3 * kPage + 4, 4, 8));
+  EXPECT_EQ(c.peek_u32(3 * kPage), 1u);
+  EXPECT_EQ(d.peek_u32(3 * kPage + 4), image->page(3)[4] |
+                                           image->page(3)[5] << 8 |
+                                           image->page(3)[6] << 16 |
+                                           image->page(3)[7] << 24);
+}
+
+TEST(MainMemory, ResetDropsExactlyThePrivatePages) {
+  const auto segments = seeded_segments({{2 * kPage + 8, 4}}, 5);
+  const auto image = std::make_shared<const PageImage>(segments);
+  MainMemory mem = backed_by(image);
+  const std::uint32_t loaded = mem.peek_u32(2 * kPage + 8);
+  EXPECT_NE(loaded, 0u);
 
   ASSERT_TRUE(mem.store(7 * kPage + 4, 4, 1));
   mem.poke_u32(3 * kPage, 2);
-  ASSERT_TRUE(mem.store(7 * kPage + 8, 2, 3));  // same page: listed once
+  ASSERT_TRUE(mem.store(7 * kPage + 8, 2, 3));  // same page: copied once
   std::uint32_t v = 0;
   ASSERT_TRUE(mem.load(9 * kPage, 4, v));  // loads write nothing
-  EXPECT_EQ(rewind_ranges(mem),
-            (Ranges{{7 * kPage, 8 * kPage}, {3 * kPage, 4 * kPage}}));
-  EXPECT_EQ(mem.peek_u32(7 * kPage + 4), 0u);  // dropped, not reloaded
-  EXPECT_EQ(mem.peek_u32(3 * kPage), 0u);
-  EXPECT_EQ(mem.peek_u32(2 * kPage + 8), 0xAAAAu);
-
-  // A reload that recreates a dropped page leaves it unwritten.
+  ASSERT_TRUE(mem.load(2 * kPage + 8, 4, v));
+  EXPECT_EQ(mem.private_pages(), 2u);
   ASSERT_TRUE(mem.store(2 * kPage + 8, 4, 4));
-  mem.rewind([&mem](std::uint64_t lo, std::uint64_t) {
-    mem.poke_u32(static_cast<std::uint32_t>(lo) + 8, 0xAAAA);
-  });
-  EXPECT_EQ(mem.peek_u32(2 * kPage + 8), 0xAAAAu);
-  EXPECT_TRUE(rewind_ranges(mem).empty());
+  EXPECT_EQ(mem.private_pages(), 3u);
 
-  mem.clear();
-  EXPECT_EQ(rewind_ranges(mem), (Ranges{{0, kAll}}));
+  mem.reset(image);
+  EXPECT_EQ(mem.private_pages(), 0u);
+  EXPECT_EQ(mem.peek_u32(7 * kPage + 4), 0u);
+  EXPECT_EQ(mem.peek_u32(3 * kPage), 0u);
+  EXPECT_EQ(mem.peek_u32(2 * kPage + 8), loaded);
+
+  mem.reset(nullptr);
+  EXPECT_EQ(mem.peek_u32(2 * kPage + 8), 0u);
+  EXPECT_EQ(mem.fingerprint(), MainMemory().fingerprint());
 }
 
-TEST(MainMemory, ClearResets) {
+TEST(MainMemory, ResetWithoutABaseClears) {
   MainMemory mem;
   ASSERT_TRUE(mem.store(0x4000, 4, 9));
-  mem.clear();
+  mem.reset(nullptr);
   std::uint32_t v = 1;
   ASSERT_TRUE(mem.load(0x4000, 4, v));
   EXPECT_EQ(v, 0u);
+  EXPECT_EQ(mem.private_pages(), 0u);
 }
 
 }  // namespace
