@@ -29,7 +29,6 @@
 #include <sstream>
 #include <vector>
 
-#include "harness/shard.hpp"
 #include "harness/sweep.hpp"
 #include "stats/table.hpp"
 #include "util/cli.hpp"
@@ -119,11 +118,8 @@ int main(int argc, char** argv) {
   const std::vector<RunResult> results =
       harness::run_sweep_and_dump(cli, "abl_compiler", points);
 
-  if (harness::ShardSpec::from_cli(cli).active) {
-    std::cout << "shard run: tables skipped; merge the shard JSONs with "
-                 "tools/vexmerge\n";
-    return 0;
-  }
+  if (const auto code = harness::skip_tables(cli, results, std::cout))
+    return *code;
 
   std::vector<std::string> headers{"workload"};
   for (const char* variant : kVariants) {

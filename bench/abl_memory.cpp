@@ -28,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "harness/shard.hpp"
 #include "harness/sweep.hpp"
 #include "stats/table.hpp"
 #include "util/cli.hpp"
@@ -80,11 +79,8 @@ int main(int argc, char** argv) {
   const std::vector<RunResult> results =
       harness::run_sweep_and_dump(cli, "abl_memory", points);
 
-  if (harness::ShardSpec::from_cli(cli).active) {
-    std::cout << "shard run: tables skipped; merge the shard JSONs with "
-                 "tools/vexmerge\n";
-    return 0;
-  }
+  if (const auto code = harness::skip_tables(cli, results, std::cout))
+    return *code;
 
   Table table({"workload", "IPC fixed", "IPC hier", "delta", "L1d miss%",
                "L2 hit%", "DRAM acc", "DRAM row-hit%", "MSHR stalls"});

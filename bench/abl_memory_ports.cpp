@@ -20,7 +20,6 @@
 #include <iostream>
 #include <vector>
 
-#include "harness/shard.hpp"
 #include "harness/sweep.hpp"
 #include "stats/table.hpp"
 #include "util/cli.hpp"
@@ -60,11 +59,8 @@ int main(int argc, char** argv) {
   const std::vector<RunResult> results =
       harness::run_sweep_and_dump(cli, "abl_memory_ports", points);
 
-  if (harness::ShardSpec::from_cli(cli).active) {
-    std::cout << "shard run: tables skipped; merge the shard JSONs with "
-                 "tools/vexmerge\n";
-    return 0;
-  }
+  if (const auto code = harness::skip_tables(cli, results, std::cout))
+    return *code;
 
   Table table({"workload", "technique", "ports", "IPC", "drain-stall cyc",
                "stall frac"});

@@ -27,7 +27,6 @@
 #include <sstream>
 #include <vector>
 
-#include "harness/shard.hpp"
 #include "harness/sweep.hpp"
 #include "stats/table.hpp"
 #include "util/cli.hpp"
@@ -100,11 +99,8 @@ int main(int argc, char** argv) {
   const std::vector<RunResult> results =
       harness::run_sweep_and_dump(cli, "abl_synth", points);
 
-  if (harness::ShardSpec::from_cli(cli).active) {
-    std::cout << "shard run: tables skipped; merge the shard JSONs with "
-                 "tools/vexmerge\n";
-    return 0;
-  }
+  if (const auto code = harness::skip_tables(cli, results, std::cout))
+    return *code;
 
   for (const bool asym : {false, true}) {
     const std::string geom = asym ? "8+4+2+2" : "4x4";

@@ -16,7 +16,6 @@
 #include <iostream>
 #include <vector>
 
-#include "harness/shard.hpp"
 #include "harness/sweep.hpp"
 #include "stats/table.hpp"
 #include "util/cli.hpp"
@@ -46,11 +45,8 @@ int main(int argc, char** argv) {
   const std::vector<RunResult> results =
       harness::run_sweep_and_dump(cli, "fig13_benchmarks", points);
 
-  if (harness::ShardSpec::from_cli(cli).active) {
-    std::cout << "shard run: tables skipped; merge the shard JSONs with "
-                 "tools/vexmerge\n";
-    return 0;
-  }
+  if (const auto code = harness::skip_tables(cli, results, std::cout))
+    return *code;
 
   Table table({"benchmark", "class", "IPCr", "IPCp", "paper IPCr",
                "paper IPCp", "IPCr/IPCp", "paper ratio"});

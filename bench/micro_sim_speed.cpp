@@ -8,14 +8,12 @@
 // produce bit-identical statistics — checked here on every invocation — so
 // the speedup column is a pure wall-clock ratio at equal work.
 //
-// A second leg benchmarks the result-cache index (harness/result_cache.hpp):
-// it populates a scratch cache directory with N synthetic records, then
-// measures index load time, indexed warm-hit rate, indexed miss-probe rate
-// (pure map lookup, no I/O) and the unindexed miss baseline (one failed
-// open() per probe). Rates land in a top-level "cache_probe" array in the
-// JSON — integer records/sec, gated by probe_floors in the perf-floor
-// check — and the indexed path is self-checked against the unindexed one
-// (identical hits, including after an index delete + transparent rebuild).
+// A second leg benchmarks the result cache (harness/result_cache.hpp): it
+// populates a scratch cache directory with N synthetic records, then times
+// the cache open, warm hits (each one opens and parses its record file,
+// and is checked against the stored result) and misses (one failed open()
+// each). Rates land in a top-level "cache_probe" array in the JSON —
+// integer records/sec, gated by probe_floors in the perf-floor check.
 //
 // Flags: --reps N (timing repetitions, best-of), --config FILE (base
 //        machine description), --mem fixed|hierarchy (memory backend),
@@ -33,6 +31,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -70,17 +69,18 @@ double time_once(const std::string& workload, int threads, Technique t,
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
-void check_identical(const std::string& label, const RunResult& a,
+// `what` names the pair being compared, e.g. "fast-forward vs the pure
+// loop for 2T_csmt/llmm".
+void check_identical(const std::string& what, const RunResult& a,
                      const RunResult& b) {
   VEXSIM_CHECK_MSG(a.sim == b.sim && a.icache == b.icache &&
                        a.dcache == b.dcache,
-                   "fast-forward statistics diverge from the pure loop for "
-                       << label);
+                   "statistics diverge: " << what);
   VEXSIM_CHECK(a.instances.size() == b.instances.size());
   for (std::size_t i = 0; i < a.instances.size(); ++i)
     VEXSIM_CHECK_MSG(
         a.instances[i].arch_fingerprint == b.instances[i].arch_fingerprint,
-        "fast-forward architectural state diverges for " << label);
+        "architectural state diverges: " << what);
 }
 
 Json profile_json(const SimProfile& p) {
@@ -117,9 +117,9 @@ std::uint64_t probe_key(std::uint64_t i) {
   return z ^ (z >> 31);
 }
 
-// Result-cache probe benchmark: O(1)-index hit/miss rates vs the unindexed
-// open()-per-probe baseline, one entry per population size. `sample` is a
-// RunResult to clone into every synthetic record.
+// Result-cache probe benchmark: open time and hit/miss rates, one entry per
+// population size. `sample` is a RunResult to clone into every synthetic
+// record; every hit must give back its statistics.
 Json run_cache_probe(const std::vector<std::uint64_t>& sizes,
                      const std::string& scratch_dir,
                      const std::string& workload, const RunResult& sample) {
@@ -143,52 +143,29 @@ Json run_cache_probe(const std::vector<std::uint64_t>& sizes,
         writer.store(probe_key(i), workload, sample);
     }
 
-    // Index load: what every shard process pays once at startup.
+    // Open: what every sweep process pays once at startup.
     const auto t0 = clock::now();
     const harness::ResultCache cache(scratch_dir);
     const auto t1 = clock::now();
-    VEXSIM_CHECK_MSG(cache.index_size() == n,
-                     "cache-probe: index loaded " << cache.index_size()
-                                                  << " of " << n << " records");
 
-    // Warm hits through the index, sampled across the keyspace.
+    // Warm hits, sampled across the keyspace. The check costs little next
+    // to the file read and parse it follows.
     const std::uint64_t hit_samples = std::min<std::uint64_t>(n, 200);
     const std::uint64_t stride = n / hit_samples;
     const auto t2 = clock::now();
-    for (std::uint64_t s = 0; s < hit_samples; ++s)
-      VEXSIM_CHECK(cache.load(probe_key(s * stride)).has_value());
+    for (std::uint64_t s = 0; s < hit_samples; ++s) {
+      const std::optional<RunResult> hit = cache.load(probe_key(s * stride));
+      VEXSIM_CHECK_MSG(hit.has_value(), "cache-probe: a stored record missed");
+      check_identical("a cache-probe hit vs its stored record", sample, *hit);
+    }
     const auto t3 = clock::now();
 
-    // Indexed misses: pure in-memory lookup, the sweep pre-pass hot path.
-    const std::uint64_t miss_probes = 200'000;
+    // Misses: one failed open() each.
+    const std::uint64_t miss_probes = 2'000;
     const auto t4 = clock::now();
-    std::uint64_t false_hits = 0;
     for (std::uint64_t j = 0; j < miss_probes; ++j)
-      false_hits += cache.probe(miss_key(j)) ? 1 : 0;
+      VEXSIM_CHECK(!cache.load(miss_key(j)).has_value());
     const auto t5 = clock::now();
-    VEXSIM_CHECK(false_hits == 0);
-
-    // Unindexed misses: the pre-index baseline, one failed open() each.
-    const std::uint64_t unindexed_probes = 2'000;
-    const auto t6 = clock::now();
-    for (std::uint64_t j = 0; j < unindexed_probes; ++j)
-      VEXSIM_CHECK(!cache.load_unindexed(miss_key(j)).has_value());
-    const auto t7 = clock::now();
-
-    // Self-check: the index changes probe cost, never hit results — also
-    // across an index delete + transparent rebuild.
-    for (std::uint64_t s = 0; s < std::min<std::uint64_t>(n, 5); ++s) {
-      const auto a = cache.load(probe_key(s));
-      const auto b = cache.load_unindexed(probe_key(s));
-      VEXSIM_CHECK(a && b && a->sim.cycles == b->sim.cycles &&
-                   a->sim.instructions_retired == b->sim.instructions_retired);
-    }
-    fs::remove(cache.index_path());
-    const harness::ResultCache rebuilt(scratch_dir);
-    VEXSIM_CHECK_MSG(rebuilt.index_size() == n,
-                     "cache-probe: rebuild after index delete found "
-                         << rebuilt.index_size() << " of " << n << " records");
-    VEXSIM_CHECK(rebuilt.load(probe_key(0)).has_value());
 
     // Integer rates: the perf-floor gate compares them with CMake integer
     // arithmetic, which cannot parse exponent-form doubles.
@@ -197,16 +174,13 @@ Json run_cache_probe(const std::vector<std::uint64_t>& sizes,
     };
     Json pj = Json::object();
     pj.set("records", n)
-        .set("index_load_seconds", seconds(t0, t1))
+        .set("open_seconds", seconds(t0, t1))
         .set("hit_per_sec", rate(hit_samples, seconds(t2, t3)))
-        .set("miss_probe_per_sec", rate(miss_probes, seconds(t4, t5)))
-        .set("miss_unindexed_per_sec",
-             rate(unindexed_probes, seconds(t6, t7)));
-    std::cout << "  cache-probe " << n << " records: index load "
-              << Table::fmt(seconds(t0, t1) * 1e3, 2) << "ms, warm hits "
-              << rate(hit_samples, seconds(t2, t3)) << "/s, indexed misses "
-              << rate(miss_probes, seconds(t4, t5)) << "/s, unindexed misses "
-              << rate(unindexed_probes, seconds(t6, t7)) << "/s\n";
+        .set("miss_per_sec", rate(miss_probes, seconds(t4, t5)));
+    std::cout << "  cache-probe " << n << " records: open "
+              << Table::fmt(seconds(t0, t1) * 1e3, 3) << "ms, warm hits "
+              << rate(hit_samples, seconds(t2, t3)) << "/s, misses "
+              << rate(miss_probes, seconds(t4, t5)) << "/s\n";
     arr.push(std::move(pj));
   }
   fs::remove_all(scratch_dir);
@@ -256,7 +230,8 @@ int main(int argc, char** argv) {
                       time_once(p.workload, p.threads, p.technique, opt,
                                 fast_run));
     }
-    check_identical(p.label, base_run, fast_run);
+    check_identical("fast-forward vs the pure loop for " + p.label, base_run,
+                    fast_run);
     r.run = fast_run;
     r.base_seconds = base;
     r.fast_seconds = fast;
@@ -311,7 +286,7 @@ int main(int argc, char** argv) {
     arr.push(std::move(pj));
   }
 
-  std::cout << "\nResult-cache probe (index vs unindexed):\n";
+  std::cout << "\nResult-cache probe:\n";
   std::vector<std::uint64_t> probe_sizes;
   if (cli.has("probe-records")) {
     const std::int64_t pr = cli.get_int("probe-records", 0);

@@ -5,9 +5,8 @@
 #   (2) a warm single-shard re-run against a shared cache directory serves
 #       >= 90% of its points from the cache and emits a byte-identical shard
 #       document,
-#   (3) `--cache-gc 0` evicts every record and leaves the index consistent:
-#       the index file shrinks back to its header and no record files remain,
-#       and a later store works against the emptied directory.
+#   (3) `--cache-gc 0` evicts every record: no record files remain, and a
+#       later run stores records into the emptied directory again.
 #
 # Arguments: BENCH (bench executable), MERGE (vexmerge executable),
 #            GOLDEN (checked-in golden JSON for the bench's plain --quick
@@ -83,7 +82,7 @@ if(total EQUAL 0 OR scaled_hits LESS scaled_need)
 endif()
 message(STATUS "${TAG}: warm shard re-run served ${hits}/${total} points")
 
-# --- (3) --cache-gc leaves the index consistent ---------------------------
+# --- (3) --cache-gc 0 empties the cache, which stays usable ---------------
 set(gc_out "${OUT_DIR}/${TAG}_gc.json")
 execute_process(COMMAND ${BENCH} --quick --shard 1/4 --cache ${cache_dir}
                         --cache-gc 0 --json ${gc_out}
@@ -100,14 +99,7 @@ if(leftover)
   message(FATAL_ERROR
           "--cache-gc 0 left record files behind: ${leftover}")
 endif()
-file(READ "${cache_dir}/cache.index" index_text)
-string(STRIP "${index_text}" index_text)
-if(NOT index_text STREQUAL "vexsim-cache-index v1")
-  message(FATAL_ERROR
-          "--cache-gc 0 left a non-empty index: '${index_text}'")
-endif()
-# The emptied cache must still be usable: a fresh run repopulates it and the
-# record count matches the index line count.
+# The emptied cache must still be usable: a fresh run repopulates it.
 execute_process(COMMAND ${BENCH} --quick --shard 1/4 --cache ${cache_dir}
                         --json ${gc_out}
                 RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
@@ -116,20 +108,9 @@ if(NOT rc EQUAL 0)
 endif()
 file(GLOB records "${cache_dir}/*.json")
 list(LENGTH records nrecords)
-file(STRINGS "${cache_dir}/cache.index" index_lines)
-list(POP_FRONT index_lines header)
-list(LENGTH index_lines nlines)
-if(NOT header STREQUAL "vexsim-cache-index v1")
-  message(FATAL_ERROR "rebuilt index has a bad header: '${header}'")
-endif()
-if(NOT nrecords EQUAL nlines)
-  message(FATAL_ERROR
-          "index/record mismatch after gc + repopulation: ${nrecords} record "
-          "files vs ${nlines} index lines")
-endif()
 if(nrecords EQUAL 0)
   message(FATAL_ERROR "post-gc repopulation stored no records")
 endif()
 message(STATUS
-        "${TAG}: --cache-gc emptied and repopulated a consistent index "
+        "${TAG}: --cache-gc emptied the cache and a re-run repopulated it "
         "(${nrecords} records)")

@@ -30,9 +30,10 @@ struct ExperimentOptions {
   bool fast_forward = true;
   // Retired: read by nothing, kept only for vexperf/src/trace.cpp's copy.
   bool fused = true;
-  // Per-phase wall-clock breakdown (Simulator::set_profile). Timing only —
-  // excluded from the result-cache fingerprint, and profiled runs bypass the
-  // cache (their point is the wall-clock, not the stats).
+  // Per-phase wall-clock breakdown (Simulator::set_profile). Timing only,
+  // so it is not part of the result-cache fingerprint: a cached sweep is
+  // served and stored like any other, and a hit carries no profile.
+  // micro_sim_speed, which reads the profile, runs without a cache.
   bool profile = false;
   // Compiler pass-pipeline variant the workload compiles with (--cc NAME;
   // per-component "synth:...-cc..." fields override it). Part of the

@@ -8,10 +8,8 @@
 #include <atomic>
 #include <bit>
 #include <cctype>
-#include <cerrno>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <vector>
 
@@ -140,22 +138,11 @@ std::optional<std::string> read_file(const std::string& path) {
   return text;
 }
 
-// First line of the index file; anything else means "rebuild".
-constexpr std::string_view kIndexHeader = "vexsim-cache-index v1";
-
 bool is_hex16(std::string_view s) {
   if (s.size() != 16) return false;
   return std::all_of(s.begin(), s.end(), [](char c) {
     return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
   });
-}
-
-std::uint64_t parse_hex16(std::string_view s) {
-  std::uint64_t v = 0;
-  for (const char c : s)
-    v = (v << 4) | static_cast<std::uint64_t>(
-                       c <= '9' ? c - '0' : c - 'a' + 10);
-  return v;
 }
 
 Json counters_json(const ThreadCounters& c) {
@@ -369,7 +356,7 @@ std::string fingerprint_hex(std::uint64_t key) {
 
 std::uint64_t parse_size_bytes(const std::string& spec) {
   constexpr const char* kForm =
-      "expected a byte count like 1048576, 512K, 64M or 2G";
+      "expected a byte count up to 2^63-1 like 1048576, 512K, 64M or 2G";
   VEXSIM_CHECK_MSG(!spec.empty() && spec != "true",
                    "empty size spec; " << kForm);
   std::uint64_t mult = 1;
@@ -386,7 +373,11 @@ std::uint64_t parse_size_bytes(const std::string& spec) {
       std::all_of(digits.begin(), digits.end(), [](char c) {
         return std::isdigit(static_cast<unsigned char>(c)) != 0;
       });
-  VEXSIM_CHECK_MSG(numeric, "bad size spec '" << spec << "'; " << kForm);
+  // At most 15 digits cannot overflow stoull; the product can, so bound the
+  // count before multiplying.
+  VEXSIM_CHECK_MSG(numeric && std::stoull(digits) <=
+                                  static_cast<std::uint64_t>(INT64_MAX) / mult,
+                   "bad size spec '" << spec << "'; " << kForm);
   return std::stoull(digits) * mult;
 }
 
@@ -396,109 +387,14 @@ ResultCache::ResultCache(std::string dir) : dir_(std::move(dir)) {
   std::filesystem::create_directories(dir_, ec);
   VEXSIM_CHECK_MSG(!ec, "cannot create result cache directory " << dir_ << ": "
                                                                 << ec.message());
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (read_index_locked()) return;
-  // No readable index. Caches opened at once on a fresh directory (shard
-  // processes, sweep threads) each build one from the records, and the
-  // first to link it into place wins; the others read the winner's, since
-  // replacing it would drop the lines appended to it since. An index that
-  // exists but still fails to read is corrupt and is replaced.
-  scan_records_locked();
-  if (write_index_locked(/*replace=*/false) || read_index_locked()) return;
-  write_index_locked(/*replace=*/true);
 }
 
 std::string ResultCache::entry_path(std::uint64_t key) const {
   return dir_ + "/" + fingerprint_hex(key) + ".json";
 }
 
-std::string ResultCache::index_path() const { return dir_ + "/cache.index"; }
-
-bool ResultCache::probe(std::uint64_t key) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return index_.find(key) != index_.end();
-}
-
-std::size_t ResultCache::index_size() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return index_.size();
-}
-
-bool ResultCache::read_index_locked() {
-  std::ifstream is(index_path(), std::ios::binary);
-  if (!is.good()) return false;
-  std::string line;
-  if (!std::getline(is, line) || line != kIndexHeader) return false;
-  std::map<std::uint64_t, std::string> loaded;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;  // a torn append leaves at most a blank tail
-    if (line.size() < 18 || line[16] != ' ') return false;
-    const std::string_view hex = std::string_view(line).substr(0, 16);
-    if (!is_hex16(hex)) return false;
-    std::string file = line.substr(17);
-    if (file.find('/') != std::string::npos) return false;
-    loaded[parse_hex16(hex)] = std::move(file);
-  }
-  index_ = std::move(loaded);
-  return true;
-}
-
-bool ResultCache::write_index_locked(bool replace) const {
-  static std::atomic<std::uint64_t> counter{0};
-  std::ostringstream tmp_name;
-  tmp_name << index_path() << ".tmp." << ::getpid() << "."
-           << counter.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::ofstream os(tmp_name.str(), std::ios::binary | std::ios::trunc);
-    VEXSIM_CHECK_MSG(os.good(), "cannot write " << tmp_name.str());
-    os << kIndexHeader << "\n";
-    for (const auto& [key, file] : index_)
-      os << fingerprint_hex(key) << " " << file << "\n";
-    os.flush();
-    VEXSIM_CHECK_MSG(os.good(), "failed writing " << tmp_name.str());
-  }
-  if (!replace) {
-    // link(2) fails rather than replace an existing file.
-    const bool linked =
-        ::link(tmp_name.str().c_str(), index_path().c_str()) == 0;
-    if (linked || errno == EEXIST) {
-      std::remove(tmp_name.str().c_str());
-      return linked;
-    }
-    // Any other failure (a filesystem without hard links): fall back to
-    // rename(2) and its race.
-  }
-  VEXSIM_CHECK_MSG(
-      std::rename(tmp_name.str().c_str(), index_path().c_str()) == 0,
-      "failed to move " << tmp_name.str() << " over " << index_path());
-  return true;
-}
-
-void ResultCache::rebuild_index() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  scan_records_locked();
-  write_index_locked(/*replace=*/true);
-}
-
-void ResultCache::scan_records_locked() const {
-  index_.clear();
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    // Record files only: exactly "<16 lowercase hex>.json".
-    if (name.size() != 21 || name.substr(16) != ".json") continue;
-    const std::string_view hex = std::string_view(name).substr(0, 16);
-    if (!is_hex16(hex)) continue;
-    index_[parse_hex16(hex)] = name;
-  }
-  VEXSIM_CHECK_MSG(!ec, "cannot scan result cache directory " << dir_ << ": "
-                                                              << ec.message());
-}
-
-std::optional<RunResult> ResultCache::read_record(const std::string& path,
-                                                  std::uint64_t key) const {
-  const std::optional<std::string> text = read_file(path);
+std::optional<RunResult> ResultCache::load(std::uint64_t key) const {
+  const std::optional<std::string> text = read_file(entry_path(key));
   if (!text) return std::nullopt;  // plain miss
   try {
     const Json doc = Json::parse(*text);
@@ -513,44 +409,6 @@ std::optional<RunResult> ResultCache::read_record(const std::string& path,
   } catch (const CheckError&) {
     return std::nullopt;  // corrupt or truncated record: treat as a miss
   }
-}
-
-std::optional<RunResult> ResultCache::load(std::uint64_t key) const {
-  std::string path;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    const auto it = index_.find(key);
-    if (it == index_.end()) return std::nullopt;  // O(1), no I/O
-    path = dir_ + "/" + it->second;
-  }
-  std::optional<RunResult> r = read_record(path, key);
-  if (!r) {
-    // Indexed but unreadable (deleted or corrupt on disk): drop the entry so
-    // the next probe is an O(1) miss again.
-    const std::lock_guard<std::mutex> lock(mu_);
-    index_.erase(key);
-  }
-  return r;
-}
-
-std::optional<RunResult> ResultCache::load_unindexed(std::uint64_t key) const {
-  return read_record(entry_path(key), key);
-}
-
-void ResultCache::append_index_line(std::uint64_t key) const {
-  const std::string line = fingerprint_hex(key) + " " + fingerprint_hex(key) +
-                           ".json\n";
-  // One O_APPEND write per record: concurrent writers (threads or separate
-  // shard processes) interleave whole lines. O_CREAT only matters when the
-  // index vanished mid-run; the header-less file then fails validation on
-  // the next load and is rebuilt from the records, which all survive.
-  const int fd = ::open(index_path().c_str(),
-                        O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
-  VEXSIM_CHECK_MSG(fd >= 0, "cannot open " << index_path() << " for append");
-  const ssize_t n = ::write(fd, line.data(), line.size());
-  ::close(fd);
-  VEXSIM_CHECK_MSG(n == static_cast<ssize_t>(line.size()),
-                   "short write appending to " << index_path());
 }
 
 void ResultCache::store(std::uint64_t key, const std::string& workload,
@@ -574,63 +432,53 @@ void ResultCache::store(std::uint64_t key, const std::string& workload,
   write_json_file(tmp.str(), doc);
   VEXSIM_CHECK_MSG(std::rename(tmp.str().c_str(), path.c_str()) == 0,
                    "failed to move " << tmp.str() << " over " << path);
-
-  bool fresh = false;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    fresh = index_.emplace(key, fingerprint_hex(key) + ".json").second;
-  }
-  // Only the first store of a key appends — a re-store (cache shared with a
-  // racing process) would otherwise grow the index without bound.
-  if (fresh) append_index_line(key);
 }
 
 CacheGcStats ResultCache::gc(std::uint64_t max_bytes) const {
-  const std::lock_guard<std::mutex> lock(mu_);
+  namespace fs = std::filesystem;
   struct Entry {
-    std::filesystem::file_time_type mtime;
+    fs::file_time_type mtime;
+    std::string name;
     std::uint64_t bytes;
-    std::uint64_t key;
   };
   CacheGcStats stats;
   std::vector<Entry> entries;
-  entries.reserve(index_.size());
-  std::vector<std::uint64_t> gone;
-  for (const auto& [key, file] : index_) {
-    const std::filesystem::path p = dir_ + "/" + file;
-    std::error_code ec;
-    const std::uint64_t bytes = std::filesystem::file_size(p, ec);
-    const auto mtime = std::filesystem::last_write_time(p, ec);
-    if (ec) {
-      gone.push_back(key);  // indexed but vanished: drop the entry
+  std::error_code ec;
+  for (const fs::directory_entry& e : fs::directory_iterator(dir_, ec)) {
+    std::string name = e.path().filename().string();
+    // Record files only: exactly "<16 lowercase hex>.json".
+    if (name.size() != 21 || !name.ends_with(".json") ||
+        !is_hex16(std::string_view(name).substr(0, 16)))
       continue;
-    }
-    entries.push_back({mtime, bytes, key});
+    std::error_code stat_ec;
+    if (!e.is_regular_file(stat_ec)) continue;
+    const std::uint64_t bytes = e.file_size(stat_ec);
+    if (stat_ec) continue;  // removed since the scan listed it
+    const fs::file_time_type mtime = e.last_write_time(stat_ec);
+    if (stat_ec) continue;
+    entries.push_back({mtime, std::move(name), bytes});
     stats.bytes_before += bytes;
   }
-  for (const std::uint64_t key : gone) index_.erase(key);
+  VEXSIM_CHECK_MSG(!ec, "cannot scan result cache directory " << dir_ << ": "
+                                                              << ec.message());
   stats.records_before = entries.size();
 
-  // LRU by mtime (key as deterministic tie-break): evict oldest first until
+  // LRU by mtime (name as deterministic tie-break): evict oldest first until
   // the survivors fit the budget.
   std::sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
     if (a.mtime != b.mtime) return a.mtime < b.mtime;
-    return a.key < b.key;
+    return a.name < b.name;
   });
   std::uint64_t bytes_left = stats.bytes_before;
   std::size_t evict = 0;
-  while (evict < entries.size() && bytes_left > max_bytes)
+  while (evict < entries.size() && bytes_left > max_bytes) {
+    std::error_code rm_ec;
+    fs::remove(dir_ + "/" + entries[evict].name, rm_ec);
     bytes_left -= entries[evict++].bytes;
-  for (std::size_t i = 0; i < evict; ++i) {
-    const auto it = index_.find(entries[i].key);
-    std::error_code ec;
-    std::filesystem::remove(dir_ + "/" + it->second, ec);
-    index_.erase(it);
   }
   stats.evicted = evict;
   stats.records_after = entries.size() - evict;
   stats.bytes_after = bytes_left;
-  write_index_locked(/*replace=*/true);
   return stats;
 }
 

@@ -16,31 +16,16 @@
 // RunResult field the trajectory JSON or a bench table can observe is
 // round-tripped.
 //
-// Probing is O(1) in the record count via an **index file**
-// (<dir>/cache.index): one header line and one "<16-hex-key> <record file>"
-// line per record, loaded into an in-memory map at construction. The index
-// is maintained with the same crash-safe discipline as the records:
-//  * store() appends one line with a single O_APPEND write, so any number
-//    of concurrent shard processes (or sweep worker threads) sharing the
-//    directory interleave whole lines, never torn ones;
-//  * a missing, truncated, or otherwise corrupt index is rebuilt
-//    transparently by scanning the directory for record files — hit results
-//    are identical either way, the rebuild only restores O(1) probing;
-//  * a missing index is published with link(2), which never replaces a
-//    file: caches opened at once on a fresh directory all end up appending
-//    to the first one's index;
-//  * gc(), rebuild_index() and the repair of a corrupt index rewrite the
-//    index via temp file + rename, so readers never observe a half-written
-//    index.
-// The one benign race: a rename rewrite can drop a line appended by a
-// concurrent writer. The record file itself survives, so the entry misses
-// once, re-simulates (or re-loads on rebuild), and is re-appended —
-// convergent, never corrupt.
+// The record files are the whole on-disk state. A lookup opens
+// <dir>/<key>.json by name, so a miss costs one failed open(), and a record
+// stored by any other process or ResultCache instance on the same directory
+// is a hit as soon as its rename lands. Any number of shard processes or
+// sweep worker threads may share a directory: each store renames a complete
+// file into place, so a reader sees the old record, the new one, or none,
+// never a torn one. gc() scans the directory for record-named files.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -63,12 +48,13 @@ inline constexpr std::string_view kSimVersionTag = "vexsim-sim-pr9";
                                               const std::string& workload,
                                               const ExperimentOptions& opt);
 
-// Canonical 16-hex-digit spelling of a fingerprint (record file stem, index
-// lines, shard manifests).
+// Canonical 16-hex-digit spelling of a fingerprint (record file stem, shard
+// manifests).
 [[nodiscard]] std::string fingerprint_hex(std::uint64_t key);
 
 // Byte count from a human-friendly size spec: plain digits, or digits with
-// a K/M/G suffix (powers of 1024, case-insensitive). CheckError otherwise.
+// a K/M/G suffix (powers of 1024, case-insensitive). CheckError otherwise,
+// and for any count above INT64_MAX bytes.
 [[nodiscard]] std::uint64_t parse_size_bytes(const std::string& spec);
 
 // gc() eviction summary.
@@ -82,71 +68,32 @@ struct CacheGcStats {
 
 class ResultCache {
  public:
-  // Creates `dir` (and parents) when missing, then loads the index —
-  // rebuilding it from a directory scan when it is missing or corrupt.
+  // Creates `dir` (and parents) when missing.
   explicit ResultCache(std::string dir);
 
   [[nodiscard]] const std::string& dir() const { return dir_; }
 
   // Path of the record for `key`: <dir>/<16 hex digits>.json.
   [[nodiscard]] std::string entry_path(std::uint64_t key) const;
-  [[nodiscard]] std::string index_path() const;
-
-  // O(1), no I/O: whether `key` is in the index. The authoritative answer
-  // comes from load() — a probed record can still be corrupt on disk.
-  [[nodiscard]] bool probe(std::uint64_t key) const;
-
-  // Number of indexed records.
-  [[nodiscard]] std::size_t index_size() const;
 
   // The cached result for `key`, with `cached` and `cache_hit` set; or
   // nullopt on miss — including corrupt, stale-version, truncated, or
-  // key-mismatched records (which are also dropped from the index). An
-  // unindexed key costs no syscall at all.
+  // key-mismatched records.
   [[nodiscard]] std::optional<RunResult> load(std::uint64_t key) const;
 
-  // Pre-index probe path: opens <dir>/<key>.json directly, bypassing the
-  // index. Same hit results as load(); kept as the baseline the
-  // micro_sim_speed cache-probe benchmark compares the index against.
-  [[nodiscard]] std::optional<RunResult> load_unindexed(
-      std::uint64_t key) const;
-
   // Atomically persists a successful result (CheckError if `r.failed`:
-  // failures are environment-dependent and must re-run), then appends the
-  // key to the index. Throws CheckError on I/O failure; run_sweep degrades
-  // to uncached operation in that case.
+  // failures are environment-dependent and must re-run). Throws CheckError
+  // on I/O failure; run_sweep degrades to uncached operation in that case.
   void store(std::uint64_t key, const std::string& workload,
              const RunResult& r) const;
 
-  // Rescans the directory for record files and atomically rewrites the
-  // index. Load/store keep working against the rebuilt map.
-  void rebuild_index() const;
-
-  // LRU size-budget eviction: deletes oldest-mtime records until the
-  // indexed records total <= max_bytes, then atomically rewrites the index.
+  // LRU size-budget eviction over the record files in the directory:
+  // deletes oldest-mtime records until the rest total <= max_bytes. Other
+  // files in the directory are neither counted nor deleted.
   CacheGcStats gc(std::uint64_t max_bytes) const;
 
  private:
-  // Loads the index file into index_; false when it is missing or corrupt.
-  // Caller holds mu_.
-  [[nodiscard]] bool read_index_locked();
-  void append_index_line(std::uint64_t key) const;
-  // Fills index_ from the record files in dir_. Caller holds mu_.
-  void scan_records_locked() const;
-  // Writes index_ to a temp file and moves it into place: renamed over any
-  // existing index with `replace`, linked in otherwise, which returns false
-  // and leaves the file alone where an index already exists. Caller holds
-  // mu_.
-  bool write_index_locked(bool replace) const;
-  [[nodiscard]] std::optional<RunResult> read_record(const std::string& path,
-                                                     std::uint64_t key) const;
-
   std::string dir_;
-  // fingerprint -> record file name (relative to dir_). Ordered so index
-  // rewrites are deterministic. Guarded by mu_: sweep workers store() and
-  // load() concurrently.
-  mutable std::mutex mu_;
-  mutable std::map<std::uint64_t, std::string> index_;
 };
 
 }  // namespace vexsim::harness

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
@@ -31,12 +32,8 @@ SweepOptions SweepOptions::from_cli(const Cli& cli) {
   SweepOptions opts;
   opts.jobs = cli.jobs();
   opts.progress_every =
-      static_cast<int>(cli.get_int("progress", opts.progress_every));
-  VEXSIM_CHECK_MSG(opts.progress_every >= 0,
-                   "--progress must be >= 0, got " << opts.progress_every);
-  opts.flush_every = static_cast<int>(cli.get_int("flush", opts.flush_every));
-  VEXSIM_CHECK_MSG(opts.flush_every >= 0,
-                   "--flush must be >= 0, got " << opts.flush_every);
+      cli.get_int_in("progress", opts.progress_every, 0, INT_MAX);
+  opts.flush_every = cli.get_int_in("flush", opts.flush_every, 0, INT_MAX);
   if (cli.has("cache") && !cli.get_bool("no-cache", false)) {
     const std::string dir = cli.get("cache", "");
     // Bare `--cache` parses as the boolean value "true"; map it to the
@@ -47,19 +44,12 @@ SweepOptions SweepOptions::from_cli(const Cli& cli) {
     VEXSIM_CHECK_MSG(!opts.cache_dir.empty(),
                      "--cache-gc needs an active result cache; add "
                      "--cache[=DIR] (or drop --no-cache)");
-    const std::uint64_t budget = parse_size_bytes(cli.get("cache-gc", ""));
-    VEXSIM_CHECK_MSG(budget <= static_cast<std::uint64_t>(INT64_MAX),
-                     "--cache-gc budget too large");
-    opts.cache_gc_bytes = static_cast<std::int64_t>(budget);
+    opts.cache_gc_bytes =
+        static_cast<std::int64_t>(parse_size_bytes(cli.get("cache-gc", "")));
   }
   opts.point_timeout_ms =
-      static_cast<int>(cli.get_int("timeout", opts.point_timeout_ms));
-  VEXSIM_CHECK_MSG(opts.point_timeout_ms >= 0,
-                   "--timeout must be >= 0 ms, got " << opts.point_timeout_ms);
-  opts.max_retries =
-      static_cast<int>(cli.get_int("retries", opts.max_retries));
-  VEXSIM_CHECK_MSG(opts.max_retries >= 0,
-                   "--retries must be >= 0, got " << opts.max_retries);
+      cli.get_int_in("timeout", opts.point_timeout_ms, 0, INT_MAX);
+  opts.max_retries = cli.get_int_in("retries", opts.max_retries, 0, INT_MAX);
   return opts;
 }
 
@@ -581,6 +571,24 @@ std::vector<RunResult> run_sweep_and_dump(
   for (std::size_t k = 0; k < mine.size(); ++k)
     results[mine_index[k]] = mine_results[k];
   return results;
+}
+
+std::optional<int> skip_tables(const Cli& cli,
+                               const std::vector<RunResult>& results,
+                               std::ostream& out) {
+  if (ShardSpec::from_cli(cli).active) {
+    out << "shard run: tables skipped; merge the shard JSONs with "
+           "tools/vexmerge\n";
+    return 0;
+  }
+  const auto failed =
+      std::count_if(results.begin(), results.end(),
+                    [](const RunResult& r) { return r.failed; });
+  if (failed == 0) return std::nullopt;
+  out << failed << "/" << results.size()
+      << " points failed: tables skipped; the JSON trajectory marks them "
+         "\"failed\"\n";
+  return 1;
 }
 
 }  // namespace vexsim::harness

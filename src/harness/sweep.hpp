@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -65,8 +66,8 @@ struct SweepOptions {
 
   // When >= 0 (--cache-gc SIZE), the cache directory is garbage-collected
   // after the sweep completes: oldest-mtime records are evicted until the
-  // indexed bytes fit the budget, and the index is rewritten consistently.
-  // Requires cache_dir; a summary line goes to *progress_stream.
+  // rest fit the budget. Requires cache_dir; a summary line goes to
+  // *progress_stream.
   std::int64_t cache_gc_bytes = -1;
 
   // Wall-clock budget per simulation attempt; 0 = unlimited. A timed-out
@@ -147,10 +148,18 @@ struct SweepOptions {
 // output becomes a shard document (default name
 // BENCH_<experiment>.shard<i>of<N>.json) for tools/vexmerge; the returned
 // vector still has one entry per point, with foreign points left
-// default-constructed — sharded benches should skip table rendering.
+// default-constructed — sharded benches skip table rendering (skip_tables).
 [[nodiscard]] std::vector<RunResult> run_sweep_and_dump(
     const Cli& cli, const std::string& experiment,
     const std::vector<SweepPoint>& points);
+
+// Bench exit code when the tables cannot be rendered from `results`, with
+// the reason written to `out`; nullopt when they can. A --shard run holds
+// only its own slice (exit 0: render from the vexmerge output instead). A
+// point that failed under --timeout/--retries has no statistics to divide
+// by (exit 1, after printing how many failed; the JSON is already written).
+[[nodiscard]] std::optional<int> skip_tables(
+    const Cli& cli, const std::vector<RunResult>& results, std::ostream& out);
 
 // Result of the point carrying `label`; CheckError when absent. Keys table
 // rendering on labels instead of fragile parallel index arithmetic.

@@ -1,11 +1,27 @@
 #include "util/cli.hpp"
 
+#include <cctype>
+#include <cerrno>
 #include <climits>
+#include <cmath>
 #include <cstdlib>
 
 #include "util/check.hpp"
 
 namespace vexsim {
+
+namespace {
+
+// Whether a strto* call that just parsed `value` up to `end` read one whole,
+// in-range number: not empty, no leading space (which strto* would skip),
+// nothing left over, and no overflow.
+bool parsed_whole(const std::string& value, const char* end) {
+  return !value.empty() &&
+         std::isspace(static_cast<unsigned char>(value[0])) == 0 &&
+         *end == '\0' && errno != ERANGE;
+}
+
+}  // namespace
 
 Cli::Cli(int argc, const char* const* argv) {
   // A repeated option is a hard error, not last-wins: in a sweep script a
@@ -49,24 +65,39 @@ std::string Cli::get(const std::string& name, const std::string& def) const {
 
 std::int64_t Cli::get_int(const std::string& name, std::int64_t def) const {
   const auto it = options_.find(name);
-  return it == options_.end() ? def : std::strtoll(it->second.c_str(), nullptr, 0);
+  if (it == options_.end()) return def;
+  const std::string& value = it->second;
+  char* end = nullptr;
+  errno = 0;
+  const long long n = std::strtoll(value.c_str(), &end, 0);
+  VEXSIM_CHECK_MSG(parsed_whole(value, end),
+                   "--" << name << " expects an integer, got '" << value
+                        << "'");
+  return n;
 }
 
 double Cli::get_double(const std::string& name, double def) const {
   const auto it = options_.find(name);
-  return it == options_.end() ? def : std::strtod(it->second.c_str(), nullptr);
+  if (it == options_.end()) return def;
+  const std::string& value = it->second;
+  char* end = nullptr;
+  errno = 0;
+  const double d = std::strtod(value.c_str(), &end);
+  VEXSIM_CHECK_MSG(parsed_whole(value, end) && std::isfinite(d),
+                   "--" << name << " expects a number, got '" << value << "'");
+  return d;
+}
+
+int Cli::get_int_in(const std::string& name, int def, int lo, int hi) const {
+  const std::int64_t n = get_int(name, def);
+  VEXSIM_CHECK_MSG(n >= lo && n <= hi, "--" << name << " must be in [" << lo
+                                            << ", " << hi << "], got " << n);
+  return static_cast<int>(n);
 }
 
 int Cli::jobs(int def) const {
   VEXSIM_CHECK_MSG(def >= 1, "default --jobs must be positive, got " << def);
-  if (!has("jobs")) return def;
-  const std::string& value = options_.at("jobs");
-  char* end = nullptr;
-  const long long n = std::strtoll(value.c_str(), &end, 10);
-  VEXSIM_CHECK_MSG(
-      end != value.c_str() && *end == '\0' && n >= 1 && n <= INT_MAX,
-      "--jobs expects a positive integer, got '" << value << "'");
-  return static_cast<int>(n);
+  return get_int_in("jobs", def, 1, INT_MAX);
 }
 
 bool Cli::get_bool(const std::string& name, bool def) const {

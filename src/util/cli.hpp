@@ -20,9 +20,16 @@ class Cli {
   [[nodiscard]] bool has(const std::string& name) const;
   [[nodiscard]] std::string get(const std::string& name,
                                 const std::string& def) const;
+  // Numeric values: `def` when absent; CheckError naming the flag unless the
+  // value is one whole number in range ("abc", "2x", a bare flag and an
+  // overflowing or non-finite value all throw). Integers parse in base 0,
+  // so 0x1000 is hex.
   [[nodiscard]] std::int64_t get_int(const std::string& name,
                                      std::int64_t def) const;
   [[nodiscard]] double get_double(const std::string& name, double def) const;
+  // get_int, also CheckError outside [lo, hi]: safe to narrow to int.
+  [[nodiscard]] int get_int_in(const std::string& name, int def, int lo,
+                               int hi) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool def) const;
 
   // Worker-thread count from `--jobs N`. Defaults to `def` when absent;

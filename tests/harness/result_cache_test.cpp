@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -189,19 +190,16 @@ TEST(ResultCache, CorruptAndStaleRecordsAreMisses) {
   write_file(path, moved.dump());
   EXPECT_FALSE(cache.load(key).has_value());
 
-  // Not a regular file: a directory where the record belongs. A fresh
-  // instance still indexes the key, so this load really opens the path.
+  // Not a regular file: a directory where the record belongs.
   std::filesystem::remove(path);
   std::filesystem::create_directory(path);
-  EXPECT_FALSE(ResultCache(cache.dir()).load(key).has_value());
+  EXPECT_FALSE(cache.load(key).has_value());
   std::filesystem::remove(path);
 
-  // The corrupt loads dropped the key from this instance's index; restoring
-  // the record file restores the hit for a fresh instance (which re-reads
-  // the on-disk index, where the append survives).
+  // A miss leaves nothing behind: restoring the record file restores the
+  // hit on the same instance.
   write_file(path, good);
-  EXPECT_FALSE(cache.probe(key));
-  EXPECT_TRUE(ResultCache(cache.dir()).load(key).has_value());
+  EXPECT_TRUE(cache.load(key).has_value());
 }
 
 TEST(ResultCache, RefusesToStoreFailedResults) {
@@ -277,9 +275,8 @@ TEST(ResultCache, RoundTripsCompileSummary) {
   EXPECT_TRUE(loaded->compile.present);
 }
 
-// A small valid (non-failed) result to populate caches with in the index
-// tests; contents don't matter, only that store() accepts it and load()
-// round-trips it.
+// A small valid (non-failed) result to populate caches with; contents don't
+// matter, only that store() accepts it and load() round-trips it.
 RunResult synthetic_result(std::uint64_t cycles) {
   RunResult r;
   r.issue_width = 16;
@@ -288,13 +285,80 @@ RunResult synthetic_result(std::uint64_t cycles) {
   return r;
 }
 
-TEST(CacheIndex, FingerprintHexIsCanonical) {
+// Names of the files in `dir`, sorted.
+std::vector<std::string> files_in(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& e : std::filesystem::directory_iterator(dir))
+    names.push_back(e.path().filename().string());
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+TEST(PointFingerprint, FingerprintHexIsCanonical) {
   EXPECT_EQ(fingerprint_hex(0), "0000000000000000");
   EXPECT_EQ(fingerprint_hex(0xdeadbeefcafef00dull), "deadbeefcafef00d");
   EXPECT_EQ(fingerprint_hex(~0ull), "ffffffffffffffff");
 }
 
-TEST(CacheIndex, ParseSizeBytes) {
+TEST(ResultCache, NewInstanceServesExistingRecords) {
+  const std::string dir = fresh_dir("reload");
+  {
+    const ResultCache writer(dir);
+    writer.store(7, "llmm", synthetic_result(700));
+    writer.store(8, "llmm", synthetic_result(800));
+  }
+  const ResultCache reader(dir);
+  for (const std::uint64_t k : {7ull, 8ull}) {
+    const auto loaded = reader.load(k);
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(loaded->sim.cycles, k * 100);
+  }
+  EXPECT_FALSE(reader.load(9).has_value());
+}
+
+TEST(ResultCache, RecordStoredAfterOpenIsAHit) {
+  // A cache opened first, and a second one (as another shard process would
+  // hold) on the same directory: what the second stores after the first
+  // was opened is a hit for the first, with no re-open.
+  const std::string dir = fresh_dir("stored_after_open");
+  const ResultCache first(dir);
+  EXPECT_FALSE(first.load(21).has_value());
+  const ResultCache second(dir);
+  second.store(21, "llmm", synthetic_result(2100));
+  const auto loaded = first.load(21);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->sim.cycles, 2100u);
+}
+
+TEST(ResultCache, ConcurrentWritersLoseNoRecords) {
+  // Two ResultCache instances (as two shard processes would have) store
+  // disjoint key ranges into one fresh directory concurrently. A fresh
+  // reader must load every record, and only the record files remain: no
+  // temp file is left behind. Runs under the TSan preset via the suite
+  // filter.
+  const std::string dir = fresh_dir("concurrent");
+  constexpr std::uint64_t kPerWriter = 200;
+  const auto writer = [&dir](std::uint64_t base) {
+    const ResultCache cache(dir);
+    for (std::uint64_t i = 0; i < kPerWriter; ++i)
+      cache.store(base + i, "llmm", synthetic_result(base + i));
+  };
+  std::thread a(writer, 1'000);
+  std::thread b(writer, 2'000);
+  a.join();
+  b.join();
+
+  const ResultCache reader(dir);
+  for (std::uint64_t base : {1'000ull, 2'000ull})
+    for (std::uint64_t i = 0; i < kPerWriter; ++i) {
+      const auto loaded = reader.load(base + i);
+      ASSERT_TRUE(loaded.has_value());
+      EXPECT_EQ(loaded->sim.cycles, base + i);
+    }
+  EXPECT_EQ(files_in(dir).size(), 2 * kPerWriter);
+}
+
+TEST(CacheGc, ParseSizeBytes) {
   EXPECT_EQ(parse_size_bytes("0"), 0u);
   EXPECT_EQ(parse_size_bytes("123"), 123u);
   EXPECT_EQ(parse_size_bytes("4K"), 4096u);
@@ -309,137 +373,18 @@ TEST(CacheIndex, ParseSizeBytes) {
   EXPECT_THROW((void)parse_size_bytes("-1"), CheckError);
 }
 
-TEST(CacheIndex, ProbeAndIndexSizeTrackStores) {
-  const ResultCache cache(fresh_dir("index_probe"));
-  EXPECT_EQ(cache.index_size(), 0u);
-  EXPECT_FALSE(cache.probe(42));
-  cache.store(42, "llmm", synthetic_result(100));
-  cache.store(43, "llmm", synthetic_result(200));
-  EXPECT_TRUE(cache.probe(42));
-  EXPECT_TRUE(cache.probe(43));
-  EXPECT_FALSE(cache.probe(44));
-  EXPECT_EQ(cache.index_size(), 2u);
-  // Re-storing an existing key must not grow the index (or the file).
-  cache.store(42, "llmm", synthetic_result(100));
-  EXPECT_EQ(cache.index_size(), 2u);
+TEST(CacheGc, ParseSizeBytesRejectsCountsAboveInt64Max) {
+  // A product past 2^63 must not wrap: 2^64 bytes would read as a budget
+  // of 0 and evict the whole cache.
+  EXPECT_THROW((void)parse_size_bytes("17179869184G"), CheckError);
+  EXPECT_THROW((void)parse_size_bytes("99999999999G"), CheckError);
+  EXPECT_THROW((void)parse_size_bytes("8589934592G"), CheckError);  // 2^63
+  // 2^63 - 2^30, the largest whole-G budget, is still accepted.
+  EXPECT_EQ(parse_size_bytes("8589934591G"), (1ull << 63) - (1ull << 30));
+  EXPECT_EQ(parse_size_bytes("999999999999999"), 999'999'999'999'999u);
 }
 
-TEST(CacheIndex, NewInstancePicksUpExistingIndex) {
-  const std::string dir = fresh_dir("index_reload");
-  {
-    const ResultCache writer(dir);
-    writer.store(7, "llmm", synthetic_result(700));
-    writer.store(8, "llmm", synthetic_result(800));
-  }
-  const ResultCache reader(dir);
-  EXPECT_EQ(reader.index_size(), 2u);
-  const auto loaded = reader.load(7);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->sim.cycles, 700u);
-}
-
-TEST(CacheIndex, DeletedIndexIsRebuiltWithIdenticalHits) {
-  const std::string dir = fresh_dir("index_rebuild");
-  {
-    const ResultCache writer(dir);
-    for (std::uint64_t k = 1; k <= 20; ++k)
-      writer.store(k, "llmm", synthetic_result(k * 10));
-  }
-  std::filesystem::remove(ResultCache(dir).index_path());
-  ASSERT_FALSE(std::filesystem::exists(dir + "/cache.index"));
-
-  const ResultCache rebuilt(dir);  // ctor rebuilds from the directory scan
-  EXPECT_EQ(rebuilt.index_size(), 20u);
-  EXPECT_TRUE(std::filesystem::exists(rebuilt.index_path()));
-  for (std::uint64_t k = 1; k <= 20; ++k) {
-    const auto loaded = rebuilt.load(k);
-    ASSERT_TRUE(loaded.has_value());
-    EXPECT_EQ(loaded->sim.cycles, k * 10);
-  }
-}
-
-TEST(CacheIndex, CorruptIndexIsRebuiltTransparently) {
-  const std::string dir = fresh_dir("index_corrupt");
-  {
-    const ResultCache writer(dir);
-    writer.store(5, "llmm", synthetic_result(500));
-    writer.store(6, "llmm", synthetic_result(600));
-  }
-  const std::string index_path = dir + "/cache.index";
-
-  // Garbage header.
-  write_file(index_path, "not an index\n");
-  EXPECT_EQ(ResultCache(dir).index_size(), 2u);
-
-  // Torn trailing line (simulated crash mid-append).
-  write_file(index_path,
-             "vexsim-cache-index v1\n" + fingerprint_hex(5) +
-                 " 0000000000000005.json\n" + fingerprint_hex(6).substr(0, 9));
-  const ResultCache rebuilt(dir);
-  EXPECT_EQ(rebuilt.index_size(), 2u);
-  const auto loaded = rebuilt.load(6);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->sim.cycles, 600u);
-
-  // Stray non-record files must not be indexed by the rebuild.
-  write_file(dir + "/notes.txt", "hello");
-  write_file(dir + "/zzzz.json", "{}");
-  std::filesystem::remove(index_path);
-  EXPECT_EQ(ResultCache(dir).index_size(), 2u);
-}
-
-TEST(CacheIndex, CorruptRecordIsDroppedFromIndexOnLoad) {
-  const ResultCache cache(fresh_dir("index_drop"));
-  cache.store(9, "llmm", synthetic_result(900));
-  EXPECT_TRUE(cache.probe(9));
-  write_file(cache.entry_path(9), "garbage");
-  EXPECT_FALSE(cache.load(9).has_value());
-  EXPECT_FALSE(cache.probe(9));  // the bad entry is forgotten
-}
-
-TEST(CacheIndex, ConcurrentWritersLoseNoRecords) {
-  // Two ResultCache instances (as two shard processes would have) store
-  // disjoint key ranges into one directory concurrently. Every record and
-  // every index line must survive: O_APPEND single-write appends interleave
-  // whole lines. Runs under the TSan preset via the suite filter.
-  const std::string dir = fresh_dir("index_concurrent");
-  constexpr std::uint64_t kPerWriter = 200;
-  const auto writer = [&dir](std::uint64_t base) {
-    const ResultCache cache(dir);
-    for (std::uint64_t i = 0; i < kPerWriter; ++i)
-      cache.store(base + i, "llmm", synthetic_result(base + i));
-  };
-  std::thread a(writer, 1'000);
-  std::thread b(writer, 2'000);
-  a.join();
-  b.join();
-
-  const ResultCache reader(dir);
-  EXPECT_EQ(reader.index_size(), 2 * kPerWriter);
-  for (std::uint64_t base : {1'000ull, 2'000ull})
-    for (std::uint64_t i = 0; i < kPerWriter; ++i) {
-      const auto loaded = reader.load(base + i);
-      ASSERT_TRUE(loaded.has_value());
-      EXPECT_EQ(loaded->sim.cycles, base + i);
-    }
-
-  // The index file itself must be exactly one header plus one whole,
-  // well-formed line per record — no torn interleavings.
-  std::ifstream is(reader.index_path());
-  std::string line;
-  ASSERT_TRUE(std::getline(is, line));
-  EXPECT_EQ(line, "vexsim-cache-index v1");
-  std::size_t lines = 0;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    ASSERT_EQ(line.size(), 16u + 1 + 21);
-    EXPECT_EQ(line[16], ' ');
-    ++lines;
-  }
-  EXPECT_EQ(lines, 2 * kPerWriter);
-}
-
-TEST(CacheGc, EvictsOldestUntilBudgetAndRewritesIndex) {
+TEST(CacheGc, EvictsOldestUntilBudget) {
   const std::string dir = fresh_dir("gc_lru");
   const ResultCache cache(dir);
   for (std::uint64_t k = 1; k <= 4; ++k)
@@ -461,17 +406,12 @@ TEST(CacheGc, EvictsOldestUntilBudgetAndRewritesIndex) {
   EXPECT_EQ(stats.records_after, 2u);
   EXPECT_LE(stats.bytes_after, 2 * per_record + per_record / 2);
 
-  EXPECT_FALSE(cache.probe(1));
-  EXPECT_FALSE(cache.probe(2));
+  EXPECT_FALSE(cache.load(1).has_value());
+  EXPECT_FALSE(cache.load(2).has_value());
   EXPECT_TRUE(cache.load(3).has_value());
   EXPECT_TRUE(cache.load(4).has_value());
   EXPECT_FALSE(fs::exists(cache.entry_path(1)));
   EXPECT_FALSE(fs::exists(cache.entry_path(2)));
-
-  // A fresh instance reads a consistent rewritten index.
-  const ResultCache reader(dir);
-  EXPECT_EQ(reader.index_size(), 2u);
-  EXPECT_TRUE(reader.load(4).has_value());
 }
 
 TEST(CacheGc, ZeroBudgetEmptiesTheCache) {
@@ -479,10 +419,11 @@ TEST(CacheGc, ZeroBudgetEmptiesTheCache) {
   cache.store(1, "llmm", synthetic_result(1));
   cache.store(2, "llmm", synthetic_result(2));
   const CacheGcStats stats = cache.gc(0);
+  EXPECT_EQ(stats.evicted, 2u);
   EXPECT_EQ(stats.records_after, 0u);
   EXPECT_EQ(stats.bytes_after, 0u);
-  EXPECT_EQ(cache.index_size(), 0u);
-  // The directory and index stay usable.
+  EXPECT_TRUE(files_in(cache.dir()).empty());
+  // The directory stays usable.
   cache.store(3, "llmm", synthetic_result(3));
   EXPECT_TRUE(cache.load(3).has_value());
 }
@@ -496,17 +437,27 @@ TEST(CacheGc, LargeBudgetEvictsNothing) {
   EXPECT_TRUE(cache.load(1).has_value());
 }
 
-TEST(CacheIndex, LoadUnindexedMatchesIndexedLoad) {
-  const ResultCache cache(fresh_dir("index_bypass"));
-  cache.store(11, "llmm", synthetic_result(1100));
-  const auto indexed = cache.load(11);
-  const auto direct = cache.load_unindexed(11);
-  ASSERT_TRUE(indexed.has_value());
-  ASSERT_TRUE(direct.has_value());
-  EXPECT_EQ(indexed->sim.cycles, direct->sim.cycles);
-  EXPECT_EQ(indexed->sim.instructions_retired,
-            direct->sim.instructions_retired);
-  EXPECT_FALSE(cache.load_unindexed(12).has_value());
+TEST(CacheGc, CountsEveryRecordFileAndNoOtherFile) {
+  // gc() sees every record file in the directory: one this instance
+  // stored, one another instance stored after this one was opened, and one
+  // copied into place by hand. Files that are not named like a record are
+  // neither counted nor deleted.
+  const std::string dir = fresh_dir("gc_scan");
+  const ResultCache cache(dir);
+  cache.store(1, "llmm", synthetic_result(1));
+  ResultCache(dir).store(2, "llmm", synthetic_result(2));
+  std::filesystem::copy_file(cache.entry_path(2), cache.entry_path(3));
+  write_file(dir + "/notes.txt", "hello");
+  write_file(dir + "/zzzz.json", "{}");
+  std::uint64_t record_bytes = 0;
+  for (const std::uint64_t k : {1ull, 2ull, 3ull})
+    record_bytes += std::filesystem::file_size(cache.entry_path(k));
+
+  const CacheGcStats stats = cache.gc(0);
+  EXPECT_EQ(stats.records_before, 3u);
+  EXPECT_EQ(stats.bytes_before, record_bytes);
+  EXPECT_EQ(stats.evicted, 3u);
+  EXPECT_EQ(files_in(dir), (std::vector<std::string>{"notes.txt", "zzzz.json"}));
 }
 
 }  // namespace

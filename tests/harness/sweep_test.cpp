@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 #include <cstdint>
 #include <filesystem>
 #include <set>
@@ -453,6 +454,52 @@ TEST(Sweep, FromCliParsesCacheTimeoutRetries) {
   EXPECT_TRUE(t.failure_tolerant());
   EXPECT_THROW((void)opts_for({"--timeout", "-1"}), CheckError);
   EXPECT_THROW((void)opts_for({"--retries", "-2"}), CheckError);
+  // Values outside int are errors, not narrowed: 4294967297 ms would
+  // narrow to a 1 ms timeout, and -4294967295 to a flush every point.
+  EXPECT_THROW((void)opts_for({"--timeout", "4294967297"}), CheckError);
+  EXPECT_THROW((void)opts_for({"--retries", "4294967298"}), CheckError);
+  EXPECT_THROW((void)opts_for({"--progress", "4294967297"}), CheckError);
+  EXPECT_THROW((void)opts_for({"--flush", "-4294967295"}), CheckError);
+  EXPECT_EQ(opts_for({"--timeout", "2147483647"}).point_timeout_ms, INT_MAX);
+  // Anything but one whole number is an error, not a prefix or a zero.
+  EXPECT_THROW((void)opts_for({"--timeout", "abc"}), CheckError);
+  EXPECT_THROW((void)opts_for({"--retries", "2x"}), CheckError);
+  EXPECT_THROW((void)opts_for({"--timeout"}), CheckError);
+  // A --cache-gc budget above INT64_MAX is an error, not a wrapped 0.
+  EXPECT_THROW((void)opts_for({"--cache", "d", "--cache-gc", "17179869184G"}),
+               CheckError);
+  EXPECT_EQ(opts_for({"--cache", "d", "--cache-gc", "8589934591G"})
+                .cache_gc_bytes,
+            INT64_MAX - (1ll << 30) + 1);
+}
+
+TEST(Sweep, SkipTablesOnShardRunsAndFailedPoints) {
+  const auto skip = [](std::initializer_list<const char*> args,
+                       const std::vector<RunResult>& results,
+                       std::ostringstream& out) {
+    std::vector<const char*> argv{"prog"};
+    argv.insert(argv.end(), args.begin(), args.end());
+    return skip_tables(Cli(static_cast<int>(argv.size()), argv.data()),
+                       results, out);
+  };
+  std::vector<RunResult> results(3);
+  std::ostringstream out;
+  EXPECT_EQ(skip({}, results, out), std::nullopt);
+  EXPECT_EQ(out.str(), "");
+
+  // A shard run holds only its slice: skip, exit 0.
+  EXPECT_EQ(skip({"--shard", "2/4"}, results, out), 0);
+  EXPECT_NE(out.str().find("shard run: tables skipped"), std::string::npos);
+
+  // A tolerated failure has no IPC to divide by: skip, exit 1, say how many.
+  results[0].failed = true;
+  results[2].failed = true;
+  out.str("");
+  EXPECT_EQ(skip({}, results, out), 1);
+  EXPECT_NE(out.str().find("2/3 points failed"), std::string::npos)
+      << out.str();
+  // A shard run still exits 0 whatever its points did.
+  EXPECT_EQ(skip({"--shard", "1/1"}, results, out), 0);
 }
 
 TEST(Sweep, ResultForLooksUpByLabel) {

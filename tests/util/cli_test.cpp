@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <cstdint>
+
 #include "util/check.hpp"
 
 namespace vexsim {
@@ -97,6 +100,58 @@ TEST(Cli, JobsRejectsOverflow) {
   EXPECT_THROW((void)make({"--jobs", "2147483648"}).jobs(), CheckError);
   EXPECT_THROW((void)make({"--jobs", "4294967297"}).jobs(), CheckError);
   EXPECT_EQ(make({"--jobs", "2147483647"}).jobs(), 2147483647);
+}
+
+TEST(Cli, IntegersMustBeOneWholeNumber) {
+  // A lenient parse would read "abc" as 0, "2x" as 2, "2e6" as 2 and a
+  // bare flag as 0.
+  const auto get = [](std::initializer_list<const char*> args) {
+    return make(args).get_int("n", 0);
+  };
+  EXPECT_THROW((void)get({"--n", "abc"}), CheckError);
+  EXPECT_THROW((void)get({"--n", "2x"}), CheckError);
+  EXPECT_THROW((void)get({"--n", "2e6"}), CheckError);
+  EXPECT_THROW((void)get({"--n"}), CheckError);
+  EXPECT_THROW((void)get({"--n="}), CheckError);
+  EXPECT_THROW((void)get({"--n", " 5"}), CheckError);
+  EXPECT_THROW((void)get({"--n", "9223372036854775808"}), CheckError);
+  EXPECT_EQ(get({"--n", "9223372036854775807"}), INT64_MAX);
+  EXPECT_EQ(get({"--n", "-3"}), -3);
+  EXPECT_EQ(get({"--n", "010"}), 8);  // base 0: a leading 0 is octal
+}
+
+TEST(Cli, DoublesMustBeOneFiniteNumber) {
+  const auto get = [](std::initializer_list<const char*> args) {
+    return make(args).get_double("x", 1.0);
+  };
+  EXPECT_DOUBLE_EQ(get({"--x", "2e-1"}), 0.2);
+  EXPECT_DOUBLE_EQ(get({"--x", "3"}), 3.0);
+  EXPECT_THROW((void)get({"--x", "abc"}), CheckError);
+  EXPECT_THROW((void)get({"--x", "0.5x"}), CheckError);
+  EXPECT_THROW((void)get({"--x"}), CheckError);
+  EXPECT_THROW((void)get({"--x", "inf"}), CheckError);
+  EXPECT_THROW((void)get({"--x", "nan"}), CheckError);
+  EXPECT_THROW((void)get({"--x", "1e999"}), CheckError);
+}
+
+TEST(Cli, NumberErrorNamesTheFlag) {
+  try {
+    (void)make({"--timeout", "abc"}).get_int("timeout", 0);
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--timeout"), std::string::npos) << what;
+    EXPECT_NE(what.find("'abc'"), std::string::npos) << what;
+  }
+}
+
+TEST(Cli, GetIntInChecksTheRangeBeforeNarrowing) {
+  EXPECT_EQ(make({"--n", "7"}).get_int_in("n", 0, 0, 10), 7);
+  EXPECT_EQ(make({}).get_int_in("n", 3, 0, 10), 3);
+  EXPECT_THROW((void)make({"--n", "11"}).get_int_in("n", 0, 0, 10),
+               CheckError);
+  EXPECT_THROW((void)make({"--n", "4294967297"}).get_int_in("n", 0, 0, INT_MAX),
+               CheckError);
 }
 
 }  // namespace
