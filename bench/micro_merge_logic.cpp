@@ -16,6 +16,7 @@
 //        The sweep-engine flags (--jobs, --cache) do not apply: this bench
 //        measures single-threaded wall-clock, so every run re-measures.
 #include <chrono>
+#include <climits>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -114,9 +115,8 @@ int main(int argc, char** argv) {
   const Cli cli(argc, argv);
   const bool quick = cli.get_bool("quick", false);
   const long iters = cli.get_int("iters", quick ? 20'000 : 200'000);
-  const int reps = static_cast<int>(cli.get_int("reps", quick ? 2 : 5));
+  const int reps = cli.get_int_in("reps", quick ? 2 : 5, 1, INT_MAX);
   VEXSIM_CHECK_MSG(iters >= 1, "--iters must be >= 1");
-  VEXSIM_CHECK_MSG(reps >= 1, "--reps must be >= 1");
 
   const std::vector<TechPoint> points = {
       {"CSMT", Technique::csmt()},

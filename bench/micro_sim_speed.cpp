@@ -28,6 +28,7 @@
 //        wall-clock, so every run must re-simulate.
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdint>
 #include <filesystem>
 #include <iostream>
@@ -197,9 +198,8 @@ int main(int argc, char** argv) {
   if (!cli.has("budget")) opt.budget = cli.get_bool("quick", false)
                                            ? 30'000
                                            : 100'000;
-  const int reps =
-      static_cast<int>(cli.get_int("reps", cli.get_bool("quick", false) ? 2 : 5));
-  VEXSIM_CHECK_MSG(reps >= 1, "--reps must be >= 1");
+  const int reps = cli.get_int_in(
+      "reps", cli.get_bool("quick", false) ? 2 : 5, 1, INT_MAX);
   const bool profile = cli.get_bool("profile", false);
 
   const std::vector<SpeedPoint> points = {

@@ -18,9 +18,8 @@
 int main(int argc, char** argv) {
   using namespace vexsim;
   const Cli cli(argc, argv);
-  const auto budget =
-      static_cast<std::uint64_t>(cli.get_int("budget", 120'000));
-  const int threads = static_cast<int>(cli.get_int("threads", 4));
+  const std::uint64_t budget = cli.get_positive("budget", 120'000);
+  const int threads = cli.get_int_in("threads", 4, 1, kMaxHwThreads);
 
   const char* roles[][2] = {{"blowfish", "decryption"},
                             {"idct", "video decode"},

@@ -49,10 +49,8 @@ ExperimentOptions ExperimentOptions::from_cli(const Cli& cli) {
     opt.timeslice = 40'000;
   }
   opt.scale = cli.get_double("scale", opt.scale);
-  opt.budget = static_cast<std::uint64_t>(cli.get_int(
-      "budget", static_cast<std::int64_t>(opt.budget)));
-  opt.timeslice = static_cast<std::uint64_t>(cli.get_int(
-      "timeslice", static_cast<std::int64_t>(opt.timeslice)));
+  opt.budget = cli.get_positive("budget", opt.budget);
+  opt.timeslice = cli.get_positive("timeslice", opt.timeslice);
   opt.seed = static_cast<std::uint64_t>(cli.get_int(
       "seed", static_cast<std::int64_t>(opt.seed)));
   if (cli.has("cc"))
@@ -81,13 +79,14 @@ DriverParams driver_params(const ExperimentOptions& opt) {
 
 RunResult run_workload_on(const MachineConfig& cfg,
                           const std::string& workload_name,
-                          const ExperimentOptions& opt) {
+                          const ExperimentOptions& opt,
+                          std::optional<Deadline> deadline) {
   const wl::WorkloadSpec spec = wl::workload(workload_name);
   CompileSummary compile;
   auto programs =
       wl::build_workload(spec, cfg, opt.scale, opt.compiler, &compile);
   MultiprogramDriver driver(cfg, std::move(programs), driver_params(opt));
-  RunResult result = driver.run();
+  RunResult result = driver.run(deadline);
   result.compile = compile;
   return result;
 }

@@ -85,10 +85,12 @@ struct ExperimentOptions {
                                    bool perfect_memory,
                                    const ExperimentOptions& opt);
 
-// As run_workload but with an arbitrary machine config (ablations).
-[[nodiscard]] RunResult run_workload_on(const MachineConfig& cfg,
-                                        const std::string& workload_name,
-                                        const ExperimentOptions& opt);
+// As run_workload but with an arbitrary machine config (ablations). The
+// deadline bounds MultiprogramDriver::run(), not the compile before it.
+[[nodiscard]] RunResult run_workload_on(
+    const MachineConfig& cfg, const std::string& workload_name,
+    const ExperimentOptions& opt,
+    std::optional<Deadline> deadline = std::nullopt);
 
 // The driver parameters every run of `opt` uses: its run length, seed,
 // fast-forward and profile settings, with respawning on. run_single then

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <climits>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -55,77 +54,25 @@ SweepOptions SweepOptions::from_cli(const Cli& cli) {
 
 namespace {
 
-// One simulation attempt under a wall-clock budget. The attempt runs on its
-// own thread; on timeout that thread is detached and keeps simulating into
-// state only it owns (shared_ptr), which is discarded when it finishes —
-// abandoning a hung attempt must never corrupt the sweep's results.
-struct AttemptState {
-  std::mutex m;
-  std::condition_variable cv;
-  bool done = false;
-  bool threw = false;
-  std::string error;
-  RunResult result;
-};
-
-bool attempt_with_timeout(const SweepPoint& point, int timeout_ms,
-                          RunResult& out, std::string& error) {
-  auto state = std::make_shared<AttemptState>();
-  std::thread runner([state, point] {  // `point` copied: may outlive caller
-    RunResult r;
-    bool threw = false;
-    std::string what;
-    try {
-      r = run_workload_on(point.cfg, point.workload, point.opt);
-    } catch (const std::exception& e) {
-      threw = true;
-      what = e.what();
-    } catch (...) {
-      threw = true;
-      what = "unknown exception";
-    }
-    {
-      const std::lock_guard<std::mutex> lock(state->m);
-      state->result = std::move(r);
-      state->threw = threw;
-      state->error = std::move(what);
-      state->done = true;
-    }
-    state->cv.notify_all();
-  });
-
-  std::unique_lock<std::mutex> lock(state->m);
-  const bool finished =
-      state->cv.wait_for(lock, std::chrono::milliseconds(timeout_ms),
-                         [&state] { return state->done; });
-  if (!finished) {
-    lock.unlock();
-    runner.detach();
-    error = "timed out after " + std::to_string(timeout_ms) + " ms";
-    return false;
-  }
-  lock.unlock();
-  runner.join();
-  if (state->threw) {
-    error = std::move(state->error);
-    return false;
-  }
-  out = std::move(state->result);
-  return true;
-}
-
-bool attempt_inline(const SweepPoint& point, RunResult& out,
-                    std::string& error) {
+// One simulation attempt on the calling thread. Under a timeout the driver
+// polls the attempt's deadline and stops the run itself once it has passed.
+bool attempt(const SweepPoint& point, int timeout_ms, RunResult& out,
+             std::string& error) {
+  std::optional<Deadline> deadline;
+  if (timeout_ms > 0)
+    deadline = std::chrono::steady_clock::now() +
+               std::chrono::milliseconds(timeout_ms);
   try {
-    out = run_workload_on(point.cfg, point.workload, point.opt);
+    out = run_workload_on(point.cfg, point.workload, point.opt, deadline);
     return true;
+  } catch (const DeadlineExceeded&) {
+    error = "timed out after " + std::to_string(timeout_ms) + " ms";
   } catch (const std::exception& e) {
     error = e.what();
-    return false;
   } catch (...) {
     error = "unknown exception";
-    return false;
   }
+  return false;
 }
 
 }  // namespace
@@ -210,9 +157,7 @@ std::vector<RunResult> run_sweep(const std::vector<SweepPoint>& points,
       // bit-identically to a first-try success.
       while (!ok && used_attempts < max_attempts) {
         ++used_attempts;
-        ok = opts.point_timeout_ms > 0
-                 ? attempt_with_timeout(p, opts.point_timeout_ms, r, error)
-                 : attempt_inline(p, r, error);
+        ok = attempt(p, opts.point_timeout_ms, r, error);
       }
 
       if (ok) {
@@ -573,6 +518,12 @@ std::vector<RunResult> run_sweep_and_dump(
   return results;
 }
 
+std::size_t failed_points(const std::vector<RunResult>& results) {
+  return static_cast<std::size_t>(
+      std::count_if(results.begin(), results.end(),
+                    [](const RunResult& r) { return r.failed; }));
+}
+
 std::optional<int> skip_tables(const Cli& cli,
                                const std::vector<RunResult>& results,
                                std::ostream& out) {
@@ -581,9 +532,7 @@ std::optional<int> skip_tables(const Cli& cli,
            "tools/vexmerge\n";
     return 0;
   }
-  const auto failed =
-      std::count_if(results.begin(), results.end(),
-                    [](const RunResult& r) { return r.failed; });
+  const std::size_t failed = failed_points(results);
   if (failed == 0) return std::nullopt;
   out << failed << "/" << results.size()
       << " points failed: tables skipped; the JSON trajectory marks them "

@@ -16,7 +16,9 @@
 //    emits byte-identical JSON to a warm one.
 //  * Per-point timeout/retry (`point_timeout_ms` / `max_retries`): a
 //    timed-out or thrown point is re-attempted with its original derived
-//    seed. When either knob is set the sweep is failure-tolerant — a point
+//    seed. A timed-out attempt stops itself at the driver's next deadline
+//    poll, on its own worker, so no abandoned attempt keeps running.
+//    When either knob is set the sweep is failure-tolerant — a point
 //    that exhausts its attempts becomes a structured per-point failure
 //    (RunResult::failed + error, "failed": true in the JSON) instead of
 //    aborting the whole sweep. With both knobs at their defaults, failures
@@ -70,9 +72,10 @@ struct SweepOptions {
   // *progress_stream.
   std::int64_t cache_gc_bytes = -1;
 
-  // Wall-clock budget per simulation attempt; 0 = unlimited. A timed-out
-  // attempt is abandoned (its worker thread is detached and its state
-  // discarded) and the point is retried. Caveat: wall-clock timeouts are
+  // Wall-clock budget per simulation attempt; 0 = unlimited. The driver
+  // polls the deadline every MultiprogramDriver::kDeadlinePollCycles cycles
+  // and stops the attempt on its worker (the compile before it runs to the
+  // end), then the point is retried. Caveat: wall-clock timeouts are
   // inherently nondeterministic — when one actually fires, the affected
   // point's "attempts" count (and, if retries are exhausted, its "failed"
   // record) reflects this machine's load, so byte-level trajectory
@@ -152,6 +155,9 @@ struct SweepOptions {
 [[nodiscard]] std::vector<RunResult> run_sweep_and_dump(
     const Cli& cli, const std::string& experiment,
     const std::vector<SweepPoint>& points);
+
+// Points in `results` that failed under --timeout/--retries.
+[[nodiscard]] std::size_t failed_points(const std::vector<RunResult>& results);
 
 // Bench exit code when the tables cannot be rendered from `results`, with
 // the reason written to `out`; nullopt when they can. A --shard run holds

@@ -69,13 +69,26 @@ void MultiprogramDriver::context_switch() {
   }
 }
 
-RunResult MultiprogramDriver::run() {
+RunResult MultiprogramDriver::run(std::optional<Deadline> deadline) {
   schedule_initial();
   std::uint64_t next_switch = params_.timeslice;
   bool switch_pending = false;
 
   int last_ops = 0;
-  while (sim_.cycle() < params_.max_cycles) {
+  // The loop runs up to `bound`: max_cycles, or under a deadline the next
+  // clock read, which starts at cycle 0 (a compile that overran fails at
+  // once). Without a deadline a cycle pays one compare, as against max_cycles.
+  std::uint64_t bound = 0;
+  for (;;) {
+    if (sim_.cycle() >= bound) {
+      if (sim_.cycle() >= params_.max_cycles) break;
+      bound = params_.max_cycles;
+      if (deadline) {
+        if (std::chrono::steady_clock::now() >= *deadline)
+          throw DeadlineExceeded();
+        bound = std::min(bound, sim_.cycle() + kDeadlinePollCycles);
+      }
+    }
     // Idle-cycle batching must never jump the clock over a driver decision
     // point: the next timeslice expiry (drain start) or the cycle budget.
     // Probing is only worthwhile after an empty cycle — a cycle that issued

@@ -8,8 +8,11 @@
 // when any instance has retired `budget` VLIW instructions in total.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -92,14 +95,29 @@ struct RunResult {
   [[nodiscard]] double ipc() const { return sim.ipc(); }
 };
 
+// Wall-clock instant after which MultiprogramDriver::run() gives up by
+// throwing DeadlineExceeded.
+using Deadline = std::chrono::steady_clock::time_point;
+struct DeadlineExceeded : std::runtime_error {
+  DeadlineExceeded() : std::runtime_error("simulation deadline exceeded") {}
+};
+
 class MultiprogramDriver {
  public:
+  // Simulated cycles between two clock reads under a deadline: ~1.6 ms of
+  // host time at ~400 ns per cycle.
+  static constexpr std::uint64_t kDeadlinePollCycles = 4096;
+
   MultiprogramDriver(const MachineConfig& cfg,
                      std::vector<std::shared_ptr<const Program>> programs,
                      DriverParams params);
 
   // Runs the workload to the termination condition and returns statistics.
-  RunResult run();
+  // With a deadline, run() reads the clock before the first cycle and then
+  // every kDeadlinePollCycles simulated cycles, and throws DeadlineExceeded
+  // at the first read past it, on the calling thread. Without one it never
+  // reads the clock, and the statistics are the same either way.
+  RunResult run(std::optional<Deadline> deadline = std::nullopt);
 
   // Access to contexts after run() — used by equivalence tests.
   [[nodiscard]] const ThreadContext& instance(std::size_t i) const {

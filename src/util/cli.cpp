@@ -95,6 +95,14 @@ int Cli::get_int_in(const std::string& name, int def, int lo, int hi) const {
   return static_cast<int>(n);
 }
 
+std::uint64_t Cli::get_positive(const std::string& name,
+                                std::uint64_t def) const {
+  if (!has(name)) return def;
+  const std::int64_t n = get_int(name, 0);
+  VEXSIM_CHECK_MSG(n >= 1, "--" << name << " must be >= 1, got " << n);
+  return static_cast<std::uint64_t>(n);
+}
+
 int Cli::jobs(int def) const {
   VEXSIM_CHECK_MSG(def >= 1, "default --jobs must be positive, got " << def);
   return get_int_in("jobs", def, 1, INT_MAX);

@@ -30,6 +30,10 @@ class Cli {
   // get_int, also CheckError outside [lo, hi]: safe to narrow to int.
   [[nodiscard]] int get_int_in(const std::string& name, int def, int lo,
                                int hi) const;
+  // get_int for a count of at least 1 (a run length): `def` when absent,
+  // CheckError naming the flag below 1, so no value wraps when unsigned.
+  [[nodiscard]] std::uint64_t get_positive(const std::string& name,
+                                           std::uint64_t def) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool def) const;
 
   // Worker-thread count from `--jobs N`. Defaults to `def` when absent;

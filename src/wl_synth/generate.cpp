@@ -36,15 +36,13 @@ std::vector<std::uint32_t> pool_words(std::uint64_t seed,
 // The pool depends only on (seed, footprint), so every program generated
 // from a spec shares one image, whatever its machine, ILP or compiler. The
 // mutex guards the map: parallel sweep workers build distinct programs at
-// once and can ask for the same pool. Intentionally leaked, like the
-// workload memo in workloads/registry.cpp: a sweep attempt abandoned by
-// --timeout may still be generating while static destructors run at process
-// exit, so these objects must outlive every such thread.
+// once and can ask for the same pool.
 std::shared_ptr<const DataImage> shared_pool(std::uint64_t seed,
                                              std::uint32_t pool_bytes) {
-  static std::mutex& pools_mutex = *new std::mutex;
-  static auto& pools = *new std::map<std::pair<std::uint64_t, std::uint32_t>,
-                                     std::shared_ptr<const DataImage>>;
+  static std::mutex pools_mutex;
+  static std::map<std::pair<std::uint64_t, std::uint32_t>,
+                  std::shared_ptr<const DataImage>>
+      pools;
   const std::lock_guard<std::mutex> lock(pools_mutex);
   std::shared_ptr<const DataImage>& pool = pools[{seed, pool_bytes}];
   if (pool == nullptr) pool = word_image(pool_words(seed, pool_bytes));

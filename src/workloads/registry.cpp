@@ -104,12 +104,8 @@ std::shared_ptr<const Program> make_benchmark(const std::string& name,
   // future, so first-touch builds of *distinct* programs proceed
   // concurrently while duplicate requests share one build.
   using ProgramFuture = std::shared_future<Compiled>;
-  // Intentionally leaked: a sweep attempt abandoned by --timeout keeps
-  // simulating on a detached thread and may reach this cache while (or
-  // after) static destructors run at process exit — these objects must
-  // outlive every such thread, so they are never destroyed.
-  static std::mutex& cache_mutex = *new std::mutex;
-  static auto& cache = *new std::map<std::string, ProgramFuture>;
+  static std::mutex cache_mutex;
+  static std::map<std::string, ProgramFuture> cache;
   std::promise<Compiled> promise;
   ProgramFuture future;
   bool owner = false;

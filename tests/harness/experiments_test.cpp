@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "util/check.hpp"
+
 namespace vexsim::harness {
 namespace {
 
@@ -30,6 +34,26 @@ TEST(Experiments, ExplicitFlagsOverride) {
       make_cli({"--quick", "--budget", "12345", "--seed=9"}));
   EXPECT_EQ(opt.budget, 12345u);
   EXPECT_EQ(opt.seed, 9u);
+}
+
+TEST(Experiments, RunLengthsBelowOneAreRejected) {
+  // A negative run length must not wrap to 2^64 - 1 (a sweep that never
+  // ends, or a machine that never switches contexts).
+  for (const char* flag : {"--budget", "--timeslice"}) {
+    for (const char* value : {"-1", "0"}) {
+      try {
+        (void)ExperimentOptions::from_cli(make_cli({"--quick", flag, value}));
+        FAIL() << flag << " " << value << " was accepted";
+      } catch (const CheckError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(flag), std::string::npos) << what;
+      }
+    }
+  }
+  const auto opt = ExperimentOptions::from_cli(
+      make_cli({"--budget", "1", "--timeslice", "1"}));
+  EXPECT_EQ(opt.budget, 1u);
+  EXPECT_EQ(opt.timeslice, 1u);
 }
 
 ExperimentOptions tiny() {

@@ -409,6 +409,34 @@ TEST(Sweep, ExpiredTimeoutIsRecordedAsFailure) {
   EXPECT_NE(text.find("timed out after 25 ms"), std::string::npos);
 }
 
+// Threads of this process, counted from /proc/self/task.
+std::size_t live_threads() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task"))
+    ++n;
+  return n;
+}
+
+TEST(Sweep, TimedOutAttemptsLeaveNoThreadBehind) {
+  // The heavy point of ExpiredTimeoutIsRecordedAsFailure: every attempt
+  // times out. Each one stops on the thread that ran it, so when run_sweep
+  // returns nothing it started is still running.
+  std::vector<SweepPoint> points = {sample_points(7)[0]};
+  points[0].opt.budget = 1'000'000;
+  points[0].opt.timeslice = 100'000;
+  SweepOptions opts;
+  opts.jobs = 2;
+  opts.point_timeout_ms = 25;
+  opts.max_retries = 1;
+  const std::size_t before = live_threads();
+  const auto results = run_sweep(points, opts);
+  EXPECT_EQ(live_threads(), before);
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_TRUE(results[0].failed);
+  EXPECT_EQ(results[0].attempts, 2);
+}
+
 TEST(Sweep, FailedPointsAreNeverCached) {
   std::vector<SweepPoint> points = sample_points(8);
   points[1].workload = "no-such-mix";
@@ -484,6 +512,7 @@ TEST(Sweep, SkipTablesOnShardRunsAndFailedPoints) {
   };
   std::vector<RunResult> results(3);
   std::ostringstream out;
+  EXPECT_EQ(failed_points(results), 0u);
   EXPECT_EQ(skip({}, results, out), std::nullopt);
   EXPECT_EQ(out.str(), "");
 
@@ -494,6 +523,7 @@ TEST(Sweep, SkipTablesOnShardRunsAndFailedPoints) {
   // A tolerated failure has no IPC to divide by: skip, exit 1, say how many.
   results[0].failed = true;
   results[2].failed = true;
+  EXPECT_EQ(failed_points(results), 2u);
   out.str("");
   EXPECT_EQ(skip({}, results, out), 1);
   EXPECT_NE(out.str().find("2/3 points failed"), std::string::npos)

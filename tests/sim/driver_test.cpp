@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <string>
+#include <vector>
+
 #include "support/test_util.hpp"
 #include "vasm/assembler.hpp"
 
@@ -184,6 +188,69 @@ TEST(Driver, WasteAccountingIdentity) {
       r.sim.horizontal_waste_fraction(r.issue_width) * total_slots;
   EXPECT_NEAR(static_cast<double>(r.sim.ops_issued) + vertical + horizontal,
               total_slots, 1.0);
+}
+
+// Four loop programs on two threads, long enough for many deadline polls.
+MultiprogramDriver polled_driver(bool fast_forward) {
+  DriverParams params;
+  params.budget = 20'000;
+  params.timeslice = 700;
+  params.max_cycles = 1'000'000;
+  params.seed = 11;
+  params.fast_forward = fast_forward;
+  std::vector<std::shared_ptr<const Program>> programs;
+  for (int i = 0; i < 4; ++i)
+    programs.push_back(loop_program("p" + std::to_string(i)));
+  return MultiprogramDriver(machine(2), programs, params);
+}
+
+TEST(Driver, PassedDeadlineThrowsBeforeTheFirstCycle) {
+  MultiprogramDriver driver = polled_driver(true);
+  EXPECT_THROW((void)driver.run(std::chrono::steady_clock::now()),
+               DeadlineExceeded);
+  for (std::size_t i = 0; i < driver.num_instances(); ++i)
+    EXPECT_EQ(driver.instance(i).total_instructions, 0u) << i;
+}
+
+TEST(Driver, DeadlineStopsALongRunPromptly) {
+  // Unbounded by its budget, this run would last ~10^8 cycles; the deadline
+  // must end it at the first poll past 20 ms instead.
+  DriverParams params;
+  params.budget = ~0ull;
+  params.max_cycles = 100'000'000;
+  MultiprogramDriver driver(machine(1), {loop_program("a")}, params);
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW(
+      (void)driver.run(start + std::chrono::milliseconds(20)),
+      DeadlineExceeded);
+  EXPECT_GT(driver.instance(0).total_instructions, 0u);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+}
+
+TEST(Driver, UnreachedDeadlineLeavesTheRunUnchanged) {
+  // Polling reads the clock and nothing else: every statistic matches a run
+  // without a deadline, under fast-forward and the cycle-by-cycle loop.
+  for (const bool ff : {true, false}) {
+    SCOPED_TRACE(ff ? "fast-forward" : "cycle by cycle");
+    const RunResult plain = polled_driver(ff).run();
+    const RunResult timed = polled_driver(ff).run(
+        std::chrono::steady_clock::now() + std::chrono::hours(1));
+    ASSERT_GT(plain.sim.cycles, 4 * MultiprogramDriver::kDeadlinePollCycles);
+    EXPECT_EQ(timed.sim, plain.sim);
+    EXPECT_EQ(timed.icache, plain.icache);
+    EXPECT_EQ(timed.dcache, plain.dcache);
+    EXPECT_EQ(timed.memory, plain.memory);
+    EXPECT_EQ(timed.merge, plain.merge);
+    ASSERT_EQ(timed.instances.size(), plain.instances.size());
+    for (std::size_t i = 0; i < plain.instances.size(); ++i) {
+      EXPECT_EQ(timed.instances[i].instructions,
+                plain.instances[i].instructions) << i;
+      EXPECT_EQ(timed.instances[i].respawns, plain.instances[i].respawns)
+          << i;
+      EXPECT_EQ(timed.instances[i].arch_fingerprint,
+                plain.instances[i].arch_fingerprint) << i;
+    }
+  }
 }
 
 }  // namespace

@@ -154,5 +154,19 @@ TEST(Cli, GetIntInChecksTheRangeBeforeNarrowing) {
                CheckError);
 }
 
+TEST(Cli, GetPositiveRejectsValuesBelowOne) {
+  EXPECT_EQ(make({"--n", "4294967297"}).get_positive("n", 1), 4294967297u);
+  // An absent flag keeps a default beyond int64 (an unbounded run).
+  EXPECT_EQ(make({}).get_positive("n", ~0ull), ~0ull);
+  EXPECT_THROW((void)make({"--n", "0"}).get_positive("n", 1), CheckError);
+  try {
+    (void)make({"--n", "-1"}).get_positive("n", 1);
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--n"), std::string::npos) << what;
+  }
+}
+
 }  // namespace
 }  // namespace vexsim

@@ -22,6 +22,10 @@
 // VEXPLORE.shard<i>of<N>.json); tools/vexmerge folds the shards back into a
 // report byte-identical to the one-process run.
 //
+// Exit status: 1 when an unsharded run has a point that failed under
+// --timeout/--retries (after writing the report, which marks it "failed"),
+// else 0. A --shard run exits 0; its shard document marks failed points.
+//
 // Flags: --template FILE (required), --sample N (default 64), --seed S
 //        (default 7), --max-attempts M (default 32*N), --json FILE (default
 //        VEXPLORE.json), --quick, --scale X, --budget N, --timeslice N
@@ -68,10 +72,8 @@ void apply_cli_overrides(const Cli& cli, harness::ExperimentOptions& opt) {
     opt.timeslice = std::min<std::uint64_t>(opt.timeslice, 10'000);
   }
   opt.scale = cli.get_double("scale", opt.scale);
-  opt.budget = static_cast<std::uint64_t>(
-      cli.get_int("budget", static_cast<std::int64_t>(opt.budget)));
-  opt.timeslice = static_cast<std::uint64_t>(
-      cli.get_int("timeslice", static_cast<std::int64_t>(opt.timeslice)));
+  opt.budget = cli.get_positive("budget", opt.budget);
+  opt.timeslice = cli.get_positive("timeslice", opt.timeslice);
 }
 
 // Deterministic bucket label for an axis value: choice and narrow int axes
@@ -216,7 +218,13 @@ int main(int argc, char** argv) {
     write_json_file(out_path, report);
     std::cout << "vexplore: frontier " << report.at("pareto").size() << " of "
               << accepted.size() << " points; report in " << out_path << "\n";
-    return 0;
+    // A failed point has no statistics, so the frontier and sensitivities
+    // above leave it out; exit 1 so a script notices.
+    const std::size_t failed = harness::failed_points(results);
+    if (failed == 0) return 0;
+    std::cout << "vexplore: " << failed << "/" << results.size()
+              << " points failed; the report marks them \"failed\"\n";
+    return 1;
   }
 
   // --shard i/N: simulate only the owned round-robin slice of accepted
