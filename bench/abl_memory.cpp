@@ -20,7 +20,7 @@
 // Flags: --mem fixed|hierarchy (ignored here: the ablation runs both),
 //        --cc NAME, --cc-verify, --config FILE (base machine description),
 //        --scale, --budget, --timeslice, --seed, --quick, --paper, --csv,
-//        --jobs N, --progress N, --flush N, --json FILE,
+//        --jobs N, --progress N, --json FILE,
 //        --cache[=DIR]/--no-cache (result cache), --timeout MS, --retries N,
 //        --shard I/N (run one round-robin slice and emit a shard document
 //        for tools/vexmerge), --cache-gc SIZE (post-sweep cache eviction).

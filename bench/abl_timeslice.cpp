@@ -12,7 +12,7 @@
 // Flags: --cc NAME, --cc-verify, --config FILE (base machine description),
 //        --mem fixed|hierarchy (memory backend; default fixed),
 //        --scale, --budget, --seed, --quick, --paper, --csv, --jobs N,
-//        --progress N, --flush N, --json FILE,
+//        --progress N, --json FILE,
 //        --cache[=DIR]/--no-cache (result cache), --timeout MS, --retries N,
 //        --shard I/N (run one round-robin slice and emit a shard document
 //        for tools/vexmerge), --cache-gc SIZE (post-sweep cache eviction).

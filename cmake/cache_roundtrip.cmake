@@ -1,5 +1,6 @@
 # Result-cache round trip: run a sweep bench twice against a fresh cache
-# directory and require
+# directory, cold at --jobs 1 and warm at --jobs 4 (so several workers serve
+# hits at once), and require
 #   (1) byte-identical JSON trajectories between the cold and warm runs, and
 #   (2) the warm run served >= 90% of its points from the cache
 # (the hit/total counts come from the "served K/N points from result cache"
@@ -15,13 +16,15 @@ set(cold "${OUT_DIR}/${TAG}_cache_cold.json")
 set(warm "${OUT_DIR}/${TAG}_cache_warm.json")
 file(REMOVE_RECURSE ${cache_dir})
 
-execute_process(COMMAND ${BENCH} --quick --cache ${cache_dir} --json ${cold}
+execute_process(COMMAND ${BENCH} --quick --jobs 1 --cache ${cache_dir}
+                        --json ${cold}
                 RESULT_VARIABLE rc1 OUTPUT_QUIET ERROR_VARIABLE err1)
 if(NOT rc1 EQUAL 0)
   message(FATAL_ERROR "cold-cache bench run failed with ${rc1}: ${err1}")
 endif()
 
-execute_process(COMMAND ${BENCH} --quick --cache ${cache_dir} --json ${warm}
+execute_process(COMMAND ${BENCH} --quick --jobs 4 --cache ${cache_dir}
+                        --json ${warm}
                 RESULT_VARIABLE rc2 OUTPUT_QUIET ERROR_VARIABLE err2)
 if(NOT rc2 EQUAL 0)
   message(FATAL_ERROR "warm-cache bench run failed with ${rc2}: ${err2}")

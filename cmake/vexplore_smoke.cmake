@@ -3,7 +3,8 @@
 #   (2) a warm-cache re-run serves >= 90% of points from the result cache
 #       and still emits byte-identical report JSON,
 #   (3) the template's memory-backend axis is live: at least one sampled
-#       machine runs the hierarchy backend.
+#       machine runs the hierarchy backend,
+#   (4) a --scale at or below 0 is rejected with an error naming the flag.
 #
 # Arguments: VEXPLORE (driver executable), TEMPLATE (DSE template file),
 #            OUT_DIR (scratch directory).
@@ -72,4 +73,13 @@ if(NOT report MATCHES "hierarchy")
   message(FATAL_ERROR
           "no sampled point used the hierarchy memory backend — the "
           "template's memory axis is dead")
+endif()
+
+execute_process(COMMAND ${VEXPLORE} --template ${TEMPLATE} --sample 4
+                        --seed 7 --quick --scale 0
+                        --json ${OUT_DIR}/vexplore_scale0.json
+                RESULT_VARIABLE rc4 OUTPUT_QUIET ERROR_VARIABLE err4)
+if(rc4 EQUAL 0 OR NOT err4 MATCHES "--scale must be > 0")
+  message(FATAL_ERROR
+          "vexplore --scale 0 was not rejected (exit ${rc4}): ${err4}")
 endif()

@@ -1,6 +1,7 @@
 #include "harness/experiments.hpp"
 
 #include "mdes/machine.hpp"
+#include "util/check.hpp"
 #include "workloads/registry.hpp"
 #include "workloads/workloads.hpp"
 
@@ -49,6 +50,7 @@ ExperimentOptions ExperimentOptions::from_cli(const Cli& cli) {
     opt.timeslice = 40'000;
   }
   opt.scale = cli.get_double("scale", opt.scale);
+  VEXSIM_CHECK_MSG(opt.scale > 0.0, "--scale must be > 0, got " << opt.scale);
   opt.budget = cli.get_positive("budget", opt.budget);
   opt.timeslice = cli.get_positive("timeslice", opt.timeslice);
   opt.seed = static_cast<std::uint64_t>(cli.get_int(

@@ -61,7 +61,8 @@ struct ExperimentOptions {
   // The base machine single-threaded with merging off (paper_single form).
   [[nodiscard]] MachineConfig machine_single() const;
 
-  // Applies --budget/--timeslice/--seed/--scale/--paper/--quick/--cc,
+  // Applies --budget/--timeslice/--seed/--scale/--paper/--quick/--cc
+  // (--scale must be > 0; --budget and --timeslice at least 1),
   // --cc-verify (run the static checkers between compiler passes),
   // --config FILE (base machine from a description file), and
   // --mem fixed|hierarchy (memory-backend override).

@@ -5,12 +5,10 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cctype>
 #include <cstdio>
 #include <filesystem>
-#include <sstream>
 #include <vector>
 
 #include "stats/json.hpp"
@@ -421,17 +419,10 @@ void ResultCache::store(std::uint64_t key, const std::string& workload,
       .set("workload", workload)
       .set("result", result_json(r));
 
-  // Unique temp name per (process, store call): concurrent sweeps sharing a
-  // cache directory may race on the same key, and rename() then makes one
-  // of the two identical records win atomically.
-  static std::atomic<std::uint64_t> counter{0};
-  const std::string path = entry_path(key);
-  std::ostringstream tmp;
-  tmp << path << ".tmp." << ::getpid() << "."
-      << counter.fetch_add(1, std::memory_order_relaxed);
-  write_json_file(tmp.str(), doc);
-  VEXSIM_CHECK_MSG(std::rename(tmp.str().c_str(), path.c_str()) == 0,
-                   "failed to move " << tmp.str() << " over " << path);
+  // Concurrent sweeps sharing a cache directory may race on the same key;
+  // each write renames a complete file into place, so one of the identical
+  // records wins atomically.
+  write_json_file(entry_path(key), doc);
 }
 
 CacheGcStats ResultCache::gc(std::uint64_t max_bytes) const {

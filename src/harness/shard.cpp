@@ -1,7 +1,6 @@
 #include "harness/shard.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <map>
 #include <tuple>
 
@@ -11,17 +10,6 @@
 namespace vexsim::harness {
 
 namespace {
-
-constexpr const char* kShardForm =
-    "--shard expects I/N with integers 1 <= I <= N (for example 2/4)";
-
-bool parse_small_uint(const std::string& s, int& out) {
-  if (s.empty() || s.size() > 6) return false;
-  for (const char c : s)
-    if (std::isdigit(static_cast<unsigned char>(c)) == 0) return false;
-  out = std::stoi(s);
-  return true;
-}
 
 // Manifest fingerprint as JSON: 16-hex string, or null for an uncacheable
 // point (unresolvable workload — the owning shard reports the real error).
@@ -42,8 +30,7 @@ Json manifest_json(const std::vector<ManifestEntry>& manifest) {
 // Common prefix of both shard-document kinds; kind-specific fields are
 // inserted by the callers before manifest/points.
 Json shard_doc_prefix(const std::string& experiment, const std::string& kind,
-                      const ShardSpec& shard, std::size_t points_total,
-                      bool partial) {
+                      const ShardSpec& shard, std::size_t points_total) {
   Json sh = Json::object();
   sh.set("index", shard.index)
       .set("count", shard.count)
@@ -51,7 +38,6 @@ Json shard_doc_prefix(const std::string& experiment, const std::string& kind,
   Json doc = Json::object();
   doc.set("experiment", experiment).set("kind", kind).set("shard",
                                                           std::move(sh));
-  if (partial) doc.set("partial", true);
   return doc;
 }
 
@@ -60,28 +46,6 @@ std::string fingerprint_repr(const Json& v) {
 }
 
 }  // namespace
-
-ShardSpec ShardSpec::parse(const std::string& spec) {
-  const std::size_t slash = spec.find('/');
-  int index = 0;
-  int count = 0;
-  const bool well_formed =
-      slash != std::string::npos &&
-      parse_small_uint(spec.substr(0, slash), index) &&
-      parse_small_uint(spec.substr(slash + 1), count) && index >= 1 &&
-      count >= 1 && index <= count;
-  VEXSIM_CHECK_MSG(well_formed, kShardForm << "; got '" << spec << "'");
-  return {index, count, true};
-}
-
-ShardSpec ShardSpec::from_cli(const Cli& cli) {
-  if (!cli.has("shard")) return {};
-  const std::string spec = cli.get("shard", "");
-  // Bare `--shard` parses as the boolean value "true"; reject it with the
-  // same message as any other malformed spec.
-  VEXSIM_CHECK_MSG(spec != "true", kShardForm << "; got ''");
-  return parse(spec);
-}
 
 std::vector<ManifestEntry> build_manifest(
     const std::vector<SweepPoint>& points) {
@@ -103,10 +67,9 @@ std::vector<ManifestEntry> build_manifest(
 Json sweep_shard_json(const std::string& experiment, const ShardSpec& shard,
                       const std::vector<ManifestEntry>& manifest,
                       const std::vector<std::size_t>& indices,
-                      std::vector<Json> point_docs, bool partial) {
+                      std::vector<Json> point_docs, bool /*partial*/) {
   VEXSIM_CHECK(indices.size() == point_docs.size());
-  Json doc =
-      shard_doc_prefix(experiment, "sweep", shard, manifest.size(), partial);
+  Json doc = shard_doc_prefix(experiment, "sweep", shard, manifest.size());
   doc.set("manifest", manifest_json(manifest));
   Json pts = Json::array();
   for (std::size_t k = 0; k < indices.size(); ++k) {
@@ -125,12 +88,10 @@ Json dse_shard_json(const std::string& experiment, const ShardSpec& shard,
                     const std::vector<ManifestEntry>& manifest,
                     const std::vector<std::size_t>& indices,
                     std::vector<Json> point_docs,
-                    const std::vector<std::vector<std::string>>& buckets,
-                    bool partial) {
+                    const std::vector<std::vector<std::string>>& buckets) {
   VEXSIM_CHECK(indices.size() == point_docs.size());
   VEXSIM_CHECK(indices.size() == buckets.size());
-  Json doc =
-      shard_doc_prefix(experiment, "dse", shard, manifest.size(), partial);
+  Json doc = shard_doc_prefix(experiment, "dse", shard, manifest.size());
   doc.set("header", header);
   Json axes_json = Json::array();
   for (const std::string& a : axes) axes_json.push(a);
@@ -246,9 +207,6 @@ MergeOutcome merge_shards(const std::vector<Json>& docs,
 
   for (std::size_t d = 0; d < docs.size(); ++d) {
     const Json& doc = docs[d];
-    VEXSIM_CHECK_MSG(doc.find("partial") == nullptr,
-                     doc_name(d) << " is a partial mid-run checkpoint; re-run "
-                                    "that shard to completion before merging");
     VEXSIM_CHECK_MSG(doc.at("experiment").as_string() == experiment,
                      doc_name(d) << " is from experiment '"
                                  << doc.at("experiment").as_string()

@@ -37,32 +37,6 @@
 
 namespace vexsim::harness {
 
-// A `--shard i/N` assignment. Inactive (the default) means "run everything
-// and emit the plain trajectory"; an explicit --shard — including 1/1 —
-// switches the bench to shard-document output for vexmerge.
-struct ShardSpec {
-  int index = 1;  // 1-based
-  int count = 1;
-  bool active = false;
-
-  // Parses "i/N". CheckError on anything else — 0/4, 5/4, i/0, non-numeric,
-  // missing slash — with a message naming the valid form.
-  [[nodiscard]] static ShardSpec parse(const std::string& spec);
-  // Reads --shard; absent flag yields an inactive spec.
-  [[nodiscard]] static ShardSpec from_cli(const Cli& cli);
-
-  // Round-robin ownership of manifest index `i` (0-based).
-  [[nodiscard]] bool owns(std::size_t i) const {
-    return static_cast<int>(i % static_cast<std::size_t>(count)) == index - 1;
-  }
-  [[nodiscard]] std::string str() const {  // "2/4"
-    return std::to_string(index) + "/" + std::to_string(count);
-  }
-  [[nodiscard]] std::string tag() const {  // "2of4", for file names
-    return std::to_string(index) + "of" + std::to_string(count);
-  }
-};
-
 // One manifest row: the point's label and, when the point is cacheable, its
 // content fingerprint. An unresolvable workload has no fingerprint (the
 // shard that owns it surfaces the real error); it serializes as null.
@@ -78,7 +52,8 @@ struct ManifestEntry {
 // Shard document for a bench sweep. `indices`/`point_docs` are parallel:
 // the owned manifest indices and their rendered sweep_point_json subtrees,
 // which move into the document (pass an rvalue to avoid copying them).
-// `partial` marks a mid-run flush checkpoint; vexmerge refuses those.
+// The trailing `partial` is retired and ignored; it stays only so that
+// existing callers still compile.
 [[nodiscard]] Json sweep_shard_json(const std::string& experiment,
                                     const ShardSpec& shard,
                                     const std::vector<ManifestEntry>& manifest,
@@ -95,7 +70,7 @@ struct ManifestEntry {
     const std::vector<std::string>& axes,
     const std::vector<ManifestEntry>& manifest,
     const std::vector<std::size_t>& indices, std::vector<Json> point_docs,
-    const std::vector<std::vector<std::string>>& buckets, bool partial);
+    const std::vector<std::vector<std::string>>& buckets);
 
 // Assembles the final vexplore report from per-point documents and bucket
 // labels: header fields, then points, the Pareto frontier of (cycles, total
@@ -118,10 +93,11 @@ struct MergeOutcome {
 
 // Folds shard documents into one trajectory. `names` are the per-document
 // origin labels (file paths) used in error messages, parallel to `docs`.
-// CheckError on: partial checkpoints, mixed experiments/kinds/shard counts,
-// manifest mismatches, and conflicting records for one point (same
-// fingerprint, byte-differing result) — each error names the point.
-// Overlapping byte-identical records are deduped silently.
+// CheckError on: mixed experiments/kinds/shard counts, manifest mismatches,
+// and conflicting records for one point (same fingerprint, byte-differing
+// result) — each error names the point. Overlapping byte-identical records
+// are deduped silently. A document holding only part of its slice (a
+// shard that was cut short) merges as incomplete.
 [[nodiscard]] MergeOutcome merge_shards(const std::vector<Json>& docs,
                                         const std::vector<std::string>& names);
 

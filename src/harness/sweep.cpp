@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <climits>
-#include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <iostream>
 #include <memory>
 #include <mutex>
-#include <numeric>
 #include <sstream>
 #include <thread>
 
@@ -27,12 +26,54 @@ std::uint64_t derive_seed(std::uint64_t base, std::uint64_t index) {
   return z ^ (z >> 31);
 }
 
+namespace {
+
+constexpr const char* kShardForm =
+    "--shard expects I/N with integers 1 <= I <= N (for example 2/4)";
+
+bool parse_small_uint(const std::string& s, int& out) {
+  if (s.empty() || s.size() > 6) return false;
+  for (const char c : s)
+    if (std::isdigit(static_cast<unsigned char>(c)) == 0) return false;
+  out = std::stoi(s);
+  return true;
+}
+
+}  // namespace
+
+ShardSpec ShardSpec::parse(const std::string& spec) {
+  const std::size_t slash = spec.find('/');
+  int index = 0;
+  int count = 0;
+  const bool well_formed =
+      slash != std::string::npos &&
+      parse_small_uint(spec.substr(0, slash), index) &&
+      parse_small_uint(spec.substr(slash + 1), count) && index >= 1 &&
+      count >= 1 && index <= count;
+  VEXSIM_CHECK_MSG(well_formed, kShardForm << "; got '" << spec << "'");
+  return {index, count, true};
+}
+
+ShardSpec ShardSpec::from_cli(const Cli& cli) {
+  if (!cli.has("shard")) return {};
+  const std::string spec = cli.get("shard", "");
+  // Bare `--shard` parses as the boolean value "true"; reject it with the
+  // same message as any other malformed spec.
+  VEXSIM_CHECK_MSG(spec != "true", kShardForm << "; got ''");
+  return parse(spec);
+}
+
 SweepOptions SweepOptions::from_cli(const Cli& cli) {
+  // Cli ignores unknown flags, so a script still passing the retired
+  // --flush would otherwise wait for checkpoints that never come.
+  VEXSIM_CHECK_MSG(!cli.has("flush"),
+                   "--flush is no longer supported; run the sweep with "
+                   "--cache[=DIR] and re-run it with the same --cache to "
+                   "resume where it stopped");
   SweepOptions opts;
   opts.jobs = cli.jobs();
   opts.progress_every =
       cli.get_int_in("progress", opts.progress_every, 0, INT_MAX);
-  opts.flush_every = cli.get_int_in("flush", opts.flush_every, 0, INT_MAX);
   if (cli.has("cache") && !cli.get_bool("no-cache", false)) {
     const std::string dir = cli.get("cache", "");
     // Bare `--cache` parses as the boolean value "true"; map it to the
@@ -49,6 +90,7 @@ SweepOptions SweepOptions::from_cli(const Cli& cli) {
   opts.point_timeout_ms =
       cli.get_int_in("timeout", opts.point_timeout_ms, 0, INT_MAX);
   opts.max_retries = cli.get_int_in("retries", opts.max_retries, 0, INT_MAX);
+  opts.shard = ShardSpec::from_cli(cli);
   return opts;
 }
 
@@ -84,6 +126,9 @@ std::vector<RunResult> run_sweep(const std::vector<SweepPoint>& points,
   VEXSIM_CHECK_MSG(opts.progress_every >= 0, "progress_every must be >= 0");
   VEXSIM_CHECK_MSG(opts.point_timeout_ms >= 0, "point_timeout_ms must be >= 0");
   VEXSIM_CHECK_MSG(opts.max_retries >= 0, "max_retries must be >= 0");
+  VEXSIM_CHECK_MSG(opts.shard.index >= 1 &&
+                       opts.shard.index <= opts.shard.count,
+                   "shard " << opts.shard.str() << " out of range");
   std::vector<RunResult> results(points.size());
   // Per-point error text in the non-tolerant configuration; aggregated into
   // one exception after the workers drain.
@@ -91,153 +136,114 @@ std::vector<RunResult> run_sweep(const std::vector<SweepPoint>& points,
   std::vector<char> fatal(points.size(), 0);
   std::ostream* progress_to =
       opts.progress_stream != nullptr ? opts.progress_stream : &std::cerr;
-
-  // Cache pre-pass: hits are served in point order before the thread pool
-  // starts; only misses become worker items. A point whose fingerprint
-  // cannot be computed (unknown workload name) is uncacheable — the worker
-  // then surfaces the real resolution error.
   std::unique_ptr<ResultCache> cache;
-  std::vector<std::uint64_t> keys(points.size(), 0);
-  std::vector<char> cacheable(points.size(), 0);
-  std::vector<std::size_t> todo;
-  todo.reserve(points.size());
-  std::size_t cache_hits = 0;
-  if (!opts.cache_dir.empty()) {
+  if (!opts.cache_dir.empty())
     cache = std::make_unique<ResultCache>(opts.cache_dir);
-    for (std::size_t i = 0; i < points.size(); ++i) {
+
+  // The owned points are first, first + stride, ...; workers claim them by
+  // their rank k in that sequence.
+  const auto first = static_cast<std::size_t>(opts.shard.index - 1);
+  const auto stride = static_cast<std::size_t>(opts.shard.count);
+  const std::size_t owned = opts.shard.owned_count(points.size());
+  std::atomic<std::size_t> next{0};
+  std::atomic<std::size_t> completed{0};
+  std::atomic<std::size_t> cache_hits{0};
+  std::atomic<bool> store_failed{false};
+  std::mutex progress_mutex;
+  const int max_attempts = 1 + opts.max_retries;
+
+  // Point i, start to end: a cache hit is served; a miss is simulated (with
+  // its retries) and stored.
+  const auto run_point = [&](std::size_t i) {
+    const SweepPoint& p = points[i];
+    // A point whose fingerprint cannot be computed (unknown workload name)
+    // is uncacheable; its attempts then surface the real resolution error.
+    std::optional<std::uint64_t> key;
+    if (cache != nullptr) {
       try {
-        keys[i] = point_fingerprint(points[i].cfg, points[i].workload,
-                                    points[i].opt);
-        cacheable[i] = 1;
+        key = point_fingerprint(p.cfg, p.workload, p.opt);
       } catch (const CheckError&) {
       }
-      if (cacheable[i] != 0) {
-        if (std::optional<RunResult> hit = cache->load(keys[i])) {
-          results[i] = std::move(*hit);
-          ++cache_hits;
-          continue;
-        }
-      }
-      todo.push_back(i);
     }
-  } else {
-    todo.resize(points.size());
-    std::iota(todo.begin(), todo.end(), std::size_t{0});
-  }
-
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> completed{cache_hits};
-  std::mutex progress_mutex;
-  // Incremental-flush bookkeeping, guarded by progress_mutex: which points
-  // have finished and how far the fully-complete prefix reaches. Cache hits
-  // are complete before any worker starts.
-  std::vector<char> done(points.size(), 0);
-  std::size_t prefix = 0;
-  for (std::size_t i = 0; i < points.size(); ++i)
-    if (results[i].cache_hit) done[i] = 1;
-  while (prefix < points.size() && done[prefix] != 0) ++prefix;
-  const bool flushing = opts.flush_every > 0 && opts.flush_fn != nullptr;
-  std::atomic<bool> flush_failed{false};
-  std::atomic<bool> store_failed{false};
-  const int max_attempts = 1 + opts.max_retries;
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t t = next.fetch_add(1);
-      if (t >= todo.size()) return;
-      const std::size_t i = todo[t];
-      const SweepPoint& p = points[i];
-
-      RunResult r;
-      std::string error;
-      int used_attempts = 0;
-      bool ok = false;
-      // Retries re-run the point unchanged (same options, hence the same
-      // derived seed): wall-clock timeouts come from machine load, not from
-      // the simulation, so a retry of a timed-out point usually succeeds —
-      // bit-identically to a first-try success.
-      while (!ok && used_attempts < max_attempts) {
-        ++used_attempts;
-        ok = attempt(p, opts.point_timeout_ms, r, error);
+    if (key) {
+      if (std::optional<RunResult> hit = cache->load(*key)) {
+        results[i] = std::move(*hit);
+        cache_hits.fetch_add(1, std::memory_order_relaxed);
+        return;
       }
+    }
 
-      if (ok) {
-        r.attempts = used_attempts;
-        if (cache != nullptr && cacheable[i] != 0 &&
-            !store_failed.load(std::memory_order_relaxed)) {
-          try {
-            r.cached = true;
-            cache->store(keys[i], p.workload, r);
-          } catch (...) {
-            // An unwritable cache (full disk, permissions) degrades to
-            // uncached operation; the sweep's results outrank persistence.
-            r.cached = false;
-            store_failed.store(true, std::memory_order_relaxed);
-            const std::lock_guard<std::mutex> lock(progress_mutex);
-            *progress_to << "sweep: result-cache store failed; caching "
-                            "disabled for this run" << std::endl;
-          }
+    RunResult r;
+    std::string error;
+    int used_attempts = 0;
+    bool ok = false;
+    // Retries re-run the point unchanged (same options, hence the same
+    // derived seed): wall-clock timeouts come from machine load, not from
+    // the simulation, so a retry of a timed-out point usually succeeds —
+    // bit-identically to a first-try success.
+    while (!ok && used_attempts < max_attempts) {
+      ++used_attempts;
+      ok = attempt(p, opts.point_timeout_ms, r, error);
+    }
+
+    if (ok) {
+      r.attempts = used_attempts;
+      if (key && !store_failed.load(std::memory_order_relaxed)) {
+        try {
+          r.cached = true;
+          cache->store(*key, p.workload, r);
+        } catch (...) {
+          // An unwritable cache (full disk, permissions) degrades to
+          // uncached operation; the sweep's results outrank persistence.
+          r.cached = false;
+          store_failed.store(true, std::memory_order_relaxed);
+          const std::lock_guard<std::mutex> lock(progress_mutex);
+          *progress_to << "sweep: result-cache store failed; caching "
+                          "disabled for this run" << std::endl;
         }
-        results[i] = std::move(r);
-      } else if (opts.failure_tolerant()) {
-        // Structured per-point failure: the sweep completes and the JSON
-        // records what went wrong where, instead of one bad point poisoning
-        // hours of finished work.
-        RunResult failure;
-        failure.failed = true;
-        failure.error = error;
-        failure.attempts = max_attempts;
-        results[i] = std::move(failure);
-      } else {
-        fatal_errors[i] = error;
-        fatal[i] = 1;
       }
+      results[i] = std::move(r);
+    } else if (opts.failure_tolerant()) {
+      // Structured per-point failure: the sweep completes and the JSON
+      // records what went wrong where, instead of one bad point poisoning
+      // hours of finished work.
+      RunResult failure;
+      failure.failed = true;
+      failure.error = error;
+      failure.attempts = max_attempts;
+      results[i] = std::move(failure);
+    } else {
+      fatal_errors[i] = error;
+      fatal[i] = 1;
+    }
+  };
 
+  const auto worker = [&] {
+    for (std::size_t k = next.fetch_add(1); k < owned; k = next.fetch_add(1)) {
+      run_point(first + k * stride);
       const std::size_t done_count = completed.fetch_add(1) + 1;
       if (opts.progress_every > 0 &&
           (done_count % static_cast<std::size_t>(opts.progress_every) == 0 ||
-           done_count == points.size())) {
+           done_count == owned)) {
         const std::lock_guard<std::mutex> lock(progress_mutex);
-        *progress_to << "sweep: " << done_count << "/" << points.size()
-                     << " points" << std::endl;
-      }
-      if (flushing && !flush_failed.load(std::memory_order_relaxed)) {
-        const std::lock_guard<std::mutex> lock(progress_mutex);
-        // A fatally-errored point never counts as done: the complete prefix
-        // stops before it, so a salvaged partial file holds only real
-        // results. (A tolerated failure *is* a result.)
-        done[i] = fatal[i] != 0 ? 0 : 1;
-        while (prefix < points.size() && done[prefix] != 0) ++prefix;
-        // The final complete document is written by the caller; only
-        // genuinely partial states flush.
-        if (done_count % static_cast<std::size_t>(opts.flush_every) == 0 &&
-            done_count < points.size()) {
-          try {
-            opts.flush_fn(results, prefix);
-          } catch (...) {
-            // A failing flush (full disk, unwritable path) must not abort
-            // the sweep: the in-memory results outrank the checkpoint.
-            flush_failed.store(true, std::memory_order_relaxed);
-            *progress_to << "sweep: incremental flush failed; flushing "
-                            "disabled for this run" << std::endl;
-          }
-        }
+        *progress_to << "sweep: " << done_count << "/" << owned << " points"
+                     << std::endl;
       }
     }
   };
 
-  const std::size_t n_workers =
-      std::min(static_cast<std::size_t>(jobs), todo.size());
-  if (n_workers <= 1) {
+  // The calling thread is one of the workers. jthreads join on destruction,
+  // so the pool is drained even when the caller's share throws.
+  {
+    const std::size_t n_workers =
+        std::min(static_cast<std::size_t>(jobs), owned);
+    std::vector<std::jthread> pool;
+    for (std::size_t t = 1; t < n_workers; ++t) pool.emplace_back(worker);
     worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(n_workers);
-    for (std::size_t t = 0; t < n_workers; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
   }
 
   if (cache != nullptr)
-    *progress_to << "sweep: served " << cache_hits << "/" << points.size()
+    *progress_to << "sweep: served " << cache_hits.load() << "/" << owned
                  << " points from result cache" << std::endl;
 
   // Aggregate every fatal error into one exception: the first failure alone
@@ -247,7 +253,7 @@ std::vector<RunResult> run_sweep(const std::vector<SweepPoint>& points,
   if (n_failed > 0) {
     constexpr std::size_t kMaxReported = 3;
     std::ostringstream msg;
-    msg << "sweep: " << n_failed << "/" << points.size()
+    msg << "sweep: " << n_failed << "/" << owned
         << " points failed; first " << std::min(n_failed, kMaxReported)
         << ":";
     std::size_t reported = 0;
@@ -408,23 +414,6 @@ Json sweep_json(const std::string& experiment,
   return doc;
 }
 
-Json sweep_json_partial(const std::string& experiment,
-                        const std::vector<SweepPoint>& points,
-                        const std::vector<RunResult>& results,
-                        std::size_t count) {
-  VEXSIM_CHECK(points.size() == results.size());
-  VEXSIM_CHECK(count <= points.size());
-  Json doc = Json::object();
-  doc.set("experiment", experiment);
-  doc.set("partial", true);
-  doc.set("points_total", static_cast<std::uint64_t>(points.size()));
-  Json arr = Json::array();
-  for (std::size_t i = 0; i < count; ++i)
-    arr.push(point_json(points[i], results[i]));
-  doc.set("points", std::move(arr));
-  return doc;
-}
-
 const RunResult& result_for(const std::vector<SweepPoint>& points,
                             const std::vector<RunResult>& results,
                             const std::string& label) {
@@ -438,83 +427,33 @@ const RunResult& result_for(const std::vector<SweepPoint>& points,
 std::vector<RunResult> run_sweep_and_dump(
     const Cli& cli, const std::string& experiment,
     const std::vector<SweepPoint>& points) {
-  const ShardSpec shard = ShardSpec::from_cli(cli);
+  const SweepOptions opts = SweepOptions::from_cli(cli);
+  const ShardSpec& shard = opts.shard;
   const std::string path = cli.get(
       "json", shard.active
                   ? "BENCH_" + experiment + ".shard" + shard.tag() + ".json"
                   : "BENCH_" + experiment + ".json");
-  SweepOptions opts = SweepOptions::from_cli(cli);
-  // Write-then-rename: a reader (or a crash) mid-write never sees a
-  // truncated document at the target path — in particular, a failing final
-  // write must not destroy the last flushed checkpoint.
-  const auto write_atomically = [&path](const Json& doc) {
-    const std::string tmp = path + ".tmp";
-    write_json_file(tmp, doc);
-    VEXSIM_CHECK_MSG(std::rename(tmp.c_str(), path.c_str()) == 0,
-                     "failed to move " << tmp << " over " << path);
-  };
-
+  const std::vector<RunResult> results = run_sweep(points, opts);
   if (!shard.active) {
-    // --flush N: overwrite the target file with the completed prefix every N
-    // points so a long sweep is inspectable (and partially salvageable)
-    // mid-run. The completed sweep rewrites the file in its final form
-    // below.
-    if (opts.flush_every > 0) {
-      opts.flush_fn = [&points, &experiment, &write_atomically](
-                          const std::vector<RunResult>& partial,
-                          std::size_t prefix) {
-        write_atomically(
-            sweep_json_partial(experiment, points, partial, prefix));
-      };
-    }
-    const std::vector<RunResult> results = run_sweep(points, opts);
-    write_atomically(sweep_json(experiment, points, results));
+    write_json_file(path, sweep_json(experiment, points, results));
     return results;
   }
 
-  // --shard i/N: enumerate the full manifest (identical in every shard
-  // process — point lists are a pure function of the bench flags), simulate
-  // only the owned round-robin slice, and emit a shard document for
-  // tools/vexmerge.
-  const std::vector<ManifestEntry> manifest = build_manifest(points);
-  std::vector<SweepPoint> mine;
-  std::vector<std::size_t> mine_index;
+  // --shard i/N: the manifest is identical in every shard process (point
+  // lists are a pure function of the bench flags); the document carries it
+  // and the owned records for tools/vexmerge.
+  std::vector<std::size_t> indices;
+  std::vector<Json> docs;
   for (std::size_t i = 0; i < points.size(); ++i) {
     if (!shard.owns(i)) continue;
-    mine.push_back(points[i]);
-    mine_index.push_back(i);
+    indices.push_back(i);
+    docs.push_back(sweep_point_json(points[i], results[i]));
   }
-  const auto shard_doc = [&](const std::vector<RunResult>& rs,
-                             std::size_t count, bool partial) {
-    std::vector<Json> docs;
-    std::vector<std::size_t> idx;
-    docs.reserve(count);
-    idx.reserve(count);
-    for (std::size_t k = 0; k < count; ++k) {
-      docs.push_back(sweep_point_json(mine[k], rs[k]));
-      idx.push_back(mine_index[k]);
-    }
-    return sweep_shard_json(experiment, shard, manifest, idx, std::move(docs),
-                            partial);
-  };
-  if (opts.flush_every > 0) {
-    opts.flush_fn = [&shard_doc, &write_atomically](
-                        const std::vector<RunResult>& partial,
-                        std::size_t prefix) {
-      write_atomically(shard_doc(partial, prefix, true));
-    };
-  }
-  const std::vector<RunResult> mine_results = run_sweep(mine, opts);
-  write_atomically(shard_doc(mine_results, mine_results.size(), false));
-  std::ostream* progress_to =
-      opts.progress_stream != nullptr ? opts.progress_stream : &std::cerr;
-  *progress_to << "sweep: shard " << shard.str() << " ran " << mine.size()
-               << "/" << points.size() << " points -> " << path << std::endl;
-
-  // Full-size result vector: owned slots filled, foreign slots default.
-  std::vector<RunResult> results(points.size());
-  for (std::size_t k = 0; k < mine.size(); ++k)
-    results[mine_index[k]] = mine_results[k];
+  write_json_file(path, sweep_shard_json(experiment, shard,
+                                         build_manifest(points), indices,
+                                         std::move(docs), false));
+  std::cerr << "sweep: shard " << shard.str() << " ran " << indices.size()
+            << "/" << points.size() << " points -> " << path << std::endl;
   return results;
 }
 

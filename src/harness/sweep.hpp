@@ -8,12 +8,17 @@
 // build their point lists up front, run the sweep, then render tables and a
 // machine-readable JSON trajectory from the in-order results.
 //
-// Scale-out features, all off by default:
-//  * Result caching (`cache_dir` / --cache): points whose content hash is
-//    already in the cache are served before the thread pool starts; misses
-//    run as usual and are persisted. Cached results are bit-identical to
-//    fresh ones (the golden suite is the referee), and a cold-cache run
-//    emits byte-identical JSON to a warm one.
+// Each point takes one path on whichever worker claims it: fingerprint,
+// cache lookup, and on a miss the simulation (with its retries) and a cache
+// store. Scale-out features, all off by default:
+//  * Result caching (`cache_dir` / --cache): a point whose content hash is
+//    already in the cache is served by its worker instead of simulated;
+//    misses run as usual and are persisted. Cached results are
+//    bit-identical to fresh ones (the golden suite is the referee), and a
+//    cold-cache run emits byte-identical JSON to a warm one. An interrupted
+//    sweep re-run with the same cache resumes where it stopped.
+//  * Sharding (`shard` / --shard i/N): only the round-robin slice the shard
+//    owns is run; see harness/shard.hpp for the documents vexmerge folds.
 //  * Per-point timeout/retry (`point_timeout_ms` / `max_retries`): a
 //    timed-out or thrown point is re-attempted with its original derived
 //    seed. A timed-out attempt stops itself at the driver's next deadline
@@ -26,7 +31,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <optional>
 #include <string>
@@ -36,6 +40,38 @@
 #include "stats/json.hpp"
 
 namespace vexsim::harness {
+
+// A `--shard i/N` assignment. Inactive (the default) means "run everything
+// and emit the plain trajectory"; an explicit --shard — including 1/1 —
+// switches the bench to shard-document output for vexmerge.
+struct ShardSpec {
+  int index = 1;  // 1-based
+  int count = 1;
+  bool active = false;
+
+  // Parses "i/N". CheckError on anything else — 0/4, 5/4, i/0, non-numeric,
+  // missing slash — with a message naming the valid form.
+  [[nodiscard]] static ShardSpec parse(const std::string& spec);
+  // Reads --shard; absent flag yields an inactive spec.
+  [[nodiscard]] static ShardSpec from_cli(const Cli& cli);
+
+  // Round-robin ownership of manifest index `i` (0-based).
+  [[nodiscard]] bool owns(std::size_t i) const {
+    return static_cast<int>(i % static_cast<std::size_t>(count)) == index - 1;
+  }
+  // How many of the indices [0, total) this shard owns.
+  [[nodiscard]] std::size_t owned_count(std::size_t total) const {
+    const auto first = static_cast<std::size_t>(index - 1);
+    const auto stride = static_cast<std::size_t>(count);
+    return total > first ? (total - first + stride - 1) / stride : 0;
+  }
+  [[nodiscard]] std::string str() const {  // "2/4"
+    return std::to_string(index) + "/" + std::to_string(count);
+  }
+  [[nodiscard]] std::string tag() const {  // "2of4", for file names
+    return std::to_string(index) + "of" + std::to_string(count);
+  }
+};
 
 struct SweepPoint {
   std::string label;      // unique within a sweep; keys the JSON entry
@@ -47,22 +83,15 @@ struct SweepPoint {
 struct SweepOptions {
   int jobs = 1;  // worker threads; >= 1 (checked)
   // When > 0, a progress line ("sweep: K/N points") goes to
-  // *progress_stream after every `progress_every` completed points —
-  // long paper-scale sweeps stay observable without touching the results.
+  // *progress_stream after every `progress_every` completed points, cache
+  // hits included — long paper-scale sweeps stay observable without
+  // touching the results.
   int progress_every = 0;
   std::ostream* progress_stream = nullptr;  // nullptr = std::cerr
-  // When > 0 and `flush_fn` is set, `flush_fn(results, n)` fires after every
-  // `flush_every` completed points with the in-progress result vector and
-  // the longest fully-complete prefix length n — run_sweep_and_dump uses it
-  // to write a partial BENCH_*.json so long paper-scale sweeps are
-  // inspectable mid-run. Called under the sweep's bookkeeping lock;
-  // results[0..n) are safe to read.
-  int flush_every = 0;
-  std::function<void(const std::vector<RunResult>&, std::size_t)> flush_fn;
 
   // Content-addressed result cache directory (harness/result_cache.hpp);
-  // empty disables caching. Hits are served without touching the thread
-  // pool; misses are simulated and persisted. Served/total counts go to
+  // empty disables caching. Hits are served by the worker that claims the
+  // point; misses are simulated and persisted. Served/total counts go to
   // *progress_stream ("sweep: served K/N points from result cache").
   std::string cache_dir;
 
@@ -89,6 +118,10 @@ struct SweepOptions {
   // first-try success.
   int max_retries = 0;
 
+  // The slice of the points this process runs. Inactive runs them all; the
+  // counts N in the progress and cache lines are the points it owns.
+  ShardSpec shard;
+
   // Failure tolerance is implied by configuring either retry knob: the
   // operator asked for per-point fault handling, so an exhausted point is
   // recorded as a structured failure instead of poisoning the sweep.
@@ -96,11 +129,13 @@ struct SweepOptions {
     return point_timeout_ms > 0 || max_retries > 0;
   }
 
-  // Applies --jobs/--progress/--flush/--cache[=DIR]/--no-cache/
-  // --timeout MS/--retries N/--cache-gc SIZE. Bare `--cache` uses
+  // Applies --jobs/--progress/--cache[=DIR]/--no-cache/--timeout MS/
+  // --retries N/--cache-gc SIZE/--shard I/N. Bare `--cache` uses
   // ./sweep-cache; --no-cache wins over --cache (so a wrapper script's
   // cache can be disabled without editing it). --cache-gc accepts K/M/G
-  // suffixes and is an error without an active --cache.
+  // suffixes and is an error without an active --cache. The retired
+  // --flush N is an error naming --cache, which resumes an interrupted
+  // sweep instead.
   static SweepOptions from_cli(const Cli& cli);
 };
 
@@ -110,13 +145,14 @@ struct SweepOptions {
 [[nodiscard]] std::uint64_t derive_seed(std::uint64_t base,
                                         std::uint64_t index);
 
-// Runs every point and returns results in point order. jobs == 1
-// degenerates to the serial loop; results are bit-identical for any job
-// count. In the default (non-tolerant) configuration, point errors are
-// aggregated after all workers drain into one CheckError reporting the
-// failed-point count and the first few failing labels; with
-// failure_tolerant() options, failed points come back as structured
-// RunResult failures instead.
+// Runs every point the shard owns and returns results in point order,
+// foreign points default-constructed. The calling thread is one of the
+// `jobs` workers, so jobs == 1 is the serial loop; results are
+// bit-identical for any job count. In the default (non-tolerant)
+// configuration, point errors are aggregated after all workers drain into
+// one CheckError reporting the failed-point count and the first few failing
+// labels; with failure_tolerant() options, failed points come back as
+// structured RunResult failures instead.
 [[nodiscard]] std::vector<RunResult> run_sweep(
     const std::vector<SweepPoint>& points, const SweepOptions& opts);
 [[nodiscard]] std::vector<RunResult> run_sweep(
@@ -128,15 +164,6 @@ struct SweepOptions {
                               const std::vector<SweepPoint>& points,
                               const std::vector<RunResult>& results);
 
-// Partial-flush variant: the first `count` points only, marked with
-// "partial": true and the total point count so a mid-run file is never
-// mistaken for a finished trajectory. The final document written when the
-// sweep completes is the plain sweep_json() form.
-[[nodiscard]] Json sweep_json_partial(const std::string& experiment,
-                                      const std::vector<SweepPoint>& points,
-                                      const std::vector<RunResult>& results,
-                                      std::size_t count);
-
 // One rendered trajectory entry (the per-point subtree of sweep_json).
 // Exposed for the shard layer, which embeds these subtrees in shard
 // documents so vexmerge can re-emit them byte-identically.
@@ -147,8 +174,8 @@ struct SweepOptions {
 // BENCH_<experiment>.json), returning the in-order results for table
 // rendering.
 //
-// Under --shard i/N only the owned round-robin slice is simulated and the
-// output becomes a shard document (default name
+// Under --shard i/N only the owned round-robin slice is run and the output
+// becomes a shard document (default name
 // BENCH_<experiment>.shard<i>of<N>.json) for tools/vexmerge; the returned
 // vector still has one entry per point, with foreign points left
 // default-constructed — sharded benches skip table rendering (skip_tables).

@@ -119,9 +119,9 @@ std::vector<std::string> MachineConfig::validate_issues() const {
   if (clusters < 1 || clusters > kMaxClusters)
     flag("clusters = " + std::to_string(clusters) + " out of range [1, " +
          std::to_string(kMaxClusters) + "]");
-  if (hw_threads < 1)
-    flag("hw_threads = " + std::to_string(hw_threads) +
-         " (need at least one hardware thread)");
+  if (hw_threads < 1 || hw_threads > kMaxHwThreads)
+    flag("hw_threads = " + std::to_string(hw_threads) + " out of range [1, " +
+         std::to_string(kMaxHwThreads) + "]");
   const bool overrides_ok =
       cluster_overrides.empty() ||
       cluster_overrides.size() == static_cast<std::size_t>(clusters);

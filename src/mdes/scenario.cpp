@@ -48,6 +48,9 @@ Scenario scenario_from(const ConfigFile& file, const Interp& interp,
     }
   }
   s.opt.scale = r.get_double("scale", s.opt.scale);
+  if (s.opt.scale <= 0.0)  // the default is positive, so the key is present
+    diags.add(sec->find("scale")->loc,
+              "scale = " + format_double(s.opt.scale) + " must be positive");
   s.opt.budget = get_u64(r, "budget", s.opt.budget, diags);
   s.opt.timeslice = get_u64(r, "timeslice", s.opt.timeslice, diags);
   s.opt.max_cycles = get_u64(r, "max_cycles", s.opt.max_cycles, diags);

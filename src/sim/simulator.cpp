@@ -10,6 +10,14 @@ namespace vexsim {
 
 namespace {
 using ProfClock = std::chrono::steady_clock;
+
+// The config, checked before any member is built from it: the merge engine,
+// the memory backend and the per-slot tables are sized for kMaxClusters
+// clusters and kMaxHwThreads contexts.
+const MachineConfig& validated(const MachineConfig& cfg) {
+  cfg.validate();
+  return cfg;
+}
 }  // namespace
 
 // The engine's selection sink: records each operation in the cycle's packet
@@ -34,12 +42,11 @@ struct Simulator::IssueSink {
 };
 
 Simulator::Simulator(const MachineConfig& cfg)
-    : cfg_(cfg),
+    : cfg_(validated(cfg)),
       merge_(cfg_),
       backend_(mem::make_backend(cfg_)),
       icache_ptr_(&backend_->icache()),
       dcache_ptr_(&backend_->dcache()) {
-  cfg_.validate();
   for (const OpClass cls : {OpClass::kNop, OpClass::kAlu, OpClass::kMul,
                             OpClass::kMem, OpClass::kBranch, OpClass::kComm})
     lat_by_class_[static_cast<std::size_t>(cls)] = cfg_.lat.for_class(cls);

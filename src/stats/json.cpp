@@ -1,9 +1,14 @@
 #include "stats/json.hpp"
 
+#include <unistd.h>
+
+#include <atomic>
 #include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <system_error>
@@ -448,11 +453,38 @@ std::string Json::dump() const {
 }
 
 void write_json_file(const std::string& path, const Json& json) {
-  std::ofstream os(path, std::ios::binary);
-  VEXSIM_CHECK_MSG(os.good(), "cannot open " << path << " for writing");
+  // A symlink, device or pipe (--json /dev/stdout) is written through in
+  // place: renaming over it would replace the link or the device itself.
+  std::error_code ec;
+  const std::filesystem::file_status st =
+      std::filesystem::symlink_status(path, ec);
+  if (std::filesystem::is_symlink(st) || std::filesystem::is_other(st)) {
+    std::ofstream os(path, std::ios::binary);
+    os << json.dump();
+    os.flush();
+    VEXSIM_CHECK_MSG(os.good(), "write to " << path << " failed");
+    return;
+  }
+  // Anything else is written beside `path` and renamed over it, so a reader
+  // or a crash never sees a torn document. The temp name is unique per
+  // process and call: concurrent writers of one path never share a temp
+  // file, and the last rename wins.
+  static std::atomic<std::uint64_t> counter{0};
+  const std::string tmp =
+      path + ".tmp." + std::to_string(::getpid()) + "." +
+      std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
+  std::ofstream os(tmp, std::ios::binary);
+  VEXSIM_CHECK_MSG(os.good(), "cannot open " << tmp << " for writing");
   os << json.dump();
-  os.flush();
-  VEXSIM_CHECK_MSG(os.good(), "write to " << path << " failed");
+  os.close();
+  if (os.fail()) {
+    std::remove(tmp.c_str());
+    VEXSIM_CHECK_MSG(false, "write to " << tmp << " failed");
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    VEXSIM_CHECK_MSG(false, "failed to move " << tmp << " over " << path);
+  }
 }
 
 }  // namespace vexsim

@@ -101,7 +101,11 @@ class Json {
   std::vector<std::pair<std::string, Json>> children_;
 };
 
-// Writes `json.dump()` to `path`, throwing CheckError on I/O failure.
+// Writes `json.dump()` to `path` atomically: through a temp file
+// `<path>.tmp.<pid>.<n>` renamed over `path`, so `path` holds the old
+// document or the new one, never a torn one. Throws CheckError on I/O
+// failure, after removing the temp file. Symlinks, devices and pipes are
+// written through in place.
 void write_json_file(const std::string& path, const Json& json);
 
 }  // namespace vexsim

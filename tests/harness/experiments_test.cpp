@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 
 #include "util/check.hpp"
@@ -54,6 +55,35 @@ TEST(Experiments, RunLengthsBelowOneAreRejected) {
       make_cli({"--budget", "1", "--timeslice", "1"}));
   EXPECT_EQ(opt.budget, 1u);
   EXPECT_EQ(opt.timeslice, 1u);
+}
+
+TEST(Experiments, ScaleAtOrBelowZeroIsRejected) {
+  // A meaningless scale must not run, nor key the cache and workload memo.
+  for (const char* value : {"-1", "0"}) {
+    try {
+      (void)ExperimentOptions::from_cli(make_cli({"--quick", "--scale", value}));
+      FAIL() << "--scale " << value << " was accepted";
+    } catch (const CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("--scale"), std::string::npos) << what;
+    }
+  }
+  EXPECT_DOUBLE_EQ(
+      ExperimentOptions::from_cli(make_cli({"--scale", "0.25"})).scale, 0.25);
+}
+
+TEST(Experiments, MachinesBeyondTheSimulatorsLimitsAreRejected) {
+  // The simulator keeps per-context and per-cluster state in fixed arrays of
+  // kMaxHwThreads and kMaxClusters entries.
+  const ExperimentOptions opt;
+  EXPECT_NO_THROW((void)opt.machine(kMaxHwThreads, Technique::smt()));
+  EXPECT_THROW((void)opt.machine(kMaxHwThreads + 1, Technique::smt()),
+               CheckError);
+  ExperimentOptions wide;
+  auto base = std::make_shared<MachineConfig>();
+  base->clusters = kMaxClusters + 1;
+  wide.base_machine = base;
+  EXPECT_THROW((void)wide.machine(2, Technique::smt()), CheckError);
 }
 
 ExperimentOptions tiny() {

@@ -66,8 +66,7 @@ std::vector<RunResult> test_results(std::size_t n) {
 Json make_shard_doc(const std::vector<SweepPoint>& points,
                     const std::vector<RunResult>& results,
                     const ShardSpec& shard,
-                    const std::vector<std::size_t>* explicit_indices = nullptr,
-                    bool partial = false) {
+                    const std::vector<std::size_t>* explicit_indices = nullptr) {
   const std::vector<ManifestEntry> manifest = build_manifest(points);
   std::vector<std::size_t> indices;
   if (explicit_indices != nullptr) {
@@ -80,7 +79,7 @@ Json make_shard_doc(const std::vector<SweepPoint>& points,
   for (const std::size_t i : indices)
     docs.push_back(sweep_point_json(points[i], results[i]));
   return sweep_shard_json("shard_test", shard, manifest, indices, docs,
-                          partial);
+                          false);
 }
 
 TEST(ShardSpec, ParsesValidForms) {
@@ -157,6 +156,15 @@ TEST(ShardSpec, OwnershipIsDisjointAndComplete) {
     EXPECT_TRUE((ShardSpec{1, count, true}.owns(0)));
     EXPECT_TRUE(
         (ShardSpec{1, count, true}.owns(static_cast<std::size_t>(count))));
+    // owned_count agrees with owns() for every prefix length.
+    for (int index = 1; index <= count; ++index) {
+      const ShardSpec spec{index, count, true};
+      std::size_t owned = 0;
+      for (std::size_t total = 0; total < 23; ++total) {
+        EXPECT_EQ(spec.owned_count(total), owned) << spec.str() << " " << total;
+        owned += spec.owns(total) ? 1 : 0;
+      }
+    }
   }
 }
 
@@ -253,22 +261,40 @@ TEST(MergeShards, MismatchedManifestsAreAHardError) {
       {"manifest mismatch at point #1", "different sweeps", "b.json"});
 }
 
-TEST(MergeShards, RefusesPartialCheckpointsAndMixedCounts) {
+TEST(MergeShards, RefusesMixedShardCounts) {
   const std::vector<SweepPoint> points = test_points(4);
   const std::vector<RunResult> results = test_results(4);
-
-  const Json partial = make_shard_doc(points, results, ShardSpec{1, 2, true},
-                                      nullptr, /*partial=*/true);
-  const Json full2 = make_shard_doc(points, results, ShardSpec{2, 2, true});
-  expect_check_error(
-      [&] { (void)merge_shards({partial, full2}, {"a.json", "b.json"}); },
-      {"a.json", "partial mid-run checkpoint"});
-
   const Json full1of2 = make_shard_doc(points, results, ShardSpec{1, 2, true});
   const Json full1of3 = make_shard_doc(points, results, ShardSpec{1, 3, true});
   expect_check_error(
       [&] { (void)merge_shards({full1of2, full1of3}, {"a.json", "b.json"}); },
       {"b.json", "sharded 3 ways, expected 2"});
+}
+
+TEST(MergeShards, OldPartialCheckpointMergesAsIncomplete) {
+  // A checkpoint written by the retired --flush option: marked
+  // "partial": true and holding a prefix of its slice. It merges like any
+  // shard that was cut short.
+  const std::vector<SweepPoint> points = test_points(7);
+  const std::vector<RunResult> results = test_results(7);
+  const std::vector<std::size_t> prefix = {0, 2};  // shard 1/2 owns 0,2,4,6
+  Json partial = make_shard_doc(points, results, ShardSpec{1, 2, true}, &prefix);
+  partial.set("partial", true);
+  const Json full2 = make_shard_doc(points, results, ShardSpec{2, 2, true});
+  const MergeOutcome out =
+      merge_shards({Json::parse(partial.dump()), full2}, {"a.json", "b.json"});
+  EXPECT_FALSE(out.complete);
+  EXPECT_EQ(out.present, 5u);
+  EXPECT_EQ(out.total, 7u);
+  const Json& missing = out.resume.at("missing");
+  ASSERT_EQ(missing.size(), 2u);
+  for (std::size_t k = 0; k < 2; ++k) {
+    const std::size_t index = 4 + 2 * k;
+    EXPECT_EQ(missing.at(k).at("index").as_uint64(), index);
+    EXPECT_EQ(missing.at(k).at("shard").as_uint64(), 1u);
+    EXPECT_EQ(missing.at(k).at("label").as_string(),
+              "p" + std::to_string(index));
+  }
 }
 
 TEST(MergeShards, MissingShardsYieldAResumeManifest) {
@@ -338,7 +364,7 @@ TEST(MergeShards, DseShardsMergeByteIdenticalToDseReport) {
       mine_buckets.push_back(buckets[i]);
     }
     return dse_shard_json("vexplore", shard, header, axes, manifest, indices,
-                          mine, mine_buckets, false);
+                          mine, mine_buckets);
   };
   const MergeOutcome out =
       merge_shards({dse_doc(ShardSpec{1, 2, true}),

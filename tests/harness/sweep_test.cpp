@@ -117,56 +117,6 @@ TEST(Sweep, ProgressReportingEveryNPoints) {
   EXPECT_TRUE(silent.str().empty());
 }
 
-TEST(Sweep, IncrementalFlushDeliversCompletePrefixes) {
-  const auto points = sample_points(9);  // six points
-  std::vector<std::size_t> prefixes;
-  std::vector<std::string> partial_docs;
-  SweepOptions opts;
-  opts.jobs = 3;
-  opts.flush_every = 2;
-  opts.flush_fn = [&](const std::vector<RunResult>& partial,
-                      std::size_t prefix) {
-    prefixes.push_back(prefix);
-    partial_docs.push_back(
-        sweep_json_partial("flush_test", points, partial, prefix).dump());
-  };
-  const auto results = run_sweep(points, opts);
-  ASSERT_EQ(results.size(), points.size());
-
-  // Flushes fire at 2 and 4 completed points (6/6 is the caller's final
-  // write, not a partial flush); prefixes never shrink.
-  ASSERT_EQ(prefixes.size(), 2u);
-  for (std::size_t i = 1; i < prefixes.size(); ++i)
-    EXPECT_LE(prefixes[i - 1], prefixes[i]);
-  for (std::size_t i = 0; i < prefixes.size(); ++i) {
-    EXPECT_LE(prefixes[i], points.size());
-    EXPECT_NE(partial_docs[i].find("\"partial\": true"), std::string::npos);
-    EXPECT_NE(partial_docs[i].find("\"points_total\": 6"), std::string::npos);
-  }
-
-  // A flushed prefix carries exactly the results the finished sweep reports.
-  const std::string full =
-      sweep_json_partial("flush_test", points, results, prefixes.back())
-          .dump();
-  EXPECT_EQ(partial_docs.back(), full);
-
-  // Flushing must not perturb the results themselves.
-  const auto quiet = run_sweep(points, 1);
-  for (std::size_t i = 0; i < results.size(); ++i)
-    EXPECT_EQ(results[i].sim.cycles, quiet[i].sim.cycles) << i;
-}
-
-TEST(Sweep, FlushDisabledByDefault) {
-  const auto points = sample_points(2);
-  int calls = 0;
-  SweepOptions opts;
-  opts.jobs = 2;
-  // flush_fn set but flush_every == 0: never called.
-  opts.flush_fn = [&](const std::vector<RunResult>&, std::size_t) { ++calls; };
-  (void)run_sweep(points, opts);
-  EXPECT_EQ(calls, 0);
-}
-
 TEST(Sweep, JsonDefaultNameAndGeometryAxis) {
   const auto points = sample_points(4);
   const auto results = run_sweep(points, 2);
@@ -277,9 +227,10 @@ TEST(Sweep, CacheSummaryLineReportsHitCounts) {
   EXPECT_TRUE(quiet.str().empty());
 }
 
-TEST(Sweep, CacheHitsSkipTheWorkerPoolButKeepOrder) {
-  // Warm every point, then corrupt one entry: only that point re-simulates
-  // and the sweep still returns results in point order.
+TEST(Sweep, MixedHitsAndMissesKeepOrder) {
+  // Warm every point, then drop all records but one: that point is served,
+  // the others re-simulate, and the sweep still returns results in point
+  // order.
   const auto points = sample_points(13);
   SweepOptions opts;
   opts.jobs = 4;
@@ -305,6 +256,82 @@ TEST(Sweep, CacheHitsSkipTheWorkerPoolButKeepOrder) {
   EXPECT_EQ(hits, 1u);
   EXPECT_EQ(sweep_json("t", points, mixed).dump(),
             sweep_json("t", points, cold).dump());
+}
+
+TEST(Sweep, ProgressCountsCacheHits) {
+  // Hits are served by the workers, so a warm sweep reports progress like
+  // a cold one: one line per point at progress_every = 1.
+  const auto points = sample_points(14);  // six points
+  SweepOptions opts;
+  opts.jobs = 3;
+  opts.cache_dir = fresh_cache_dir("progress");
+  std::ostringstream cold_log;
+  opts.progress_stream = &cold_log;
+  const auto cold = run_sweep(points, opts);
+  std::ostringstream warm_log;
+  opts.progress_stream = &warm_log;
+  opts.progress_every = 1;
+  const auto warm = run_sweep(points, opts);
+  const std::string text = warm_log.str();
+  EXPECT_NE(text.find("served 6/6 points from result cache"),
+            std::string::npos)
+      << text;
+  std::size_t lines = 0;
+  for (std::size_t k = 1; k <= points.size(); ++k) {
+    const std::string line = "sweep: " + std::to_string(k) + "/6 points\n";
+    if (text.find(line) != std::string::npos) ++lines;
+  }
+  EXPECT_EQ(lines, 6u) << text;
+  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 7) << text;
+  EXPECT_EQ(sweep_json("t", points, warm).dump(),
+            sweep_json("t", points, cold).dump());
+}
+
+TEST(Sweep, ShardRunsOnlyItsSlice) {
+  const auto points = sample_points(15);  // six points
+  SweepOptions full;
+  full.jobs = 2;
+  full.cache_dir = fresh_cache_dir("shard_full");
+  const auto reference = run_sweep(points, full);
+
+  // Shard 2/4 owns points 1 and 5.
+  SweepOptions opts;
+  opts.jobs = 3;
+  opts.cache_dir = fresh_cache_dir("shard_slice");
+  opts.shard = ShardSpec::parse("2/4");
+  opts.progress_every = 1;
+  std::ostringstream log;
+  opts.progress_stream = &log;
+  const auto sharded = run_sweep(points, opts);
+  ASSERT_EQ(sharded.size(), points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const RunResult& expected = opts.shard.owns(i) ? reference[i] : RunResult{};
+    EXPECT_EQ(sweep_point_json(points[i], sharded[i]).dump(),
+              sweep_point_json(points[i], expected).dump())
+        << i;
+  }
+  const std::string text = log.str();
+  EXPECT_NE(text.find("sweep: 1/2 points\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("sweep: 2/2 points\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("served 0/2 points from result cache"),
+            std::string::npos)
+      << text;
+  // Only the owned points reached the cache.
+  std::size_t records = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator(opts.cache_dir))
+    ++records;
+  EXPECT_EQ(records, 2u);
+
+  // A shard that owns no point runs nothing.
+  opts.shard = ShardSpec::parse("8/8");
+  std::ostringstream empty_log;
+  opts.progress_stream = &empty_log;
+  const auto none = run_sweep(points, opts);
+  ASSERT_EQ(none.size(), points.size());
+  EXPECT_NE(empty_log.str().find("served 0/0 points from result cache"),
+            std::string::npos)
+      << empty_log.str();
 }
 
 TEST(Sweep, AggregatedErrorReportsCountAndLabels) {
@@ -483,11 +510,10 @@ TEST(Sweep, FromCliParsesCacheTimeoutRetries) {
   EXPECT_THROW((void)opts_for({"--timeout", "-1"}), CheckError);
   EXPECT_THROW((void)opts_for({"--retries", "-2"}), CheckError);
   // Values outside int are errors, not narrowed: 4294967297 ms would
-  // narrow to a 1 ms timeout, and -4294967295 to a flush every point.
+  // narrow to a 1 ms timeout.
   EXPECT_THROW((void)opts_for({"--timeout", "4294967297"}), CheckError);
   EXPECT_THROW((void)opts_for({"--retries", "4294967298"}), CheckError);
   EXPECT_THROW((void)opts_for({"--progress", "4294967297"}), CheckError);
-  EXPECT_THROW((void)opts_for({"--flush", "-4294967295"}), CheckError);
   EXPECT_EQ(opts_for({"--timeout", "2147483647"}).point_timeout_ms, INT_MAX);
   // Anything but one whole number is an error, not a prefix or a zero.
   EXPECT_THROW((void)opts_for({"--timeout", "abc"}), CheckError);
@@ -499,6 +525,31 @@ TEST(Sweep, FromCliParsesCacheTimeoutRetries) {
   EXPECT_EQ(opts_for({"--cache", "d", "--cache-gc", "8589934591G"})
                 .cache_gc_bytes,
             INT64_MAX - (1ll << 30) + 1);
+  // --shard is a sweep option too.
+  EXPECT_FALSE(opts_for({}).shard.active);
+  const SweepOptions s = opts_for({"--shard", "3/4"});
+  EXPECT_TRUE(s.shard.active);
+  EXPECT_EQ(s.shard.str(), "3/4");
+  EXPECT_THROW((void)opts_for({"--shard", "5/4"}), CheckError);
+}
+
+TEST(Sweep, FlushFlagIsRejected) {
+  // The retired --flush must not be silently ignored: a script waiting for
+  // its checkpoints would wait forever. The error points at --cache.
+  for (const std::vector<const char*>& args :
+       {std::vector<const char*>{"prog", "--flush", "2"},
+        std::vector<const char*>{"prog", "--flush=10"},
+        std::vector<const char*>{"prog", "--cache", "d", "--flush", "1"}}) {
+    const Cli cli(static_cast<int>(args.size()), args.data());
+    try {
+      (void)SweepOptions::from_cli(cli);
+      FAIL() << "--flush was accepted";
+    } catch (const CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("--flush"), std::string::npos) << what;
+      EXPECT_NE(what.find("--cache"), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(Sweep, SkipTablesOnShardRunsAndFailedPoints) {

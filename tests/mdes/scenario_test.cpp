@@ -87,6 +87,27 @@ TEST(MdesScenario, ProblemsAreAggregatedDiagnostics) {
             std::string::npos);
 }
 
+TEST(MdesScenario, ScaleAtOrBelowZeroIsALocatedDiagnostic) {
+  for (const char* value : {"0", "-0.5"}) {
+    Diagnostics diags;
+    (void)parse_scenario(std::string("[scenario]\n"
+                                     "workload = 'llhh'\n"
+                                     "scale    = ") +
+                             value + "\n",
+                         diags);
+    ASSERT_EQ(diags.all().size(), 1u) << value;
+    EXPECT_EQ(diags.all()[0].loc.line, 3) << value;
+    EXPECT_NE(diags.all()[0].message.find("scale"), std::string::npos);
+    EXPECT_NE(diags.all()[0].message.find("must be positive"),
+              std::string::npos)
+        << diags.all()[0].message;
+  }
+  EXPECT_DOUBLE_EQ(
+      parse_scenario_ok("[scenario]\nworkload = 'llhh'\nscale = 0.5\n")
+          .opt.scale,
+      0.5);
+}
+
 TEST(MdesScenario, RetiredFusedKeyIsUnknown) {
   // The simulator has one cycle engine, so there is no engine to select.
   Diagnostics diags;

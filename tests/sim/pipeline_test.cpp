@@ -143,5 +143,18 @@ TEST(Pipeline, HaltAppliesOwnInstructionEffects) {
   EXPECT_EQ(r.ctx->state, RunState::kHalted);
 }
 
+TEST(Pipeline, ConstructorRejectsMachinesBeyondItsTables) {
+  // The config is checked before the merge engine and the memory backend
+  // are built from it: both size fixed arrays by these counts.
+  MachineConfig threads = MachineConfig::paper(2, Technique::smt());
+  threads.hw_threads = kMaxHwThreads + 1;
+  EXPECT_THROW(Simulator{threads}, CheckError);
+  MachineConfig clusters = MachineConfig::paper(2, Technique::smt());
+  clusters.clusters = kMaxClusters + 1;
+  EXPECT_THROW(Simulator{clusters}, CheckError);
+  threads.hw_threads = kMaxHwThreads;
+  EXPECT_NO_THROW(Simulator{threads});
+}
+
 }  // namespace
 }  // namespace vexsim

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <string>
@@ -115,6 +117,57 @@ TEST(Json, WriteJsonFile) {
   EXPECT_EQ(content, j.dump());
   std::remove(path.c_str());
   EXPECT_THROW(write_json_file("/nonexistent-dir/x.json", j), CheckError);
+}
+
+TEST(Json, WriteJsonFileReplacesAtomicallyAndCleansUpOnFailure) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(testing::TempDir()) / "vexsim_json_atomic";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const auto names = [&dir] {
+    std::vector<std::string> out;
+    for (const fs::directory_entry& e : fs::directory_iterator(dir))
+      out.push_back(e.path().filename().string());
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  Json j = Json::object();
+  j.set("k", 7);
+
+  // An existing document is replaced whole, and only the target remains.
+  const std::string path = (dir / "out.json").string();
+  write_json_file(path, Json("old"));
+  write_json_file(path, j);
+  std::ifstream is(path);
+  const std::string content((std::istreambuf_iterator<char>(is)),
+                            std::istreambuf_iterator<char>());
+  EXPECT_EQ(content, j.dump());
+  EXPECT_EQ(names(), std::vector<std::string>{"out.json"});
+
+  // The rename fails when the target is a directory: the error names the
+  // target, no temp file is left, and the target is untouched.
+  const fs::path target = dir / "taken.json";
+  fs::create_directories(target / "inside");
+  try {
+    write_json_file(target.string(), j);
+    FAIL() << "writing over a directory succeeded";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("taken.json"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(names(), (std::vector<std::string>{"out.json", "taken.json"}));
+  EXPECT_TRUE(fs::is_directory(target / "inside"));
+
+  // A symlink is written through, not replaced (as /dev/stdout must be).
+  const fs::path link = dir / "link.json";
+  fs::create_symlink("out.json", link);
+  write_json_file(link.string(), Json("via link"));
+  EXPECT_TRUE(fs::is_symlink(link));
+  std::ifstream via(path);
+  const std::string linked((std::istreambuf_iterator<char>(via)),
+                           std::istreambuf_iterator<char>());
+  EXPECT_EQ(linked, Json("via link").dump());
+  fs::remove_all(dir);
 }
 
 TEST(Json, NonFiniteDoublesEmitNull) {

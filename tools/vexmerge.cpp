@@ -6,12 +6,13 @@
 // Validation before any output: every input must carry the same experiment,
 // kind, shard count, and point manifest (label + fingerprint per point);
 // overlapping byte-identical records are deduped; two byte-differing records
-// for one fingerprint are a hard error naming the point; partial (mid-run
-// flush) checkpoints are refused.
+// for one fingerprint are a hard error naming the point.
 //
-// When points are missing, vexmerge exits 1 and writes a resume manifest
-// (--resume FILE, default <out>.resume.json) listing every missing point and
-// the shard that owns it, so the operator can re-dispatch exactly the gaps.
+// When points are missing — a shard file absent, or one holding only part
+// of its slice — vexmerge exits 1 and writes a resume manifest (--resume
+// FILE, default <out>.resume.json) listing every missing point and the shard
+// that owns it, so the operator can re-dispatch exactly the gaps. Output
+// files are written atomically (write_json_file).
 //
 // Usage: vexmerge --out FILE [--resume FILE] shard1.json shard2.json ...
 #include <fstream>

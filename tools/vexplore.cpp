@@ -72,6 +72,7 @@ void apply_cli_overrides(const Cli& cli, harness::ExperimentOptions& opt) {
     opt.timeslice = std::min<std::uint64_t>(opt.timeslice, 10'000);
   }
   opt.scale = cli.get_double("scale", opt.scale);
+  VEXSIM_CHECK_MSG(opt.scale > 0.0, "--scale must be > 0, got " << opt.scale);
   opt.budget = cli.get_positive("budget", opt.budget);
   opt.timeslice = cli.get_positive("timeslice", opt.timeslice);
 }
@@ -154,8 +155,9 @@ int main(int argc, char** argv) {
                           s.point.machine.technique.name(),
                       s.point.machine, s.point.scenario.workload, opt});
   }
-  harness::SweepOptions sweep_opts = harness::SweepOptions::from_cli(cli);
-  const harness::ShardSpec shard = harness::ShardSpec::from_cli(cli);
+  const harness::SweepOptions sweep_opts =
+      harness::SweepOptions::from_cli(cli);
+  const harness::ShardSpec& shard = sweep_opts.shard;
 
   // Everything below is a pure function of (template, seed, flags), so every
   // shard process assembles the identical header, axis list, and per-point
@@ -204,16 +206,23 @@ int main(int argc, char** argv) {
     return pj;
   };
 
-  if (!shard.active) {
-    const std::vector<RunResult> results =
-        harness::run_sweep(points, sweep_opts);
-    std::vector<Json> point_docs;
-    point_docs.reserve(accepted.size());
-    for (std::size_t i = 0; i < accepted.size(); ++i)
-      point_docs.push_back(make_point_doc(i, results[i]));
-    const Json report =
-        harness::dse_report(header, axes, std::move(point_docs), buckets);
+  // run_sweep runs only the owned round-robin slice under --shard i/N (all
+  // points otherwise); the documents below cover exactly that slice.
+  const std::vector<RunResult> results = harness::run_sweep(points, sweep_opts);
+  std::vector<std::size_t> indices;
+  std::vector<Json> point_docs;
+  std::vector<std::vector<std::string>> owned_buckets;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    if (!shard.owns(i)) continue;
+    indices.push_back(i);
+    point_docs.push_back(make_point_doc(i, results[i]));
+    owned_buckets.push_back(buckets[i]);
+  }
 
+  if (!shard.active) {
+    const Json report = harness::dse_report(header, axes,
+                                            std::move(point_docs),
+                                            owned_buckets);
     const std::string out_path = cli.get("json", "VEXPLORE.json");
     write_json_file(out_path, report);
     std::cout << "vexplore: frontier " << report.at("pareto").size() << " of "
@@ -227,35 +236,13 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // --shard i/N: simulate only the owned round-robin slice of accepted
-  // points and emit a shard document for tools/vexmerge.
-  const std::vector<harness::ManifestEntry> manifest =
-      harness::build_manifest(points);
-  std::vector<harness::SweepPoint> mine;
-  std::vector<std::size_t> mine_index;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (!shard.owns(i)) continue;
-    mine.push_back(points[i]);
-    mine_index.push_back(i);
-  }
-  const std::vector<RunResult> mine_results =
-      harness::run_sweep(mine, sweep_opts);
-  std::vector<Json> point_docs;
-  std::vector<std::vector<std::string>> mine_buckets;
-  point_docs.reserve(mine.size());
-  mine_buckets.reserve(mine.size());
-  for (std::size_t k = 0; k < mine.size(); ++k) {
-    point_docs.push_back(make_point_doc(mine_index[k], mine_results[k]));
-    mine_buckets.push_back(buckets[mine_index[k]]);
-  }
-  const Json doc =
-      harness::dse_shard_json("vexplore", shard, header, axes, manifest,
-                              mine_index, std::move(point_docs), mine_buckets,
-                              false);
+  const Json doc = harness::dse_shard_json(
+      "vexplore", shard, header, axes, harness::build_manifest(points),
+      indices, std::move(point_docs), owned_buckets);
   const std::string out_path =
       cli.get("json", "VEXPLORE.shard" + shard.tag() + ".json");
   write_json_file(out_path, doc);
-  std::cout << "vexplore: shard " << shard.str() << " ran " << mine.size()
+  std::cout << "vexplore: shard " << shard.str() << " ran " << indices.size()
             << "/" << accepted.size()
             << " accepted points; shard document in " << out_path << "\n";
   return 0;
