@@ -15,6 +15,12 @@
 // each). Rates land in a top-level "cache_probe" array in the JSON —
 // integer records/sec, gated by probe_floors in the perf-floor check.
 //
+// A third leg times the JSON layer (stats/json.hpp) on a ~300 KB trajectory:
+// the three points' results rendered as sweep entries, repeated. Best-of
+// dump() and Json::parse() rates land in top-level integer
+// "json_dump_bytes_per_sec" and "json_parse_bytes_per_sec", gated by
+// json_floors; the parsed document must dump back byte-identically.
+//
 // Flags: --reps N (timing repetitions, best-of), --config FILE (base
 //        machine description), --mem fixed|hierarchy (memory backend),
 //        --budget/--timeslice/
@@ -38,6 +44,7 @@
 
 #include "harness/experiments.hpp"
 #include "harness/result_cache.hpp"
+#include "harness/sweep.hpp"
 #include "stats/json.hpp"
 #include "stats/table.hpp"
 #include "util/check.hpp"
@@ -188,6 +195,55 @@ Json run_cache_probe(const std::vector<std::uint64_t>& sizes,
   return arr;
 }
 
+struct JsonRates {
+  std::uint64_t bytes = 0;
+  std::uint64_t dump_per_sec = 0;
+  std::uint64_t parse_per_sec = 0;
+};
+
+// JSON probe: renders `points` with their results as one sweep trajectory,
+// repeated until it reaches `target_bytes`, then times best-of-`reps`
+// dump() and parse() of it.
+JsonRates run_json_probe(const std::vector<harness::SweepPoint>& points,
+                         const std::vector<RunResult>& runs,
+                         std::size_t target_bytes, int reps) {
+  using clock = std::chrono::steady_clock;
+  const std::size_t round_bytes =
+      harness::sweep_json("json_probe", points, runs).dump().size();
+  const std::size_t rounds = (target_bytes + round_bytes - 1) / round_bytes;
+  std::vector<harness::SweepPoint> all_points;
+  std::vector<RunResult> all_runs;
+  for (std::size_t r = 0; r < rounds; ++r) {
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      all_points.push_back(points[i]);
+      all_points.back().label += "#" + std::to_string(r);
+      all_runs.push_back(runs[i]);
+    }
+  }
+  const Json doc = harness::sweep_json("json_probe", all_points, all_runs);
+
+  double dump_s = 1e300, parse_s = 1e300;
+  std::string text;
+  for (int i = 0; i < reps; ++i) {
+    const auto t0 = clock::now();
+    text = doc.dump();
+    const auto t1 = clock::now();
+    const Json back = Json::parse(text);
+    const auto t2 = clock::now();
+    dump_s = std::min(dump_s, std::chrono::duration<double>(t1 - t0).count());
+    parse_s = std::min(parse_s, std::chrono::duration<double>(t2 - t1).count());
+    if (i == 0)
+      VEXSIM_CHECK_MSG(back.dump() == text,
+                       "json-probe: a parsed trajectory dumps differently");
+  }
+  // Integer rates, for the same reason as the cache probe's.
+  const auto rate = [&text](double secs) {
+    return static_cast<std::uint64_t>(static_cast<double>(text.size()) /
+                                      std::max(secs, 1e-9));
+  };
+  return {text.size(), rate(dump_s), rate(parse_s)};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -301,6 +357,21 @@ int main(int argc, char** argv) {
       run_cache_probe(probe_sizes, cli.get("probe-dir", "sweep-probe-scratch"),
                       points[0].workload, results[0].run);
 
+  std::vector<harness::SweepPoint> json_points;
+  std::vector<RunResult> json_runs;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const SpeedPoint& p = points[i];
+    json_points.push_back({p.label, opt.machine(p.threads, p.technique),
+                           p.workload, opt});
+    json_runs.push_back(results[i].run);
+  }
+  const JsonRates json_rates =
+      run_json_probe(json_points, json_runs, 300'000, 10);
+  std::cout << "\nJSON probe (" << json_rates.bytes << "-byte trajectory): "
+            << "dump " << Table::fmt(json_rates.dump_per_sec / 1e6, 1)
+            << " MB/s, parse " << Table::fmt(json_rates.parse_per_sec / 1e6, 1)
+            << " MB/s\n";
+
   Json doc = Json::object();
   doc.set("experiment", "sim_speed")
       .set("budget", opt.budget)
@@ -308,7 +379,10 @@ int main(int argc, char** argv) {
       .set("scale", opt.scale)
       .set("reps", reps)
       .set("points", std::move(arr))
-      .set("cache_probe", std::move(probe_arr));
+      .set("cache_probe", std::move(probe_arr))
+      .set("json_bytes", json_rates.bytes)
+      .set("json_dump_bytes_per_sec", json_rates.dump_per_sec)
+      .set("json_parse_bytes_per_sec", json_rates.parse_per_sec);
   write_json_file(cli.get("json", "BENCH_sim_speed.json"), std::move(doc));
 
   std::cout << "\n" << table.to_text();

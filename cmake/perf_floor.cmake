@@ -1,8 +1,9 @@
 # Perf-floor gate: compare a BENCH_sim_speed.json trajectory against the
 # checked-in absolute throughput floors and fail when any point's fast-engine
-# cycles/s drops more than 20% below its floor. The floors carry several-fold
-# headroom over typical numbers (see tests/golden/sim_speed_floor.json), so a
-# failure means an order-of-magnitude hot-path regression, not timing noise.
+# cycles/s, cache-probe rate or JSON dump/parse rate drops more than 20%
+# below its floor. The floors carry several-fold headroom over typical
+# numbers (see tests/golden/sim_speed_floor.json), so a failure means an
+# order-of-magnitude hot-path regression, not timing noise.
 #
 # Arguments: BENCH_JSON (measured trajectory), FLOOR_JSON (floor file).
 file(READ "${BENCH_JSON}" bench)
@@ -88,3 +89,27 @@ if(nprobe GREATER 0)
     message(STATUS "perf floor: cache_probe present but no floors matched")
   endif()
 endif()
+
+# JSON-layer floors: the top-level integer json_dump_bytes_per_sec and
+# json_parse_bytes_per_sec rates are gated against json_floors with the same
+# 20% tolerance. A rate with a floor must be present in the trajectory.
+foreach(metric json_dump_bytes_per_sec json_parse_bytes_per_sec)
+  string(JSON floor ERROR_VARIABLE err GET "${floors}" json_floors ${metric})
+  if(err)
+    message(STATUS "perf floor: no json floor for ${metric}, skipping")
+    continue()
+  endif()
+  string(JSON rate ERROR_VARIABLE err GET "${bench}" ${metric})
+  if(err)
+    message(FATAL_ERROR "perf floor: ${BENCH_JSON} has no ${metric}")
+  endif()
+  math(EXPR limit "${floor} * 8 / 10")
+  if(rate LESS limit)
+    message(FATAL_ERROR
+            "perf floor: ${metric} measured ${rate} bytes/s, more than 20% "
+            "below the floor ${floor} (limit ${limit}). JSON rendering or "
+            "parsing got an order of magnitude slower; see "
+            "tests/golden/sim_speed_floor.json.")
+  endif()
+  message(STATUS "perf floor: ${metric} ${rate} bytes/s >= limit ${limit} (ok)")
+endforeach()

@@ -149,7 +149,7 @@ MachineConfig machine_from(const ConfigFile& file, const Interp& interp,
   }
   SectionReader m(interp, *msec, diags);
   cfg.clusters = m.get_int_in("clusters", cfg.clusters, 1, kMaxClusters);
-  cfg.hw_threads = m.get_int_in("hw_threads", cfg.hw_threads, 1, 64);
+  cfg.hw_threads = m.get_int_in("hw_threads", cfg.hw_threads, 1, kMaxHwThreads);
   parse_named(m, "technique", &Technique::parse, diags, cfg.technique);
   parse_named(m, "rf_org", &reg_file_org_from, diags, cfg.rf_org);
   cfg.cluster_renaming = m.get_bool("cluster_renaming", cfg.cluster_renaming);

@@ -36,7 +36,7 @@ Scenario scenario_from(const ConfigFile& file, const Interp& interp,
     s.workload = *workload;
   else if (sec->find("workload") == nullptr)
     diags.add(sec->loc, "[scenario] needs a workload key");
-  s.contexts = r.get_int_in("contexts", s.contexts, 1, 64);
+  s.contexts = r.get_int_in("contexts", s.contexts, 1, kMaxHwThreads);
   if (const Entry* entry = sec->find("technique"); entry != nullptr) {
     if (const auto name = r.get_string_opt("technique")) {
       try {

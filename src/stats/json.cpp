@@ -12,6 +12,8 @@
 #include <fstream>
 #include <iterator>
 #include <system_error>
+#include <type_traits>
+#include <unordered_set>
 
 #include "util/check.hpp"
 #include "util/shortest_g.hpp"
@@ -22,9 +24,10 @@ namespace detail {
 
 // Strict recursive-descent parser over the subset dump() emits. Every
 // deviation — bad escape, non-JSON number spelling, overflowing number,
-// duplicate key, trailing input — is a CheckError naming the byte offset,
-// so a truncated or hand-mangled cache record is reported (and treated by
-// callers) as corruption rather than silently misread.
+// duplicate key, nesting past Json::kMaxDepth, trailing input — is a
+// CheckError naming the byte offset, so a truncated or hand-mangled cache
+// record is reported (and treated by callers) as corruption rather than
+// silently misread or overflowing the stack.
 class JsonParser {
  public:
   explicit JsonParser(const std::string& text)
@@ -98,13 +101,19 @@ class JsonParser {
   // shared by every nesting level and move into the container, in one
   // exactly sized allocation, when it closes.
   Json parse_container(bool is_object) {
+    if (depth_ == Json::kMaxDepth)
+      fail("nesting deeper than " + std::to_string(Json::kMaxDepth) +
+           " levels");
+    ++depth_;
     ++p_;  // the opening '{' or '['
     Json container = is_object ? Json::object() : Json::array();
     const char close = is_object ? '}' : ']';
     const std::size_t base = stack_.size();
+    std::unordered_set<std::string> keys;  // filled past kScannedKeys
     skip_ws();
     if (peek() == close) {
       ++p_;
+      --depth_;
       return container;
     }
     for (;;) {
@@ -112,8 +121,7 @@ class JsonParser {
       std::string key;
       if (is_object) {
         key = parse_string();
-        for (std::size_t i = base; i < stack_.size(); ++i)
-          if (stack_[i].first == key) fail("duplicate key \"" + key + "\"");
+        check_unique(key, base, keys);
         skip_ws();
         expect(':');
         skip_ws();
@@ -127,11 +135,32 @@ class JsonParser {
       }
       expect(close);
       const auto first = stack_.begin() + static_cast<std::ptrdiff_t>(base);
-      container.children_.assign(std::make_move_iterator(first),
-                                 std::make_move_iterator(stack_.end()));
+      container.children()->assign(std::make_move_iterator(first),
+                                   std::make_move_iterator(stack_.end()));
       stack_.erase(first, stack_.end());
+      --depth_;
       return container;
     }
+  }
+
+  // Rejects `key` if an earlier member of the object that starts at
+  // stack_[base] has it. The first kScannedKeys members are compared one by
+  // one; past them every key goes into `keys`, so a k-member object costs
+  // O(k) hash probes rather than O(k^2) comparisons.
+  static constexpr std::size_t kScannedKeys = 16;
+  void check_unique(const std::string& key, std::size_t base,
+                    std::unordered_set<std::string>& keys) {
+    bool fresh = true;
+    if (stack_.size() - base < kScannedKeys) {
+      for (std::size_t i = base; i < stack_.size() && fresh; ++i)
+        fresh = stack_[i].first != key;
+    } else {
+      if (keys.empty())
+        for (std::size_t i = base; i < stack_.size(); ++i)
+          keys.insert(stack_[i].first);
+      fresh = keys.insert(key).second;
+    }
+    if (!fresh) fail("duplicate key \"" + key + "\"");
   }
 
   std::string parse_string() {
@@ -251,7 +280,8 @@ class JsonParser {
   const char* begin_;
   const char* p_;
   const char* end_;
-  std::vector<std::pair<std::string, Json>> stack_;
+  int depth_ = 0;  // containers open around p_
+  Json::Members stack_;
 };
 
 }  // namespace detail
@@ -261,51 +291,52 @@ Json Json::parse(const std::string& text) {
 }
 
 bool Json::as_bool() const {
-  VEXSIM_CHECK_MSG(kind_ == Kind::kBool, "as_bool() on non-bool JSON value");
-  return bool_;
+  const bool* b = std::get_if<bool>(&value_);
+  VEXSIM_CHECK_MSG(b != nullptr, "as_bool() on non-bool JSON value");
+  return *b;
 }
 
 std::int64_t Json::as_int64() const {
-  if (kind_ == Kind::kInt) return int_;
-  if (kind_ == Kind::kUint) {
-    VEXSIM_CHECK_MSG(uint_ <= static_cast<std::uint64_t>(INT64_MAX),
-                     "as_int64() overflow on " << uint_);
-    return static_cast<std::int64_t>(uint_);
+  if (const auto* i = std::get_if<std::int64_t>(&value_)) return *i;
+  if (const auto* u = std::get_if<std::uint64_t>(&value_)) {
+    VEXSIM_CHECK_MSG(*u <= static_cast<std::uint64_t>(INT64_MAX),
+                     "as_int64() overflow on " << *u);
+    return static_cast<std::int64_t>(*u);
   }
   VEXSIM_CHECK_MSG(false, "as_int64() on non-integer JSON value");
   std::abort();  // unreachable: the check above throws
 }
 
 std::uint64_t Json::as_uint64() const {
-  if (kind_ == Kind::kUint) return uint_;
-  if (kind_ == Kind::kInt) {
-    VEXSIM_CHECK_MSG(int_ >= 0, "as_uint64() on negative value " << int_);
-    return static_cast<std::uint64_t>(int_);
+  if (const auto* u = std::get_if<std::uint64_t>(&value_)) return *u;
+  if (const auto* i = std::get_if<std::int64_t>(&value_)) {
+    VEXSIM_CHECK_MSG(*i >= 0, "as_uint64() on negative value " << *i);
+    return static_cast<std::uint64_t>(*i);
   }
   VEXSIM_CHECK_MSG(false, "as_uint64() on non-integer JSON value");
   std::abort();  // unreachable: the check above throws
 }
 
 double Json::as_double() const {
-  switch (kind_) {
-    case Kind::kDouble: return double_;
-    case Kind::kInt: return static_cast<double>(int_);
-    case Kind::kUint: return static_cast<double>(uint_);
-    default: break;
-  }
+  if (const auto* d = std::get_if<double>(&value_)) return *d;
+  if (const auto* i = std::get_if<std::int64_t>(&value_))
+    return static_cast<double>(*i);
+  if (const auto* u = std::get_if<std::uint64_t>(&value_))
+    return static_cast<double>(*u);
   VEXSIM_CHECK_MSG(false, "as_double() on non-numeric JSON value");
   std::abort();  // unreachable: the check above throws
 }
 
 const std::string& Json::as_string() const {
-  VEXSIM_CHECK_MSG(kind_ == Kind::kString,
-                   "as_string() on non-string JSON value");
-  return string_;
+  const std::string* s = std::get_if<std::string>(&value_);
+  VEXSIM_CHECK_MSG(s != nullptr, "as_string() on non-string JSON value");
+  return *s;
 }
 
 const Json* Json::find(std::string_view key) const {
-  VEXSIM_CHECK_MSG(is_object(), "find() on non-object JSON value");
-  for (const auto& [k, v] : children_)
+  const Object* obj = std::get_if<Object>(&value_);
+  VEXSIM_CHECK_MSG(obj != nullptr, "find() on non-object JSON value");
+  for (const auto& [k, v] : obj->members)
     if (k == key) return &v;
   return nullptr;
 }
@@ -317,40 +348,43 @@ const Json& Json::at(std::string_view key) const {
 }
 
 const Json& Json::at(std::size_t i) const {
-  VEXSIM_CHECK_MSG(is_array(), "at(index) on non-array JSON value");
-  VEXSIM_CHECK_MSG(i < children_.size(),
+  const Array* arr = std::get_if<Array>(&value_);
+  VEXSIM_CHECK_MSG(arr != nullptr, "at(index) on non-array JSON value");
+  VEXSIM_CHECK_MSG(i < arr->members.size(),
                    "JSON array index " << i << " out of range (size "
-                                       << children_.size() << ")");
-  return children_[i].second;
+                                       << arr->members.size() << ")");
+  return arr->members[i].second;
 }
 
 Json Json::object() {
   Json j;
-  j.kind_ = Kind::kObject;
+  j.value_.emplace<Object>();
   return j;
 }
 
 Json Json::array() {
   Json j;
-  j.kind_ = Kind::kArray;
+  j.value_.emplace<Array>();
   return j;
 }
 
 Json& Json::set(std::string_view key, Json value) {
-  VEXSIM_CHECK_MSG(is_object(), "set() on non-object JSON value");
-  for (auto& [k, v] : children_) {
+  Object* obj = std::get_if<Object>(&value_);
+  VEXSIM_CHECK_MSG(obj != nullptr, "set() on non-object JSON value");
+  for (auto& [k, v] : obj->members) {
     if (k == key) {
       v = std::move(value);
       return *this;
     }
   }
-  children_.emplace_back(key, std::move(value));
+  obj->members.emplace_back(key, std::move(value));
   return *this;
 }
 
 Json& Json::push(Json value) {
-  VEXSIM_CHECK_MSG(is_array(), "push() on non-array JSON value");
-  children_.emplace_back(std::string(), std::move(value));
+  Array* arr = std::get_if<Array>(&value_);
+  VEXSIM_CHECK_MSG(arr != nullptr, "push() on non-array JSON value");
+  arr->members.emplace_back(std::string(), std::move(value));
   return *this;
 }
 
@@ -389,60 +423,59 @@ void append_integer(std::string& out, Int v) {
 
 }  // namespace
 
-void Json::dump_to(std::string& out, int indent) const {
-  switch (kind_) {
-    case Kind::kNull:
-      out += "null";
-      break;
-    case Kind::kBool:
-      out += bool_ ? "true" : "false";
-      break;
-    case Kind::kInt:
-      append_integer(out, int_);
-      break;
-    case Kind::kUint:
-      append_integer(out, uint_);
-      break;
-    case Kind::kDouble:
-      // JSON has no nan/inf literal; a bare `nan` token would make the
-      // whole document unparseable for downstream consumers.
-      if (std::isfinite(double_)) {
-        char buf[kShortestGChars];
-        out.append(buf, shortest_g(buf, double_));
-      } else {
-        out += "null";
-      }
-      break;
-    case Kind::kString:
-      out += '"';
-      append_escaped(out, string_);
-      out += '"';
-      break;
-    case Kind::kObject:
-    case Kind::kArray: {
-      const bool obj = kind_ == Kind::kObject;
-      if (children_.empty()) {
-        out += obj ? "{}" : "[]";
-        break;
-      }
-      out += obj ? "{\n" : "[\n";
-      const auto child_pad = static_cast<std::size_t>(indent + 1) * 2;
-      for (std::size_t i = 0; i < children_.size(); ++i) {
-        out.append(child_pad, ' ');
-        if (obj) {
-          out += '"';
-          append_escaped(out, children_[i].first);
-          out += "\": ";
-        }
-        children_[i].second.dump_to(out, indent + 1);
-        if (i + 1 < children_.size()) out += ',';
-        out += '\n';
-      }
-      out.append(child_pad - 2, ' ');
-      out += obj ? '}' : ']';
-      break;
+// gnu::flatten: the parser above exhausts GCC's -O3 inline-unit-growth
+// budget for this file, which left every `out +=` below an out-of-line call
+// and dump() ~15% slower; flattening inlines them again.
+[[gnu::flatten]] void Json::dump_to(std::string& out, int indent) const {
+  if (const Members* children = this->children()) {
+    const bool obj = is_object();
+    if (children->empty()) {
+      out += obj ? "{}" : "[]";
+      return;
     }
+    out += obj ? "{\n" : "[\n";
+    const auto child_pad = static_cast<std::size_t>(indent + 1) * 2;
+    for (std::size_t i = 0; i < children->size(); ++i) {
+      out.append(child_pad, ' ');
+      if (obj) {
+        out += '"';
+        append_escaped(out, (*children)[i].first);
+        out += "\": ";
+      }
+      (*children)[i].second.dump_to(out, indent + 1);
+      if (i + 1 < children->size()) out += ',';
+      out += '\n';
+    }
+    out.append(child_pad - 2, ' ');
+    out += obj ? '}' : ']';
+    return;
   }
+  std::visit(
+      [&out](const auto& v) {
+        using T = std::decay_t<decltype(v)>;
+        if constexpr (std::is_same_v<T, bool>) {
+          out += v ? "true" : "false";
+        } else if constexpr (std::is_same_v<T, std::int64_t> ||
+                             std::is_same_v<T, std::uint64_t>) {
+          append_integer(out, v);
+        } else if constexpr (std::is_same_v<T, double>) {
+          // JSON has no nan/inf literal; a bare `nan` token would make the
+          // whole document unparseable for downstream consumers.
+          if (std::isfinite(v)) {
+            char buf[kShortestGChars];
+            out.append(buf, shortest_g(buf, v));
+          } else {
+            out += "null";
+          }
+        } else if constexpr (std::is_same_v<T, std::string>) {
+          out += '"';
+          append_escaped(out, v);
+          out += '"';
+        } else {
+          out += "null";  // std::monostate; containers returned above
+        }
+      },
+      value_);
 }
 
 std::string Json::dump() const {

@@ -8,8 +8,14 @@
 // the property the parallel-vs-serial sweep determinism checks rely on.
 // Non-finite doubles serialize as `null` (JSON has no nan/inf); consumers
 // treat a null metric as "undefined". The parser is deliberately strict
-// (no duplicate keys, no trailing input): cache records are produced by the
-// writer below, so anything the parser rejects is corruption.
+// (no duplicate keys, no trailing input, at most kMaxDepth nesting levels):
+// cache records are produced by the writer below, so anything the parser
+// rejects is corruption.
+//
+// A value is one std::variant over the eight kinds, 40 bytes: a number
+// carries no empty string or vector beside it. Objects and arrays both
+// hold (key, value) pairs in insertion order, an array's keys left empty,
+// so the parser collects either on one stack.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +23,7 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace vexsim {
@@ -28,23 +35,28 @@ class JsonParser;
 class Json {
  public:
   // Scalars.
-  Json() : kind_(Kind::kNull) {}
-  Json(bool v) : kind_(Kind::kBool), bool_(v) {}                // NOLINT
-  Json(std::int64_t v) : kind_(Kind::kInt), int_(v) {}          // NOLINT
-  Json(std::uint64_t v) : kind_(Kind::kUint), uint_(v) {}       // NOLINT
-  Json(int v) : kind_(Kind::kInt), int_(v) {}                   // NOLINT
-  Json(double v) : kind_(Kind::kDouble), double_(v) {}          // NOLINT
-  Json(std::string v) : kind_(Kind::kString), string_(std::move(v)) {}  // NOLINT
-  Json(const char* v) : kind_(Kind::kString), string_(v) {}     // NOLINT
+  Json() = default;
+  Json(bool v) : value_(v) {}                              // NOLINT
+  Json(std::int64_t v) : value_(v) {}                      // NOLINT
+  Json(std::uint64_t v) : value_(v) {}                     // NOLINT
+  Json(int v) : value_(std::int64_t{v}) {}                 // NOLINT
+  Json(double v) : value_(v) {}                            // NOLINT
+  Json(std::string v) : value_(std::move(v)) {}            // NOLINT
+  Json(const char* v) : value_(std::string(v)) {}          // NOLINT
 
   static Json object();
   static Json array();
 
+  // Nesting deeper than this is rejected by parse(); the documents this
+  // repository writes nest about 7 levels.
+  static constexpr int kMaxDepth = 512;
+
   // Strict parser for documents produced by dump(): throws CheckError on
-  // malformed input, duplicate object keys, numeric overflow, or trailing
-  // characters. Numbers follow the JSON grammar exactly (no leading '+',
-  // leading zeros, or bare '.'). Non-negative integers parse as unsigned,
-  // negative ones as signed; either re-serializes to the original text.
+  // malformed input, duplicate object keys, numeric overflow, trailing
+  // characters, or nesting deeper than kMaxDepth. Numbers follow the JSON
+  // grammar exactly (no leading '+', leading zeros, or bare '.').
+  // Non-negative integers parse as unsigned, negative ones as signed;
+  // either re-serializes to the original text.
   static Json parse(const std::string& text);
 
   // Object member access; `set` overwrites an existing key in place so the
@@ -54,16 +66,20 @@ class Json {
   // Array append.
   Json& push(Json value);
 
-  [[nodiscard]] bool is_object() const { return kind_ == Kind::kObject; }
-  [[nodiscard]] bool is_array() const { return kind_ == Kind::kArray; }
-  [[nodiscard]] bool is_null() const { return kind_ == Kind::kNull; }
-  [[nodiscard]] bool is_bool() const { return kind_ == Kind::kBool; }
-  [[nodiscard]] bool is_string() const { return kind_ == Kind::kString; }
+  [[nodiscard]] bool is_object() const { return holds<Object>(); }
+  [[nodiscard]] bool is_array() const { return holds<Array>(); }
+  [[nodiscard]] bool is_null() const { return holds<std::monostate>(); }
+  [[nodiscard]] bool is_bool() const { return holds<bool>(); }
+  [[nodiscard]] bool is_string() const { return holds<std::string>(); }
   [[nodiscard]] bool is_number() const {
-    return kind_ == Kind::kInt || kind_ == Kind::kUint ||
-           kind_ == Kind::kDouble;
+    return holds<std::int64_t>() || holds<std::uint64_t>() ||
+           holds<double>();
   }
-  [[nodiscard]] std::size_t size() const { return children_.size(); }
+  // Members of an object, elements of an array, 0 for a scalar.
+  [[nodiscard]] std::size_t size() const {
+    const Members* m = children();
+    return m != nullptr ? m->size() : 0;
+  }
 
   // Checked scalar access; throws CheckError on a kind mismatch (and on
   // signedness that cannot represent the stored value).
@@ -85,20 +101,34 @@ class Json {
  private:
   friend class detail::JsonParser;
 
-  enum class Kind : std::uint8_t {
-    kNull, kBool, kInt, kUint, kDouble, kString, kObject, kArray,
+  // Object members (key used) or array elements (key empty, unused).
+  using Members = std::vector<std::pair<std::string, Json>>;
+  struct Object {
+    Members members;
   };
+  struct Array {
+    Members members;
+  };
+
+  template <typename T>
+  [[nodiscard]] bool holds() const {
+    return std::holds_alternative<T>(value_);
+  }
+  // The members of an object or array; nullptr for a scalar.
+  [[nodiscard]] const Members* children() const {
+    if (const auto* o = std::get_if<Object>(&value_)) return &o->members;
+    if (const auto* a = std::get_if<Array>(&value_)) return &a->members;
+    return nullptr;
+  }
+  [[nodiscard]] Members* children() {
+    return const_cast<Members*>(std::as_const(*this).children());
+  }
 
   void dump_to(std::string& out, int indent) const;
 
-  Kind kind_;
-  bool bool_ = false;
-  std::int64_t int_ = 0;
-  std::uint64_t uint_ = 0;
-  double double_ = 0.0;
-  std::string string_;
-  // Object members (key used) or array elements (key empty, unused).
-  std::vector<std::pair<std::string, Json>> children_;
+  std::variant<std::monostate, bool, std::int64_t, std::uint64_t, double,
+               std::string, Object, Array>
+      value_;
 };
 
 // Writes `json.dump()` to `path` atomically: through a temp file

@@ -202,6 +202,32 @@ TEST(MdesDse, TemplateBugsThrowInsteadOfRejecting) {
   EXPECT_THROW((void)sample_point(tmpl, 1, 0), CheckError);
 }
 
+TEST(MdesDse, DrawsBeyondTheSimulatorLimitsAreTemplateErrors) {
+  // A draw of 9+ threads, like one of 9+ clusters, fails the [machine]
+  // reader at the key's line: the template asks for a machine the
+  // simulator cannot build, which no resampling fixes.
+  for (const char* key : {"hw_threads", "clusters"}) {
+    const std::string path = write_template(
+        std::string("limit_") + key,
+        std::string("[dse]\n"
+                    "n = choice(9)\n"
+                    "[machine]\n") +
+            key + " = $(n)\n"
+                  "[scenario]\n"
+                  "workload = 'llhh'\n");
+    const DseTemplate tmpl = load_template(path);
+    try {
+      (void)sample_point(tmpl, 1, 0);
+      FAIL() << key << ": expected CheckError";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(path + ":4: " + key +
+                                           " = 9 out of range [1, 8]"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(MdesDse, BadAxisSpecsAreAggregatedLoadErrors) {
   const std::string path = write_template(
       "badaxes",

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -101,7 +103,7 @@ TEST(MdesMachine, ToConfigRoundTripsRandomizedMachines) {
     m.icache.perfect = rng.chance(0.5);
     m.dcache = m.icache;
     m.dcache.assoc = static_cast<std::uint32_t>(rng.range(1, 1024));
-    m.hw_threads = rng.range(1, 64);
+    m.hw_threads = rng.range(1, kMaxHwThreads);
     m.technique = Technique::kAll[rng.below(8)];
     m.cluster_renaming = rng.chance(0.5);
     m.rf_org = rng.chance(0.5) ? RegFileOrg::kPartitioned : RegFileOrg::kShared;
@@ -188,6 +190,37 @@ TEST(MdesMachine, OutOfRangeClusterIndexIsDiagnosed) {
       "issue_width = 4\n");
   ASSERT_EQ(d.all().size(), 1u);
   EXPECT_NE(d.all()[0].message.find("outside [0, 1]"), std::string::npos);
+}
+
+TEST(MdesMachine, HwThreadsOutOfRangeIsALocatedDiagnostic) {
+  // The reader allows what the simulator does, [1, kMaxHwThreads], so the
+  // diagnostic names the key's line rather than the whole file.
+  for (const int threads : {0, kMaxHwThreads + 1, 64}) {
+    const Diagnostics d = diags_of("[machine]\nclusters = 2\nhw_threads = " +
+                                   std::to_string(threads) + "\n");
+    ASSERT_EQ(d.all().size(), 1u) << threads;
+    EXPECT_EQ(d.all()[0].loc.line, 3) << threads;
+    EXPECT_NE(d.all()[0].message.find("hw_threads = " +
+                                      std::to_string(threads) +
+                                      " out of range [1, 8]"),
+              std::string::npos)
+        << d.all()[0].message;
+  }
+  EXPECT_TRUE(diags_of("[machine]\nhw_threads = 8\n").empty());
+
+  const std::string dir = testing::TempDir() + "/vexsim_machine_threads";
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/nine.conf";
+  std::ofstream(path) << "[machine]\n# nine contexts\nhw_threads = 9\n";
+  try {
+    (void)load_machine(path);
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(path + ":3: hw_threads = 9"),
+              std::string::npos)
+        << e.what();
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(MdesMachine, MissingMachineSectionIsDiagnosed) {

@@ -108,6 +108,27 @@ TEST(MdesScenario, ScaleAtOrBelowZeroIsALocatedDiagnostic) {
       0.5);
 }
 
+TEST(MdesScenario, ContextsOutOfRangeIsALocatedDiagnostic) {
+  for (const int contexts : {0, kMaxHwThreads + 1, 64}) {
+    Diagnostics diags;
+    (void)parse_scenario("[scenario]\n"
+                         "workload = 'llhh'\n"
+                         "contexts = " +
+                             std::to_string(contexts) + "\n",
+                         diags);
+    ASSERT_EQ(diags.all().size(), 1u) << contexts;
+    EXPECT_EQ(diags.all()[0].loc.line, 3) << contexts;
+    EXPECT_NE(diags.all()[0].message.find("contexts = " +
+                                          std::to_string(contexts) +
+                                          " out of range [1, 8]"),
+              std::string::npos)
+        << diags.all()[0].message;
+  }
+  EXPECT_EQ(parse_scenario_ok("[scenario]\nworkload = 'llhh'\ncontexts = 8\n")
+                .contexts,
+            kMaxHwThreads);
+}
+
 TEST(MdesScenario, RetiredFusedKeyIsUnknown) {
   // The simulator has one cycle engine, so there is no engine to select.
   Diagnostics diags;
