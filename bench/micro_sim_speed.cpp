@@ -21,6 +21,15 @@
 // "json_dump_bytes_per_sec" and "json_parse_bytes_per_sec", gated by
 // json_floors; the parsed document must dump back byte-identically.
 //
+// A fourth leg times the end-of-run memory digest (MainMemory::fingerprint)
+// over fresh contexts of a synth:...-f1024 program (a 1 MiB pool) and of the
+// llmm programs: each context is constructed, stores one word on the page
+// past its program's data (where a synth program's output page lies) and
+// digests its memory. The first context of each program is checked against
+// a memory poked with the same bytes. Best-of rates land in top-level
+// integer "digest_f1024_contexts_per_sec" and
+// "digest_llmm_contexts_per_sec", gated by digest_floors.
+//
 // Flags: --reps N (timing repetitions, best-of), --config FILE (base
 //        machine description), --mem fixed|hierarchy (memory backend),
 //        --budget/--timeslice/
@@ -42,6 +51,7 @@
 #include <string>
 #include <vector>
 
+#include "arch/thread_context.hpp"
 #include "harness/experiments.hpp"
 #include "harness/result_cache.hpp"
 #include "harness/sweep.hpp"
@@ -49,6 +59,8 @@
 #include "stats/table.hpp"
 #include "util/check.hpp"
 #include "util/cli.hpp"
+#include "workloads/registry.hpp"
+#include "workloads/workloads.hpp"
 
 namespace {
 
@@ -244,6 +256,47 @@ JsonRates run_json_probe(const std::vector<harness::SweepPoint>& points,
   return {text.size(), rate(dump_s), rate(parse_s)};
 }
 
+// Context-digest probe: best-of-`reps` contexts per second, each rep
+// cycling through `programs` for at least 20 ms (see the header comment).
+std::uint64_t run_digest_probe(
+    const std::vector<std::shared_ptr<const Program>>& programs, int reps) {
+  using clock = std::chrono::steady_clock;
+  std::vector<std::uint32_t> addrs;
+  for (const auto& program : programs) {
+    std::uint64_t end = 0;
+    for (const DataSegment& seg : program->data)
+      end = std::max<std::uint64_t>(end, seg.addr + seg.bytes().size());
+    const std::uint64_t page = MainMemory::kPageSize;
+    addrs.push_back(static_cast<std::uint32_t>(
+        std::max(page, (end + page - 1) / page * page)));
+
+    ThreadContext ctx(0, program);
+    VEXSIM_CHECK(ctx.mem.store(addrs.back(), 4, addrs.back()));
+    MainMemory poked;
+    for (const DataSegment& seg : program->data)
+      poked.poke_bytes(seg.addr, seg.bytes().data(), seg.bytes().size());
+    poked.poke_u32(addrs.back(), addrs.back());
+    VEXSIM_CHECK_MSG(ctx.mem.fingerprint() == poked.fingerprint(),
+                     "digest-probe: " << program->name
+                                      << " digests unlike its poked bytes");
+  }
+  double best = 0;
+  for (int r = 0; r < reps; ++r) {
+    std::size_t n = 0;
+    double secs = 0;
+    const auto t0 = clock::now();
+    do {
+      const std::size_t p = n++ % programs.size();
+      ThreadContext ctx(0, programs[p]);
+      (void)ctx.mem.store(addrs[p], 4, addrs[p]);
+      (void)ctx.mem.fingerprint();
+      secs = std::chrono::duration<double>(clock::now() - t0).count();
+    } while (secs < 0.02 || n < programs.size());
+    best = std::max(best, static_cast<double>(n) / secs);
+  }
+  return static_cast<std::uint64_t>(best);  // integer, like the probe rates
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -372,6 +425,18 @@ int main(int argc, char** argv) {
             << " MB/s, parse " << Table::fmt(json_rates.parse_per_sec / 1e6, 1)
             << " MB/s\n";
 
+  const MachineConfig digest_cfg = opt.machine(1, Technique::smt());
+  const std::uint64_t digest_f1024 = run_digest_probe(
+      {wl::make_benchmark("synth:i0.5-m0.4-f1024-s7", digest_cfg, opt.scale,
+                          opt.compiler)},
+      reps);
+  const std::uint64_t digest_llmm = run_digest_probe(
+      wl::build_workload(wl::workload("llmm"), digest_cfg, opt.scale,
+                         opt.compiler),
+      reps);
+  std::cout << "\nContext-digest probe: f1024 " << digest_f1024
+            << " contexts/s, llmm " << digest_llmm << " contexts/s\n";
+
   Json doc = Json::object();
   doc.set("experiment", "sim_speed")
       .set("budget", opt.budget)
@@ -382,7 +447,9 @@ int main(int argc, char** argv) {
       .set("cache_probe", std::move(probe_arr))
       .set("json_bytes", json_rates.bytes)
       .set("json_dump_bytes_per_sec", json_rates.dump_per_sec)
-      .set("json_parse_bytes_per_sec", json_rates.parse_per_sec);
+      .set("json_parse_bytes_per_sec", json_rates.parse_per_sec)
+      .set("digest_f1024_contexts_per_sec", digest_f1024)
+      .set("digest_llmm_contexts_per_sec", digest_llmm);
   write_json_file(cli.get("json", "BENCH_sim_speed.json"), std::move(doc));
 
   std::cout << "\n" << table.to_text();

@@ -1,9 +1,10 @@
 # Perf-floor gate: compare a BENCH_sim_speed.json trajectory against the
 # checked-in absolute throughput floors and fail when any point's fast-engine
-# cycles/s, cache-probe rate or JSON dump/parse rate drops more than 20%
-# below its floor. The floors carry several-fold headroom over typical
-# numbers (see tests/golden/sim_speed_floor.json), so a failure means an
-# order-of-magnitude hot-path regression, not timing noise.
+# cycles/s, cache-probe rate, JSON dump/parse rate or context-digest rate
+# drops more than 20% below its floor. The floors carry several-fold
+# headroom over typical numbers (see tests/golden/sim_speed_floor.json), so
+# a failure means an order-of-magnitude hot-path regression, not timing
+# noise.
 #
 # Arguments: BENCH_JSON (measured trajectory), FLOOR_JSON (floor file).
 file(READ "${BENCH_JSON}" bench)
@@ -90,26 +91,33 @@ if(nprobe GREATER 0)
   endif()
 endif()
 
-# JSON-layer floors: the top-level integer json_dump_bytes_per_sec and
-# json_parse_bytes_per_sec rates are gated against json_floors with the same
-# 20% tolerance. A rate with a floor must be present in the trajectory.
-foreach(metric json_dump_bytes_per_sec json_parse_bytes_per_sec)
-  string(JSON floor ERROR_VARIABLE err GET "${floors}" json_floors ${metric})
-  if(err)
-    message(STATUS "perf floor: no json floor for ${metric}, skipping")
+# Top-level rate floors: each member of json_floors (bytes/s of dump() and
+# Json::parse() in the JSON leg) and of digest_floors (contexts/s of the
+# context-digest leg) names an integer rate in the trajectory, gated with
+# the same 20% tolerance. A rate with a floor must be present in the
+# trajectory.
+foreach(group json_floors digest_floors)
+  string(JSON nfloors ERROR_VARIABLE err LENGTH "${floors}" ${group})
+  if(err OR nfloors EQUAL 0)
+    message(STATUS "perf floor: no ${group}, skipping")
     continue()
   endif()
-  string(JSON rate ERROR_VARIABLE err GET "${bench}" ${metric})
-  if(err)
-    message(FATAL_ERROR "perf floor: ${BENCH_JSON} has no ${metric}")
-  endif()
-  math(EXPR limit "${floor} * 8 / 10")
-  if(rate LESS limit)
-    message(FATAL_ERROR
-            "perf floor: ${metric} measured ${rate} bytes/s, more than 20% "
-            "below the floor ${floor} (limit ${limit}). JSON rendering or "
-            "parsing got an order of magnitude slower; see "
-            "tests/golden/sim_speed_floor.json.")
-  endif()
-  message(STATUS "perf floor: ${metric} ${rate} bytes/s >= limit ${limit} (ok)")
+  math(EXPR floors_last "${nfloors} - 1")
+  foreach(i RANGE ${floors_last})
+    string(JSON metric MEMBER "${floors}" ${group} ${i})
+    string(JSON floor GET "${floors}" ${group} ${metric})
+    string(JSON rate ERROR_VARIABLE err GET "${bench}" ${metric})
+    if(err)
+      message(FATAL_ERROR "perf floor: ${BENCH_JSON} has no ${metric}")
+    endif()
+    math(EXPR limit "${floor} * 8 / 10")
+    if(rate LESS limit)
+      message(FATAL_ERROR
+              "perf floor: ${metric} measured ${rate}/s, more than 20% below "
+              "the floor ${floor} (limit ${limit}). The layer it times got an "
+              "order of magnitude slower; see "
+              "tests/golden/sim_speed_floor.json.")
+    endif()
+    message(STATUS "perf floor: ${metric} ${rate}/s >= limit ${limit} (ok)")
+  endforeach()
 endforeach()

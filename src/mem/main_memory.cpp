@@ -1,7 +1,10 @@
 #include "mem/main_memory.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <map>
+#include <mutex>
+#include <span>
 
 namespace vexsim {
 
@@ -13,6 +16,109 @@ std::pair<std::uint64_t, std::uint64_t> extent(
   const std::uint64_t lo = seg.addr;
   return {lo, std::min<std::uint64_t>(lo + seg.bytes->size(),
                                       std::uint64_t{1} << 32)};
+}
+
+constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
+constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+
+// kFnvPrime^k mod 2^64, by squaring.
+std::uint64_t fnv_prime_pow(std::size_t k) {
+  std::uint64_t result = 1;
+  for (std::uint64_t base = kFnvPrime; k != 0; k >>= 1, base *= base)
+    if ((k & 1) != 0) result *= base;
+  return result;
+}
+
+// Continues the FNV-1a digest `h` over page `index`: its four index bytes,
+// then its contents. An all-zero page reads like untouched memory and is
+// skipped. A zero byte leaves the xor a no-op, so a run of k zero bytes is
+// k multiplies by the prime: the page is scanned a word at a time, and a
+// run of zero words is one multiply by the prime's power, same digest.
+std::uint64_t digest_page(std::uint64_t h, std::uint32_t index,
+                          const std::uint8_t* page) {
+  constexpr std::uint32_t kWord = sizeof(std::uint64_t);
+  const auto zero_word = [page](std::uint32_t off) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, page + off, kWord);
+    return w == 0;
+  };
+  std::uint32_t off = 0;
+  while (off != PageImage::kPageSize && zero_word(off)) off += kWord;
+  if (off == PageImage::kPageSize) return h;
+  for (int shift = 0; shift < 32; shift += 8) {
+    h ^= static_cast<std::uint8_t>(index >> shift);
+    h *= kFnvPrime;
+  }
+  std::size_t zeros = off;
+  for (; off != PageImage::kPageSize; off += kWord) {
+    if (zero_word(off)) {
+      zeros += kWord;
+      continue;
+    }
+    if (zeros != 0) {
+      h *= fnv_prime_pow(zeros);
+      zeros = 0;
+    }
+    for (std::uint32_t i = off; i != off + kWord; ++i) {
+      h ^= page[i];
+      h *= kFnvPrime;
+    }
+  }
+  return h * fnv_prime_pow(zeros);
+}
+
+// A segment as the digest-state table keys it: by address and image. The
+// weak_ptr, compared by owner, pins the image's control block, so a freed
+// image whose address a new one reuses can never match the dead entry.
+struct SegmentKey {
+  std::uint32_t addr;
+  const PageImage::Bytes* bytes;
+  std::weak_ptr<const PageImage::Bytes> owner;
+};
+
+struct SegmentsLess {
+  bool operator()(const std::vector<SegmentKey>& a,
+                  const std::vector<SegmentKey>& b) const {
+    return std::lexicographical_compare(
+        a.begin(), a.end(), b.begin(), b.end(),
+        [](const SegmentKey& x, const SegmentKey& y) {
+          if (x.addr != y.addr) return x.addr < y.addr;
+          if (x.bytes != y.bytes) return std::less<>()(x.bytes, y.bytes);
+          return x.owner.owner_before(y.owner);
+        });
+  }
+};
+
+// The digest states of the image `segments` make, whose pages are `pages`:
+// computed on the first call for a segment list and shared by every later
+// one while its images live. Entries whose images died are purged when a
+// new one goes in. A list is digested once, under the lock: a second thread
+// asking for it waits rather than digests it again.
+std::shared_ptr<const std::vector<std::uint64_t>> shared_digest_states(
+    const std::vector<PageImage::Segment>& segments,
+    const std::vector<std::pair<std::uint32_t, const std::uint8_t*>>& pages) {
+  static std::mutex mutex;
+  static std::map<std::vector<SegmentKey>,
+                  std::shared_ptr<const std::vector<std::uint64_t>>,
+                  SegmentsLess>
+      table;
+  std::vector<SegmentKey> key;
+  key.reserve(segments.size());
+  for (const PageImage::Segment& seg : segments)
+    key.push_back({seg.addr, seg.bytes.get(), seg.bytes});
+  const std::lock_guard<std::mutex> lock(mutex);
+  if (const auto it = table.find(key); it != table.end()) return it->second;
+  std::erase_if(table, [](const auto& entry) {
+    return std::any_of(entry.first.begin(), entry.first.end(),
+                       [](const SegmentKey& k) { return k.owner.expired(); });
+  });
+  auto states = std::make_shared<std::vector<std::uint64_t>>();
+  states->reserve(pages.size() + 1);
+  states->push_back(kFnvBasis);
+  for (const auto& [index, page] : pages)
+    states->push_back(digest_page(states->back(), index, page));
+  table.emplace(std::move(key), states);
+  return states;
 }
 
 }  // namespace
@@ -58,6 +164,7 @@ PageImage::PageImage(const std::vector<Segment>& segments) {
     pages_.emplace_back(index, next);
     next += kPageSize;
   }
+  digest_states_ = shared_digest_states(segments, pages_);
 }
 
 const std::uint8_t* PageImage::page(std::uint32_t index) const {
@@ -116,54 +223,38 @@ std::uint8_t* MainMemory::own_page(std::uint32_t index, std::uint32_t lane) {
   return p;
 }
 
-namespace {
-
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-// kFnvPrime^k mod 2^64, by squaring.
-std::uint64_t fnv_prime_pow(std::size_t k) {
-  std::uint64_t result = 1;
-  for (std::uint64_t base = kFnvPrime; k != 0; k >>= 1, base *= base)
-    if ((k & 1) != 0) result *= base;
-  return result;
-}
-
-}  // namespace
-
 std::uint64_t MainMemory::fingerprint() const {
   // FNV-1a over (page index, page contents) of the merged view — the
   // private page where one exists, the base page otherwise — in page order,
   // so the digest is independent of hash-map iteration order and of which
-  // pages a run copied.
-  std::map<std::uint32_t, const std::uint8_t*> ordered;
-  for (const auto& [idx, page] : private_) ordered.emplace(idx, page.data());
-  if (base_ != nullptr)
-    for (const auto& [idx, page] : base_->pages()) ordered.emplace(idx, page);
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint8_t b) {
-    h ^= b;
-    h *= kFnvPrime;
-  };
-  for (const auto& [idx, page] : ordered) {
-    const std::uint8_t* const end = page + kPageSize;
-    if (std::all_of(page, end, [](std::uint8_t b) { return b == 0; }))
-      continue;  // all-zero pages read like untouched memory
-    mix(static_cast<std::uint8_t>(idx));
-    mix(static_cast<std::uint8_t>(idx >> 8));
-    mix(static_cast<std::uint8_t>(idx >> 16));
-    mix(static_cast<std::uint8_t>(idx >> 24));
-    // A zero byte leaves the xor a no-op, so a run of k zeros is k
-    // multiplies by the prime: one multiply by its k-th power, same digest.
-    const std::uint8_t* p = page;
-    while (p != end) {
-      if (*p != 0) {
-        mix(*p++);
-        continue;
-      }
-      const std::uint8_t* const run = p;
-      while (p != end && *p == 0) ++p;
-      h *= fnv_prime_pow(static_cast<std::size_t>(p - run));
+  // pages a run copied. Below the first private page the view is the
+  // base's, whose digest state there the base already holds.
+  std::vector<std::pair<std::uint32_t, const std::uint8_t*>> written;
+  written.reserve(private_.size());
+  for (const auto& [index, page] : private_)
+    written.emplace_back(index, page.data());
+  std::sort(written.begin(), written.end());
+  std::span<const std::pair<std::uint32_t, const std::uint8_t*>> base;
+  if (base_ != nullptr) base = base_->pages();
+  std::size_t k = base.size();
+  if (!written.empty())
+    k = static_cast<std::size_t>(
+        std::lower_bound(base.begin(), base.end(), written.front().first,
+                         [](const auto& page, std::uint32_t index) {
+                           return page.first < index;
+                         }) -
+        base.begin());
+  std::uint64_t h = base_ != nullptr ? base_->digest_states()[k] : kFnvBasis;
+  auto w = written.begin();
+  while (k != base.size() || w != written.end()) {
+    if (w == written.end() || (k != base.size() && base[k].first < w->first)) {
+      h = digest_page(h, base[k].first, base[k].second);
+      ++k;
+      continue;
     }
+    if (k != base.size() && base[k].first == w->first) ++k;  // overwritten
+    h = digest_page(h, w->first, w->second);
+    ++w;
   }
   return h;
 }

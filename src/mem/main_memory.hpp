@@ -38,10 +38,18 @@ namespace vexsim {
 // covering it points into that segment's bytes, with no copy; every other
 // covered page is composed once, zero-filled and then overlaid with each
 // segment in order. The image keeps the segments' bytes alive.
+//
+// The image also carries the digest state MainMemory::fingerprint() reaches
+// below each of its pages. The states depend only on the segments, so a
+// process-wide table computes them once per distinct segment list (each
+// segment by address and image identity) and every image built from that
+// list shares them: the synth programs over one pool, or the contexts of
+// one registry program.
 class PageImage {
  public:
   // 64 KiB pages. MainMemory::fingerprint() mixes in the page index, so
-  // another page size would change every digest (and every cache key).
+  // another page size would change every memory digest, and with it every
+  // arch_fingerprint and every cached record.
   static constexpr std::uint32_t kPageBits = 16;
   static constexpr std::uint32_t kPageSize = 1u << kPageBits;
 
@@ -63,10 +71,18 @@ class PageImage {
     return pages_;
   }
 
+  // pages().size() + 1 states: entry k is the FNV-1a digest state after
+  // pages()[0..k), so entry 0 is the offset basis and the last entry is the
+  // digest of the image alone. Images over one segment list share one copy.
+  [[nodiscard]] const std::vector<std::uint64_t>& digest_states() const {
+    return *digest_states_;
+  }
+
  private:
   std::vector<std::pair<std::uint32_t, const std::uint8_t*>> pages_;
   Bytes composed_;  // the composed pages, back to back
   std::vector<std::shared_ptr<const Bytes>> owners_;
+  std::shared_ptr<const std::vector<std::uint64_t>> digest_states_;
 };
 
 class MainMemory {
@@ -180,7 +196,9 @@ class MainMemory {
   [[nodiscard]] std::size_t private_pages() const { return private_.size(); }
 
   // Deterministic digest of the memory's contents — used by equivalence
-  // tests to compare final memory states across techniques.
+  // tests to compare final memory states across techniques. It starts from
+  // the base's digest state below the first private page, so it hashes only
+  // the private pages and the base pages after the first of them.
   [[nodiscard]] std::uint64_t fingerprint() const;
 
  private:

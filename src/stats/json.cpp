@@ -460,12 +460,16 @@ void append_integer(std::string& out, Int v) {
           append_integer(out, v);
         } else if constexpr (std::is_same_v<T, double>) {
           // JSON has no nan/inf literal; a bare `nan` token would make the
-          // whole document unparseable for downstream consumers.
-          if (std::isfinite(v)) {
+          // whole document unparseable for downstream consumers. A negative
+          // zero keeps its fraction: "-0" is an integer in JSON's grammar
+          // and would read back as 0.
+          if (!std::isfinite(v)) {
+            out += "null";
+          } else if (v == 0 && std::signbit(v)) {
+            out += "-0.0";
+          } else {
             char buf[kShortestGChars];
             out.append(buf, shortest_g(buf, v));
-          } else {
-            out += "null";
           }
         } else if constexpr (std::is_same_v<T, std::string>) {
           out += '"';

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <latch>
 #include <map>
 #include <set>
 #include <thread>
@@ -285,6 +286,52 @@ TEST(ThreadContextCow, ThreadsRunningOneSharedProgramMatchOneThread) {
   tb.join();
   EXPECT_EQ(a, alone);
   EXPECT_EQ(b, alone);
+}
+
+TEST(ThreadContextCow, ThreadsBuildAndDigestContextsOverSharedImagesAtOnce) {
+  // Four threads at once construct contexts, store one word in each and
+  // digest its memory: two synth programs over one pool, and one registry
+  // program. No other test builds these images, so the threads race to
+  // compute and share their digest states; every digest must match a
+  // memory poked with the same bytes.
+  const MachineConfig cfg = MachineConfig::paper(1, Technique::smt());
+  const std::vector<std::shared_ptr<const Program>> programs = {
+      wl::make_benchmark("synth:i0.2-m0.4-f1024-s9173", cfg, 0.05),
+      wl::make_benchmark("synth:i0.9-m0.6-f1024-s9173", cfg, 0.05),
+      test::shared(wl::benchmark_info("blowfish").factory(cfg, {}))};
+  ASSERT_EQ(programs[0]->data.size(), 1u);
+  ASSERT_EQ(programs[0]->data[0].image, programs[1]->data[0].image);
+  // The synth output page past the pool, a pool page, and blowfish's
+  // stream, which it encrypts in place.
+  const std::vector<std::uint32_t> stores = {0x70'0040, 0x64'0000, 0x52'0010};
+
+  std::vector<std::vector<std::uint64_t>> want(programs.size());
+  for (std::size_t p = 0; p < programs.size(); ++p) {
+    for (const std::uint32_t addr : stores) {
+      MainMemory poked;
+      for (const DataSegment& seg : programs[p]->data)
+        poked.poke_bytes(seg.addr, seg.bytes().data(), seg.bytes().size());
+      poked.poke_u32(addr, addr ^ 0x5EED);
+      want[p].push_back(poked.fingerprint());
+    }
+  }
+
+  constexpr int kThreads = 4;
+  std::latch start(kThreads);
+  const auto work = [&](int t) {
+    start.arrive_and_wait();
+    for (int i = 0; i < 6; ++i) {
+      const std::size_t p = static_cast<std::size_t>(t + i) % programs.size();
+      const std::size_t s = static_cast<std::size_t>(t * 7 + i) % stores.size();
+      ThreadContext ctx(t, programs[p]);
+      ASSERT_TRUE(ctx.mem.store(stores[s], 4, stores[s] ^ 0x5EED));
+      EXPECT_EQ(ctx.mem.fingerprint(), want[p][s])
+          << "thread " << t << " program " << p << " store " << s;
+    }
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) threads.emplace_back(work, t);
+  for (std::thread& thread : threads) thread.join();
 }
 
 TEST(ThreadContext, RequiresFinalizedProgram) {

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <new>
 #include <utility>
 #include <vector>
 
@@ -393,6 +394,213 @@ TEST(MainMemory, ResetWithoutABaseClears) {
   ASSERT_TRUE(mem.load(0x4000, 4, v));
   EXPECT_EQ(v, 0u);
   EXPECT_EQ(mem.private_pages(), 0u);
+}
+
+// --- The digest memo: image digest states shared by segment list ---------
+
+using Pages = std::map<std::uint32_t, std::vector<std::uint8_t>>;
+
+// The pages `segments` cover, built without PageImage: applied in order,
+// later ones on top, clipped at 2^32.
+Pages pages_of(const std::vector<PageImage::Segment>& segments) {
+  Pages pages;
+  for (const PageImage::Segment& seg : segments) {
+    const std::uint64_t end = std::min<std::uint64_t>(
+        seg.addr + seg.bytes->size(), std::uint64_t{1} << 32);
+    for (std::uint64_t a = seg.addr; a < end;) {
+      std::vector<std::uint8_t>& page =
+          pages[static_cast<std::uint32_t>(a >> MainMemory::kPageBits)];
+      page.resize(kPage);
+      const std::uint64_t off = a & (kPage - 1);
+      const std::uint64_t run = std::min<std::uint64_t>(kPage - off, end - a);
+      std::copy_n(
+          seg.bytes->begin() + static_cast<std::ptrdiff_t>(a - seg.addr), run,
+          page.begin() + static_cast<std::ptrdiff_t>(off));
+      a += run;
+    }
+  }
+  return pages;
+}
+
+// Writes `value` at `addr` into the memory and into its oracle pages.
+void store_both(MainMemory& mem, Pages& pages, std::uint32_t addr,
+                std::uint32_t value) {
+  ASSERT_TRUE(mem.store(addr, 4, value));
+  std::vector<std::uint8_t>& page = pages[addr >> MainMemory::kPageBits];
+  page.resize(kPage);
+  for (std::uint32_t b = 0; b < 4; ++b)
+    page[(addr & (kPage - 1)) + b] =
+        static_cast<std::uint8_t>(value >> (8 * b));
+}
+
+// A memory over `image` after one store at each of `addrs` must digest like
+// the byte loop over the same view, and so must the loaded image alone.
+void expect_digests_like_the_byte_loop(
+    const std::shared_ptr<const PageImage>& image,
+    const std::vector<PageImage::Segment>& segments,
+    const std::vector<std::uint32_t>& addrs, std::uint32_t value) {
+  Pages pages = pages_of(segments);
+  MainMemory mem = backed_by(image);
+  ASSERT_EQ(mem.fingerprint(), byte_loop_fingerprint(pages));
+  EXPECT_EQ(image->digest_states().back(), byte_loop_fingerprint(pages));
+  for (const std::uint32_t addr : addrs) {
+    ASSERT_NO_FATAL_FAILURE(store_both(mem, pages, addr, value));
+    ASSERT_EQ(mem.fingerprint(), byte_loop_fingerprint(pages))
+        << "after a store at 0x" << std::hex << addr;
+  }
+}
+
+TEST(MainMemoryDigest, ImagesOverTheSameSegmentsShareTheirStates) {
+  // Two images built separately from one segment list share one table of
+  // states; an image over equal bytes in other DataImages gets its own.
+  const auto segments = seeded_segments({{0x60 * kPage, 16 * kPage}}, 20);
+  const auto a = std::make_shared<const PageImage>(segments);
+  const auto b = std::make_shared<const PageImage>(segments);
+  EXPECT_EQ(&a->digest_states(), &b->digest_states());
+  ASSERT_EQ(a->digest_states().size(), a->pages().size() + 1);
+
+  std::vector<PageImage::Segment> copies;
+  for (const PageImage::Segment& seg : segments)
+    copies.push_back(
+        {seg.addr, std::make_shared<const PageImage::Bytes>(*seg.bytes)});
+  const auto c = std::make_shared<const PageImage>(copies);
+  EXPECT_NE(&a->digest_states(), &c->digest_states());
+  EXPECT_EQ(a->digest_states(), c->digest_states());
+
+  // Same bytes at another address: another digest.
+  const auto moved = std::make_shared<const PageImage>(
+      std::vector<PageImage::Segment>{{0x61 * kPage, segments[0].bytes}});
+  EXPECT_NE(moved->digest_states().back(), a->digest_states().back());
+
+  // Memories over either image digest their own stores.
+  expect_digests_like_the_byte_loop(a, segments, {0x70 * kPage + 0x40}, 7);
+  expect_digests_like_the_byte_loop(b, segments, {0x64 * kPage + 0x10}, 9);
+  expect_digests_like_the_byte_loop(c, copies, {0x5F * kPage, 0x6F * kPage},
+                                    11);
+}
+
+TEST(MainMemoryDigest, PrivatePagesBeforeBetweenAndAfterTheImage) {
+  // Synth: a 1 MiB pool on pages 0x60-0x6F, stores to the output page 0x70.
+  const auto synth = seeded_segments({{0x60 * kPage, 16 * kPage}}, 21);
+  expect_digests_like_the_byte_loop(
+      std::make_shared<const PageImage>(synth), synth,
+      {0x70 * kPage, 0x70 * kPage + 0x100, 0x70 * kPage + 0xFFFC}, 0xABCD);
+  // Blowfish: a 4 KiB S-box on page 0x50 and a 256 KiB stream on pages
+  // 0x52-0x55, encrypted in place from its first page on.
+  const auto blowfish =
+      seeded_segments({{0x50 * kPage, 0x1000}, {0x52 * kPage, 4 * kPage}}, 22);
+  const auto blowfish_image = std::make_shared<const PageImage>(blowfish);
+  expect_digests_like_the_byte_loop(
+      blowfish_image, blowfish,
+      {0x52 * kPage, 0x52 * kPage + 8, 0x53 * kPage + 0x40, 0x55 * kPage + 4},
+      0x5EED);
+  // Before every image page, on the uncovered page between two, on the
+  // first and the last image page, and past the image.
+  for (const std::uint32_t addr :
+       {0x10 * kPage + 0x20, 0x4F * kPage + 0xFFFC, 0x51 * kPage,
+        0x50 * kPage + 0x2000, 0x55 * kPage + 0xFFFC, 0x56 * kPage,
+        0xFFFF * kPage + 0x100})
+    expect_digests_like_the_byte_loop(blowfish_image, blowfish, {addr},
+                                      0x1234'5678);
+  // Every page of the image written, in descending order.
+  expect_digests_like_the_byte_loop(
+      blowfish_image, blowfish,
+      {0x55 * kPage, 0x54 * kPage, 0x53 * kPage, 0x52 * kPage, 0x50 * kPage},
+      0x0BAD'F00D);
+}
+
+TEST(MainMemoryDigest, ZeroPagesAndZeroRunsAcrossWordAndPageEdges) {
+  // Page 0x20 is all zero; page 0x21 ends in zeros that run on into the
+  // start of page 0x22; zero runs start and end on and off word edges.
+  PageImage::Bytes bytes(4 * kPage);
+  Rng rng(23);
+  for (std::size_t i = kPage; i < bytes.size(); ++i)
+    bytes[i] = static_cast<std::uint8_t>(1 + rng.below(255));
+  const std::pair<std::size_t, std::size_t> zeros[] = {
+      {2 * kPage - 13, 2 * kPage + 21},    // across the 0x21|0x22 edge
+      {kPage + 5, kPage + 13},             // off word edges, spans one
+      {kPage + 16, kPage + 24},            // exactly one word
+      {kPage + 31, kPage + 33},            // across a word edge
+      {kPage + 0x100, kPage + 0x100 + 1},  // one byte
+      {3 * kPage + 7, 3 * kPage + 0x4000}, // a long run
+      {4 * kPage - 8, 4 * kPage},          // the page's last word
+  };
+  for (const auto& [from, to] : zeros)
+    std::fill(bytes.begin() + static_cast<std::ptrdiff_t>(from),
+              bytes.begin() + static_cast<std::ptrdiff_t>(to), 0);
+  const std::vector<PageImage::Segment> segments = {
+      {0x20 * kPage,
+       std::make_shared<const PageImage::Bytes>(std::move(bytes))},
+      {0x30 * kPage,
+       std::make_shared<const PageImage::Bytes>(kPage, std::uint8_t{0})}};
+  const auto image = std::make_shared<const PageImage>(segments);
+  ASSERT_EQ(image->pages().size(), 5u);
+  // A zero page's state is the one below it: it adds nothing.
+  EXPECT_EQ(image->digest_states()[0], image->digest_states()[1]);
+  EXPECT_EQ(image->digest_states()[4], image->digest_states()[5]);
+
+  for (const std::uint32_t addr :
+       {0x20 * kPage + 0x40, 0x21 * kPage + 8, 0x22 * kPage + 12,
+        0x23 * kPage + 0xFFF8, 0x30 * kPage + 4, 0x1F * kPage})
+    expect_digests_like_the_byte_loop(image, segments, {addr}, 0x00C0'FFEE);
+  // A zero written over nonzero image bytes, and a page zeroed by stores:
+  // the private copy of page 0x21's first word, then a whole private page
+  // of zeros, which digests like untouched memory.
+  expect_digests_like_the_byte_loop(image, segments,
+                                    {0x21 * kPage, 0x21 * kPage + 4}, 0);
+  std::vector<std::uint32_t> zero_page;
+  for (std::uint32_t off = 0; off < kPage; off += 4)
+    zero_page.push_back(0x23 * kPage + off);
+  Pages pages = pages_of(segments);
+  MainMemory mem = backed_by(image);
+  for (const std::uint32_t addr : zero_page)
+    ASSERT_NO_FATAL_FAILURE(store_both(mem, pages, addr, 0));
+  EXPECT_EQ(mem.fingerprint(), byte_loop_fingerprint(pages));
+  EXPECT_EQ(mem.fingerprint(), image->digest_states()[3]);
+}
+
+TEST(MainMemoryDigest, ComposedPages) {
+  // Overlapping segments and partial pages: pages 7, 8 and 0xB are
+  // composed, 9 and 0xA alias the last segment's bytes.
+  const Extents extents = {{8 * kPage - 0x200, 0x800},
+                           {8 * kPage + 0x100, 0x100},
+                           {8 * kPage - 0x80, 0x200},
+                           {9 * kPage, 2 * kPage + 0x30}};
+  const auto segments = seeded_segments(extents, 24);
+  const auto image = std::make_shared<const PageImage>(segments);
+  ASSERT_EQ(image->pages().size(), 5u);
+  EXPECT_EQ(&image->digest_states(),
+            &std::make_shared<const PageImage>(segments)->digest_states());
+  for (const std::vector<std::uint32_t>& addrs :
+       std::vector<std::vector<std::uint32_t>>{
+           {8 * kPage - 0x100},
+           {8 * kPage + 0x180},
+           {0xB * kPage + 0x10, 0xB * kPage + 0x100},
+           {6 * kPage, 0xA * kPage + 0x20},
+           {0xC * kPage}})
+    expect_digests_like_the_byte_loop(image, segments, addrs, 0xFEED'FACE);
+}
+
+TEST(MainMemoryDigest, ARecycledAllocationNeverServesADeadImagesStates) {
+  // Each round builds different bytes in one slot, so every round's image
+  // has the address the last one had, digests them, and drops every
+  // segment and image. Only the image's owner tells the rounds apart: the
+  // table must miss and never serve a dead image's states.
+  alignas(PageImage::Bytes) unsigned char slot[sizeof(PageImage::Bytes)];
+  for (std::uint64_t round = 0; round < 8; ++round) {
+    const auto seeded =
+        seeded_segments({{0x40 * kPage, 2 * kPage}}, 30 + round);
+    const std::vector<PageImage::Segment> segments = {
+        {seeded[0].addr,
+         std::shared_ptr<const PageImage::Bytes>(
+             new (slot) PageImage::Bytes(*seeded[0].bytes),
+             [](const PageImage::Bytes* bytes) { std::destroy_at(bytes); })}};
+    ASSERT_EQ(segments[0].bytes.get(),
+              reinterpret_cast<const PageImage::Bytes*>(slot));
+    expect_digests_like_the_byte_loop(
+        std::make_shared<const PageImage>(segments), segments,
+        {0x41 * kPage + 0x10, 0x42 * kPage}, 3);
+  }
 }
 
 }  // namespace

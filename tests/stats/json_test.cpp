@@ -67,6 +67,7 @@ Json random_json(Rng& rng, int depth) {
     }
     case 4: {
       const double edges[] = {0.0,
+                              -0.0,
                               std::numeric_limits<double>::denorm_min(),
                               -std::numeric_limits<double>::denorm_min(),
                               std::numeric_limits<double>::min() / 3,
@@ -74,7 +75,7 @@ Json random_json(Rng& rng, int depth) {
                               std::numeric_limits<double>::quiet_NaN(),
                               std::numeric_limits<double>::infinity(),
                               -std::numeric_limits<double>::infinity()};
-      if (rng.chance(0.5)) return Json(edges[rng.below(8)]);
+      if (rng.chance(0.5)) return Json(edges[rng.below(9)]);
       return Json(std::bit_cast<double>(rng.next_u64()));
     }
     case 5: {
@@ -145,13 +146,13 @@ TEST(Json, RandomTreesRoundTripByteIdentically) {
   EXPECT_EQ(back.at(std::size_t{4}).as_string(), every_escape);
   EXPECT_EQ(back.dump(), text);
 
-  // -0.0 is the one value whose text does not round-trip: the writer spells
-  // it "-0", which JSON's grammar makes an integer, so it reads back as the
-  // integer 0 and dumps as "0". The random trees above leave it out.
-  EXPECT_EQ(Json(-0.0).dump(), "-0\n");
+  // -0.0 keeps its fraction, so it reads back as the double -0.0 rather
+  // than as the integer 0 that "-0" spells in JSON's grammar.
+  EXPECT_EQ(Json(-0.0).dump(), "-0.0\n");
   const Json zero = Json::parse(Json(-0.0).dump());
-  EXPECT_EQ(zero.as_int64(), 0);
-  EXPECT_EQ(zero.dump(), "0\n");
+  EXPECT_TRUE(std::signbit(zero.as_double()));
+  EXPECT_EQ(zero.dump(), "-0.0\n");
+  EXPECT_EQ(Json::parse("-0").dump(), "0\n");  // the integer stays one
 }
 
 TEST(Json, CopiesAreIndependent) {
@@ -414,7 +415,7 @@ TEST(Json, ParseRejectsMalformedInput) {
   EXPECT_EQ(Json::parse("2.5e-3").as_double(), 2.5e-3);
   EXPECT_EQ(Json::parse("-0").as_int64(), 0);
   EXPECT_EQ(Json::parse("0").as_uint64(), 0u);
-  EXPECT_EQ(Json::parse("-0.0").dump(), "-0\n");
+  EXPECT_EQ(Json::parse("-0.0").dump(), "-0.0\n");
   EXPECT_EQ(Json::parse("5e-324").as_double(), 5e-324);
   // Underflow below the smallest subnormal is the nearest double, 0.
   EXPECT_EQ(Json::parse("1e-400").as_double(), 0.0);
