@@ -37,6 +37,7 @@ int main(int argc, char** argv) {
   using namespace vexsim;
   const Cli cli(argc, argv);
   const auto opt = harness::ExperimentOptions::from_cli(cli);
+  const bool csv = cli.get_bool("csv", false);
 
   std::cout << "Ablation: cluster renaming (4-thread machine)\n\n";
 
@@ -73,7 +74,7 @@ int main(int argc, char** argv) {
                      Table::pct(speedup(with_ren.ipc(), without.ipc()))});
     }
   }
-  if (cli.get_bool("csv", false))
+  if (csv)
     std::cout << table.to_csv();
   else
     std::cout << table.to_text();

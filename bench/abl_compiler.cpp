@@ -68,6 +68,7 @@ int main(int argc, char** argv) {
   }
 
   const bool quick = cli.get_bool("quick", false);
+  const bool check_quality = cli.get_bool("check-quality", false);
   const std::vector<std::string> mixes =
       quick ? std::vector<std::string>{"llmm", "hhhh"}
             : std::vector<std::string>{"llll", "lmmh", "mmmm", "llmm", "llmh",
@@ -155,7 +156,7 @@ int main(int argc, char** argv) {
                "recurrence-light loops into kernel overlap, which shows up "
                "as both denser static code and higher IPC.\n";
 
-  if (!cli.get_bool("check-quality", false)) return 0;
+  if (!check_quality) return 0;
 
   // Compile-quality gate: on the high-ILP synthetic gradient the
   // cost-model pipelines must not regress static density against greedy.

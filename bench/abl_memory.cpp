@@ -62,6 +62,7 @@ int main(int argc, char** argv) {
   using namespace vexsim;
   const Cli cli(argc, argv);
   const auto opt = harness::ExperimentOptions::from_cli(cli);
+  const bool csv = cli.get_bool("csv", false);
 
   std::cout << "Ablation: flat miss penalty vs MSHR/L2/DRAM hierarchy "
                "(4-thread CCSI-AS machine)\n\n";
@@ -100,7 +101,7 @@ int main(int argc, char** argv) {
          m.dram.accesses() == 0 ? "-" : Table::pct(m.dram.row_hit_rate()),
          std::to_string(m.imshr.full_stalls + m.dmshr.full_stalls)});
   }
-  if (cli.get_bool("csv", false))
+  if (csv)
     std::cout << table.to_csv();
   else
     std::cout << table.to_text();

@@ -38,6 +38,7 @@ int main(int argc, char** argv) {
   using namespace vexsim;
   const Cli cli(argc, argv);
   const auto opt = harness::ExperimentOptions::from_cli(cli);
+  const bool csv = cli.get_bool("csv", false);
 
   std::cout << "Ablation: memory ports vs buffered-store drain stalls "
                "(4-thread machine)\n\n";
@@ -77,7 +78,7 @@ int main(int argc, char** argv) {
       }
     }
   }
-  if (cli.get_bool("csv", false))
+  if (csv)
     std::cout << table.to_csv();
   else
     std::cout << table.to_text();

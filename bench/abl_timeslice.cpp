@@ -27,6 +27,7 @@ int main(int argc, char** argv) {
   using namespace vexsim;
   const Cli cli(argc, argv);
   auto opt = harness::ExperimentOptions::from_cli(cli);
+  const bool csv = cli.get_bool("csv", false);
 
   std::cout << "Ablation: timeslice sensitivity (llhh, 2-thread CCSI AS)\n\n";
 
@@ -56,7 +57,7 @@ int main(int argc, char** argv) {
                                   static_cast<double>(slice),
                               1)});
   }
-  if (cli.get_bool("csv", false))
+  if (csv)
     std::cout << table.to_csv();
   else
     std::cout << table.to_text();

@@ -25,6 +25,7 @@ int main(int argc, char** argv) {
   using namespace vexsim;
   const Cli cli(argc, argv);
   harness::ExperimentOptions opt = harness::ExperimentOptions::from_cli(cli);
+  const bool csv = cli.get_bool("csv", false);
   opt.timeslice = ~0ull;  // single program per point: no context switching
 
   std::cout << "Figure 13(a): benchmarks — measured vs paper (single thread, "
@@ -61,7 +62,7 @@ int main(int argc, char** argv) {
                    Table::fmt(real.ipc() / perfect.ipc()),
                    Table::fmt(info.paper_ipcr / info.paper_ipcp)});
   }
-  if (cli.get_bool("csv", false))
+  if (csv)
     std::cout << table.to_csv();
   else
     std::cout << table.to_text();

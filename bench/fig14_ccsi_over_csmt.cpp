@@ -25,6 +25,7 @@ int main(int argc, char** argv) {
   using namespace vexsim;
   const Cli cli(argc, argv);
   const auto opt = harness::ExperimentOptions::from_cli(cli);
+  const bool csv = cli.get_bool("csv", false);
 
   std::cout << "Figure 14: CCSI speedup over CSMT (%)\n"
             << "paper averages: 2T NS 6.1 / 2T AS 8.7 / 4T NS 3.5 / 4T AS 7.5\n\n";
@@ -78,7 +79,7 @@ int main(int argc, char** argv) {
   for (double a : avg) avg_row.push_back(Table::pct(a / n));
   table.add_row(std::move(avg_row));
 
-  if (cli.get_bool("csv", false))
+  if (csv)
     std::cout << table.to_csv();
   else
     std::cout << table.to_text();

@@ -38,6 +38,7 @@ int main(int argc, char** argv) {
   using namespace vexsim;
   const Cli cli(argc, argv);
   const auto opt = harness::ExperimentOptions::from_cli(cli);
+  const bool csv = cli.get_bool("csv", false);
 
   std::cout
       << "Figure 15: COSI and OOSI speedups over SMT (%)\n"
@@ -91,7 +92,7 @@ int main(int argc, char** argv) {
     std::vector<std::string> avg_row{"avg"};
     for (double a : avg) avg_row.push_back(Table::pct(a / n));
     table.add_row(std::move(avg_row));
-    if (cli.get_bool("csv", false))
+    if (csv)
       std::cout << table.to_csv() << "\n";
     else
       std::cout << table.to_text() << "\n";

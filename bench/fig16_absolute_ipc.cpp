@@ -28,6 +28,7 @@ int main(int argc, char** argv) {
   const Cli cli(argc, argv);
   const auto opt = harness::ExperimentOptions::from_cli(cli);
   const bool per_workload = cli.get_bool("per-workload", false);
+  const bool csv = cli.get_bool("csv", false);
 
   std::cout << "Figure 16: absolute IPC of all techniques (avg over the nine "
                "mixes)\n\n";
@@ -63,7 +64,7 @@ int main(int argc, char** argv) {
     table.add_row(std::move(row));
   }
 
-  if (cli.get_bool("csv", false))
+  if (csv)
     std::cout << table.to_csv();
   else
     std::cout << table.to_text();

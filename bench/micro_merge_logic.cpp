@@ -13,8 +13,9 @@
 //
 // Flags: --reps N (timing repetitions, best-of), --iters N (decisions per
 //        rep), --quick, --json FILE (default BENCH_micro_merge.json).
-//        The sweep-engine flags (--jobs, --cache) do not apply: this bench
-//        measures single-threaded wall-clock, so every run re-measures.
+//        Any other flag is an error, the sweep-engine flags (--jobs,
+//        --cache) included: this bench measures single-threaded wall-clock,
+//        so every run re-measures.
 #include <chrono>
 #include <climits>
 #include <iostream>
@@ -117,6 +118,8 @@ int main(int argc, char** argv) {
   const long iters = cli.get_int("iters", quick ? 20'000 : 200'000);
   const int reps = cli.get_int_in("reps", quick ? 2 : 5, 1, INT_MAX);
   VEXSIM_CHECK_MSG(iters >= 1, "--iters must be >= 1");
+  const std::string json_path = cli.get("json", "BENCH_micro_merge.json");
+  cli.reject_unknown();
 
   const std::vector<TechPoint> points = {
       {"CSMT", Technique::csmt()},
@@ -173,7 +176,7 @@ int main(int argc, char** argv) {
       .set("iters", iters)
       .set("reps", reps)
       .set("points", std::move(arr));
-  write_json_file(cli.get("json", "BENCH_micro_merge.json"), std::move(doc));
+  write_json_file(json_path, std::move(doc));
 
   std::cout << table.to_text();
   return 0;

@@ -30,16 +30,18 @@
 // integer "digest_f1024_contexts_per_sec" and
 // "digest_llmm_contexts_per_sec", gated by digest_floors.
 //
+// The simulator reads no clock inside its cycle loop; this bench times whole
+// runs from outside. To split a run's host time by function, profile a
+// build of it (README, Measuring performance).
+//
 // Flags: --reps N (timing repetitions, best-of), --config FILE (base
 //        machine description), --mem fixed|hierarchy (memory backend),
-//        --budget/--timeslice/
-//        --scale/--seed/--quick/--paper, --profile (append an untimed
-//        per-phase wall-clock breakdown for both legs to the JSON),
-//        --probe-records N (single cache-probe size instead of the default
-//        1k/100k pair — 1k/10k under --quick), --probe-dir DIR (scratch
-//        cache directory, default sweep-probe-scratch, wiped before and
-//        after), --json FILE (default BENCH_sim_speed.json). The sweep
-//        result cache (--cache) does not apply here: this bench measures
+//        --budget/--timeslice/--scale/--seed/--quick/--paper/--cc/
+//        --cc-verify, --probe-records N (single cache-probe size instead of
+//        the default 1k/100k pair — 1k/10k under --quick), --probe-dir DIR
+//        (scratch cache directory, default sweep-probe-scratch, wiped
+//        before and after), --json FILE (default BENCH_sim_speed.json).
+//        Any other flag is an error, --cache included: this bench measures
 //        wall-clock, so every run must re-simulate.
 #include <algorithm>
 #include <chrono>
@@ -77,8 +79,6 @@ struct SpeedResult {
   RunResult run;
   double base_seconds = 0;  // pure loop (fast_forward off)
   double fast_seconds = 0;  // fast_forward on
-  SimProfile base_profile;
-  SimProfile fast_profile;
 };
 
 double time_once(const std::string& workload, int threads, Technique t,
@@ -101,32 +101,6 @@ void check_identical(const std::string& what, const RunResult& a,
     VEXSIM_CHECK_MSG(
         a.instances[i].arch_fingerprint == b.instances[i].arch_fingerprint,
         "architectural state diverges: " << what);
-}
-
-Json profile_json(const SimProfile& p) {
-  Json j = Json::object();
-  j.set("commit_seconds", p.commit_seconds)
-      .set("refill_seconds", p.refill_seconds)
-      .set("select_seconds", p.select_seconds)
-      .set("complete_seconds", p.complete_seconds)
-      .set("fast_forward_seconds", p.fast_forward_seconds)
-      .set("steps", p.steps)
-      .set("total_seconds", p.total());
-  return j;
-}
-
-void print_profile(const std::string& label, const char* leg,
-                   const SimProfile& p) {
-  const double total = p.total();
-  auto pct = [total](double s) {
-    return total > 0 ? Table::fmt(100.0 * s / total, 1) + "%" : "-";
-  };
-  std::cout << "  " << label << " [" << leg << "] commit "
-            << pct(p.commit_seconds) << ", refill " << pct(p.refill_seconds)
-            << ", select+execute " << pct(p.select_seconds) << ", complete "
-            << pct(p.complete_seconds) << ", fast-forward "
-            << pct(p.fast_forward_seconds) << " of " << Table::fmt(total, 3)
-            << "s\n";
 }
 
 // Distinct, well-mixed synthetic fingerprints for the cache-probe leg.
@@ -309,7 +283,19 @@ int main(int argc, char** argv) {
                                            : 100'000;
   const int reps = cli.get_int_in(
       "reps", cli.get_bool("quick", false) ? 2 : 5, 1, INT_MAX);
-  const bool profile = cli.get_bool("profile", false);
+  std::vector<std::uint64_t> probe_sizes;
+  if (cli.has("probe-records")) {
+    const std::int64_t pr = cli.get_int("probe-records", 0);
+    VEXSIM_CHECK_MSG(pr >= 1, "--probe-records must be >= 1");
+    probe_sizes.push_back(static_cast<std::uint64_t>(pr));
+  } else if (cli.get_bool("quick", false)) {
+    probe_sizes = {1'000, 10'000};
+  } else {
+    probe_sizes = {1'000, 100'000};
+  }
+  const std::string probe_dir = cli.get("probe-dir", "sweep-probe-scratch");
+  const std::string json_path = cli.get("json", "BENCH_sim_speed.json");
+  cli.reject_unknown();
 
   const std::vector<SpeedPoint> points = {
       {"2T_csmt/llmm", "llmm", 2, Technique::csmt()},
@@ -344,19 +330,6 @@ int main(int argc, char** argv) {
     r.run = fast_run;
     r.base_seconds = base;
     r.fast_seconds = fast;
-    if (profile) {
-      // Untimed extra runs: the per-phase clocks perturb the loop, so the
-      // breakdown is reported alongside — never instead of — the wall times.
-      RunResult prof_run;
-      opt.profile = true;
-      opt.fast_forward = false;
-      (void)time_once(p.workload, p.threads, p.technique, opt, prof_run);
-      r.base_profile = prof_run.profile;
-      opt.fast_forward = true;
-      (void)time_once(p.workload, p.threads, p.technique, opt, prof_run);
-      r.fast_profile = prof_run.profile;
-      opt.profile = false;
-    }
     results.push_back(r);
   }
 
@@ -388,27 +361,12 @@ int main(int argc, char** argv) {
         .set("cycles_per_sec_fast", fast_cps)
         .set("ops_per_sec_fast", ops / r.fast_seconds)
         .set("fast_over_base", fast_cps / base_cps);
-    if (profile) {
-      pj.set("profile_base", profile_json(r.base_profile));
-      pj.set("profile_fast", profile_json(r.fast_profile));
-    }
     arr.push(std::move(pj));
   }
 
   std::cout << "\nResult-cache probe:\n";
-  std::vector<std::uint64_t> probe_sizes;
-  if (cli.has("probe-records")) {
-    const std::int64_t pr = cli.get_int("probe-records", 0);
-    VEXSIM_CHECK_MSG(pr >= 1, "--probe-records must be >= 1");
-    probe_sizes.push_back(static_cast<std::uint64_t>(pr));
-  } else if (cli.get_bool("quick", false)) {
-    probe_sizes = {1'000, 10'000};
-  } else {
-    probe_sizes = {1'000, 100'000};
-  }
-  Json probe_arr =
-      run_cache_probe(probe_sizes, cli.get("probe-dir", "sweep-probe-scratch"),
-                      points[0].workload, results[0].run);
+  Json probe_arr = run_cache_probe(probe_sizes, probe_dir, points[0].workload,
+                                   results[0].run);
 
   std::vector<harness::SweepPoint> json_points;
   std::vector<RunResult> json_runs;
@@ -450,17 +408,9 @@ int main(int argc, char** argv) {
       .set("json_parse_bytes_per_sec", json_rates.parse_per_sec)
       .set("digest_f1024_contexts_per_sec", digest_f1024)
       .set("digest_llmm_contexts_per_sec", digest_llmm);
-  write_json_file(cli.get("json", "BENCH_sim_speed.json"), std::move(doc));
+  write_json_file(json_path, std::move(doc));
 
   std::cout << "\n" << table.to_text();
-  if (profile) {
-    std::cout << "\nPer-phase wall-clock breakdown (separate instrumented "
-                 "runs):\n";
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      print_profile(points[i].label, "base", results[i].base_profile);
-      print_profile(points[i].label, "fast", results[i].fast_profile);
-    }
-  }
   std::cout << "\nStats are verified bit-identical between the pure loop and "
                "fast-forward before any ratio is reported.\n";
   return 0;

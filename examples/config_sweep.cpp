@@ -19,6 +19,8 @@ int main(int argc, char** argv) {
   using namespace vexsim;
   const Cli cli(argc, argv);
   const std::string path = cli.get("file", "configs/paper4x4.conf");
+  const harness::SweepOptions sweep_opts = harness::SweepOptions::from_cli(cli);
+  cli.reject_unknown();
 
   // One call parses the file (includes, $(var) arithmetic, strict unknown
   // -key checks), deserializes both sections, applies the scenario's
@@ -44,8 +46,7 @@ int main(int argc, char** argv) {
     cfg.validate();
     points.push_back({t.name(), cfg, ms.scenario.workload, ms.scenario.opt});
   }
-  const auto results =
-      harness::run_sweep(points, harness::SweepOptions::from_cli(cli));
+  const auto results = harness::run_sweep(points, sweep_opts);
 
   Table table({"technique", "IPC", "cycles"});
   for (std::size_t i = 0; i < points.size(); ++i)

@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
   const Cli cli(argc, argv);
   const std::uint64_t budget = cli.get_positive("budget", 120'000);
   const int threads = cli.get_int_in("threads", 4, 1, kMaxHwThreads);
+  cli.reject_unknown();
 
   const char* roles[][2] = {{"blowfish", "decryption"},
                             {"idct", "video decode"},

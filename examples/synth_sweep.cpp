@@ -17,6 +17,8 @@
 int main(int argc, char** argv) {
   using namespace vexsim;
   const Cli cli(argc, argv);
+  const harness::SweepOptions sweep_opts = harness::SweepOptions::from_cli(cli);
+  cli.reject_unknown();
 
   // An asymmetric machine: one wide cluster and a tail of narrow ones,
   // total issue width 16 like the paper's 4x4. Cluster renaming must stay
@@ -50,8 +52,7 @@ int main(int argc, char** argv) {
        {Technique::csmt(), Technique::ccsi(CommPolicy::kAlwaysSplit),
         Technique::smt(), Technique::oosi(CommPolicy::kAlwaysSplit)})
     points.push_back({t.name(), make_cfg(t), mix, opt});
-  const auto results =
-      harness::run_sweep(points, harness::SweepOptions::from_cli(cli));
+  const auto results = harness::run_sweep(points, sweep_opts);
 
   std::cout << "6 synthetic contexts on the asymmetric "
             << points[0].cfg.geometry_name() << " machine:\n\n";

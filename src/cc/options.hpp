@@ -26,10 +26,11 @@ struct CompilerOptions {
   // Software-pipeline innermost counted loops (iterative modulo
   // scheduling); loops where no II at most `max_ii` verifies, or whose
   // kernel would need more than `max_stages` overlapped iterations, fall
-  // back to the list scheduler.
+  // back to the list scheduler. The two limits are constants; cache keys
+  // and workload memo keys spell them anyway, so existing keys stay valid.
   bool modulo_schedule = false;
-  int max_ii = 64;
-  int max_stages = 6;
+  static constexpr int max_ii = 64;
+  static constexpr int max_stages = 6;
 
   // Run the static invariant checkers (cc/verifier, cc/lint) between
   // passes, attributing any violation to the pass that introduced it
@@ -39,7 +40,7 @@ struct CompilerOptions {
   bool verify_each_pass = false;
 
   // Canonical variant name ("greedy", "cost", "cost_swp", "greedy_swp").
-  // Tunables (max_ii/max_stages) are not part of the name; cache keys and
+  // The limits (max_ii/max_stages) are not part of the name; cache keys and
   // fingerprints hash every codegen-relevant field separately.
   [[nodiscard]] std::string name() const;
 

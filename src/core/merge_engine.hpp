@@ -125,7 +125,6 @@ class MergeEngine {
   }
 
   [[nodiscard]] const MergeEngineStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = MergeEngineStats{}; }
 
   // Both operands are below clusters_, so the wraparound is one conditional
   // subtract — no integer division in the select loop.

@@ -75,7 +75,6 @@ DriverParams driver_params(const ExperimentOptions& opt) {
   params.seed = opt.seed;
   params.respawn = true;
   params.fast_forward = opt.fast_forward;
-  params.profile = opt.profile;
   return params;
 }
 

@@ -5,6 +5,11 @@
 // of paper scale, minutes for the full suite) and `--paper` to restore the
 // original parameters. Workload mixes reach steady state well within the
 // scaled budgets thanks to the respawning scheme.
+//
+// ExperimentOptions::from_cli reads the flags every bench shares. A bench
+// then reads its own and calls Cli::reject_unknown() before it runs
+// anything (run_sweep_and_dump does this for the sweep benches), so a flag
+// that nothing reads is an error rather than a silent no-op.
 #pragma once
 
 #include <cstdint>
@@ -28,12 +33,8 @@ struct ExperimentOptions {
   // Idle-cycle batching (bit-identical stats either way); micro_sim_speed
   // turns it off to time the pure cycle-by-cycle path.
   bool fast_forward = true;
-  // Retired: read by nothing, kept only for vexperf/src/trace.cpp's copy.
+  // Retired: read by nothing, kept only for vexperf/src/trace.cpp's copies.
   bool fused = true;
-  // Per-phase wall-clock breakdown (Simulator::set_profile). Timing only,
-  // so it is not part of the result-cache fingerprint: a cached sweep is
-  // served and stored like any other, and a hit carries no profile.
-  // micro_sim_speed, which reads the profile, runs without a cache.
   bool profile = false;
   // Compiler pass-pipeline variant the workload compiles with (--cc NAME;
   // per-component "synth:...-cc..." fields override it). Part of the
@@ -93,9 +94,9 @@ struct ExperimentOptions {
     const ExperimentOptions& opt,
     std::optional<Deadline> deadline = std::nullopt);
 
-// The driver parameters every run of `opt` uses: its run length, seed,
-// fast-forward and profile settings, with respawning on. run_single then
-// turns off the timeslice.
+// The driver parameters every run of `opt` uses: its run length, seed and
+// fast-forward setting, with respawning on. run_single then turns off the
+// timeslice.
 [[nodiscard]] DriverParams driver_params(const ExperimentOptions& opt);
 
 }  // namespace vexsim::harness

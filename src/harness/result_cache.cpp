@@ -337,7 +337,9 @@ std::uint64_t point_fingerprint(const MachineConfig& cfg,
   // on, so points simulated under different compiler settings can never
   // alias one cache record. verify_each_pass is deliberately excluded —
   // it is diagnostic-only and never changes the emitted code, so cached
-  // trajectories stay valid (and byte-identical) under --cc-verify.
+  // trajectories stay valid (and byte-identical) under --cc-verify. The
+  // modulo-scheduling limits are constants; hashing them anyway keeps every
+  // existing cache key valid.
   fp.u64(static_cast<std::uint64_t>(opt.compiler.assign))
       .flag(opt.compiler.modulo_schedule)
       .i64(opt.compiler.max_ii)

@@ -64,8 +64,8 @@ ShardSpec ShardSpec::from_cli(const Cli& cli) {
 }
 
 SweepOptions SweepOptions::from_cli(const Cli& cli) {
-  // Cli ignores unknown flags, so a script still passing the retired
-  // --flush would otherwise wait for checkpoints that never come.
+  // The retired --flush gets its own error rather than reject_unknown()'s,
+  // so the message can say what replaced it.
   VEXSIM_CHECK_MSG(!cli.has("flush"),
                    "--flush is no longer supported; run the sweep with "
                    "--cache[=DIR] and re-run it with the same --cache to "
@@ -74,7 +74,10 @@ SweepOptions SweepOptions::from_cli(const Cli& cli) {
   opts.jobs = cli.jobs();
   opts.progress_every =
       cli.get_int_in("progress", opts.progress_every, 0, INT_MAX);
-  if (cli.has("cache") && !cli.get_bool("no-cache", false)) {
+  // Read --no-cache even without --cache: alone it is valid (a no-op), and
+  // reject_unknown() only accepts flags that were looked up.
+  const bool no_cache = cli.get_bool("no-cache", false);
+  if (cli.has("cache") && !no_cache) {
     const std::string dir = cli.get("cache", "");
     // Bare `--cache` parses as the boolean value "true"; map it to the
     // default directory.
@@ -433,6 +436,7 @@ std::vector<RunResult> run_sweep_and_dump(
       "json", shard.active
                   ? "BENCH_" + experiment + ".shard" + shard.tag() + ".json"
                   : "BENCH_" + experiment + ".json");
+  cli.reject_unknown();
   const std::vector<RunResult> results = run_sweep(points, opts);
   if (!shard.active) {
     write_json_file(path, sweep_json(experiment, points, results));

@@ -172,7 +172,9 @@ struct SweepOptions {
 // Bench-binary entry point: runs the sweep with --jobs workers (progress
 // via --progress N) and writes the trajectory to --json (default
 // BENCH_<experiment>.json), returning the in-order results for table
-// rendering.
+// rendering. Before the sweep starts it calls cli.reject_unknown(), so a
+// bench reads every flag of its own before this call; a flag first read
+// after it is rejected as unknown.
 //
 // Under --shard i/N only the owned round-robin slice is run and the output
 // becomes a shard document (default name

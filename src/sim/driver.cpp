@@ -13,7 +13,6 @@ MultiprogramDriver::MultiprogramDriver(
     : cfg_(cfg), params_(params), sim_(cfg), rng_(params.seed) {
   VEXSIM_CHECK_MSG(!programs.empty(), "workload needs at least one program");
   sim_.set_fast_forward(params_.fast_forward);
-  if (params_.profile) sim_.set_profile(true);
   instances_.reserve(programs.size());
   for (std::size_t i = 0; i < programs.size(); ++i)
     instances_.push_back(std::make_unique<ThreadContext>(
@@ -173,7 +172,6 @@ RunResult MultiprogramDriver::run(std::optional<Deadline> deadline) {
   result.memory = sim_.memory_backend().memory_stats();
   result.merge = sim_.merge_engine().stats();
   result.issue_width = cfg_.total_issue_width();
-  result.profile = sim_.profile();
   for (const auto& inst : instances_) {
     InstanceResult ir;
     ir.name = inst->program().name;

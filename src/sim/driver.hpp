@@ -6,6 +6,10 @@
 // replaces the running set with instances picked at random (seeded), and
 // execution continues. Benchmarks that finish are respawned. The run ends
 // when any instance has retired `budget` VLIW instructions in total.
+//
+// run()'s optional deadline poll is the only clock read in src/sim: the cycle
+// loop (Simulator::step and fast_forward) reads none, so host time is split
+// by function with an external profiler (README, Measuring performance).
 #pragma once
 
 #include <chrono>
@@ -33,9 +37,8 @@ struct DriverParams {
   // Statistics are bit-identical either way; off retains the pure
   // cycle-by-cycle loop for cross-checking and speed measurement.
   bool fast_forward = true;
-  // Retired: read by nothing, kept only for vexperf/src/trace.cpp's copy.
+  // Retired: read by nothing, kept only for vexperf/src/trace.cpp's copies.
   bool fused = true;
-  // Per-phase wall-clock accounting (Simulator::set_profile); timing only.
   bool profile = false;
 };
 
@@ -89,8 +92,6 @@ struct RunResult {
   // the cache in *this* process; never serialized.
   bool cached = false;
   bool cache_hit = false;
-  // Filled when DriverParams::profile was set; never serialized.
-  SimProfile profile;
 
   [[nodiscard]] double ipc() const { return sim.ipc(); }
 };
@@ -124,6 +125,8 @@ class MultiprogramDriver {
     return *instances_[i];
   }
   [[nodiscard]] std::size_t num_instances() const { return instances_.size(); }
+  // The simulator as the constructor configured it from DriverParams.
+  [[nodiscard]] const Simulator& simulator() const { return sim_; }
 
  private:
   void schedule_initial();

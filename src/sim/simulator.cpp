@@ -1,7 +1,7 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
-#include <chrono>
+#include <bit>
 
 #include "sim/exec.hpp"
 #include "util/check.hpp"
@@ -9,8 +9,6 @@
 namespace vexsim {
 
 namespace {
-using ProfClock = std::chrono::steady_clock;
-
 // The config, checked before any member is built from it: the merge engine,
 // the memory backend and the per-slot tables are sized for kMaxClusters
 // clusters and kMaxHwThreads contexts.
@@ -413,46 +411,21 @@ int Simulator::step() {
   }
 
   const int n = cfg_.hw_threads;
-  ProfClock::time_point t0;
-  if (profile_on_) {
-    ++profile_.steps;
-    t0 = ProfClock::now();
-    // Profiled: commit and refill in separate timed passes. They are
-    // per-thread independent (a thread's refill never observes another
-    // thread's commits), so the split is behaviour-identical to the
-    // single-pass loop below.
-    for (int s = 0; s < n; ++s)
-      if (ThreadContext* ctx = slots_[static_cast<std::size_t>(s)])
-        if (ctx->pending_writes.earliest_visible_at() <= cycle_)
-          commit_pending_writes(*ctx);
-    const auto t1 = ProfClock::now();
-    profile_.commit_seconds += std::chrono::duration<double>(t1 - t0).count();
-    if (!drain_)
-      for (int s = 0; s < n; ++s)
-        if (ThreadContext* ctx = slots_[static_cast<std::size_t>(s)])
-          if (ctx->state == RunState::kReady && !ctx->issue.active) {
-            refill_slot(ctx);
-            if (ctx->issue.active && ctx->issue.pending_count == 0)
-              complete_instruction(s, *ctx);  // all-nop instruction
-          }
-    t0 = ProfClock::now();
-    profile_.refill_seconds += std::chrono::duration<double>(t0 - t1).count();
-  } else {
-    // Commit and refill are per-thread independent, so one pass serves both.
-    // The watermark test keeps the no-writes-due case call-free, the
-    // ready/not-active guard keeps busy threads out of refill_slot.
-    for (int s = 0; s < n; ++s) {
-      ThreadContext* ctx = slots_[static_cast<std::size_t>(s)];
-      if (ctx == nullptr) continue;
-      if (ctx->pending_writes.earliest_visible_at() <= cycle_)
-        commit_pending_writes(*ctx);
-      if (!drain_ && ctx->state == RunState::kReady && !ctx->issue.active) {
-        refill_slot(ctx);
-        // An all-nop instruction arms with nothing pending; retire it here —
-        // the completion walk below visits only threads that issued ops.
-        if (ctx->issue.active && ctx->issue.pending_count == 0)
-          complete_instruction(s, *ctx);
-      }
+  // Commit and refill are per-thread independent (a thread's refill never
+  // observes another thread's commits), so one pass serves both. The
+  // watermark test keeps the no-writes-due case call-free, the
+  // ready/not-active guard keeps busy threads out of refill_slot.
+  for (int s = 0; s < n; ++s) {
+    ThreadContext* ctx = slots_[static_cast<std::size_t>(s)];
+    if (ctx == nullptr) continue;
+    if (ctx->pending_writes.earliest_visible_at() <= cycle_)
+      commit_pending_writes(*ctx);
+    if (!drain_ && ctx->state == RunState::kReady && !ctx->issue.active) {
+      refill_slot(ctx);
+      // An all-nop instruction arms with nothing pending; retire it here —
+      // the completion walk below visits only threads that issued ops.
+      if (ctx->issue.active && ctx->issue.pending_count == 0)
+        complete_instruction(s, *ctx);
     }
   }
 
@@ -473,11 +446,6 @@ int Simulator::step() {
   }
   priority_base_ = priority_base_ + 1 >= n ? 0 : priority_base_ + 1;
   const int ops = packet_.op_count();
-  if (profile_on_) {
-    const auto t1 = ProfClock::now();
-    profile_.select_seconds += std::chrono::duration<double>(t1 - t0).count();
-    t0 = t1;
-  }
 
   if (!staged_.empty()) apply_staged_stores();
 
@@ -517,22 +485,11 @@ int Simulator::step() {
     if (drain_) ++stats_.drain_cycles;
   }
   if ((thread_mask & (thread_mask - 1)) != 0) ++stats_.multi_thread_cycles;
-  if (profile_on_)
-    profile_.complete_seconds +=
-        std::chrono::duration<double>(ProfClock::now() - t0).count();
   return ops;
 }
 
 std::uint64_t Simulator::fast_forward(std::uint64_t limit) {
   if (!fast_forward_on_) return 0;
-  ProfClock::time_point t0;
-  if (profile_on_) t0 = ProfClock::now();
-  const auto account = [&](std::uint64_t skipped) {
-    if (profile_on_)
-      profile_.fast_forward_seconds +=
-          std::chrono::duration<double>(ProfClock::now() - t0).count();
-    return skipped;
-  };
   std::uint64_t skipped = 0;
 
   // Phase 1: global memory-port drain stall. Stalled cycles issue nothing
@@ -553,7 +510,7 @@ std::uint64_t Simulator::fast_forward(std::uint64_t limit) {
     }
     // Still inside the stall window: the next step() must execute a stalled
     // cycle (it is `limit`).
-    if (stall_until_ > next) return account(skipped);
+    if (stall_until_ > next) return skipped;
   }
 
   // Phase 2: every context idle. A cycle can only act if some ready thread
@@ -562,12 +519,12 @@ std::uint64_t Simulator::fast_forward(std::uint64_t limit) {
   // cycles before it are empty and account as: cycles/vertical-waste (and
   // drain under drain mode) plus the per-thread block counters refill_slot
   // would have bumped, plus the priority rotation of the merge walk.
-  if (limit <= next) return account(skipped);
+  if (limit <= next) return skipped;
   std::uint64_t horizon = ~0ull;
   for (int s = 0; s < cfg_.hw_threads; ++s) {
     const ThreadContext* ctx = slots_[static_cast<std::size_t>(s)];
     if (ctx == nullptr || ctx->state != RunState::kReady) continue;
-    if (ctx->issue.active) return account(skipped);  // parts merge next cycle
+    if (ctx->issue.active) return skipped;  // parts merge next cycle
     if (drain_) continue;  // refill gated off: this thread generates no event
     const std::uint64_t gate =
         std::max(std::max(ctx->mem_block_until, ctx->next_issue_at),
@@ -584,7 +541,7 @@ std::uint64_t Simulator::fast_forward(std::uint64_t limit) {
   if (ev != mem::MemoryBackend::kNoEvent)
     horizon = std::min(horizon, std::max(next, ev));
   const std::uint64_t end = std::min(horizon, limit);
-  if (end <= next) return account(skipped);
+  if (end <= next) return skipped;
   const std::uint64_t k = end - next;
 
   stats_.cycles += k;
@@ -613,7 +570,7 @@ std::uint64_t Simulator::fast_forward(std::uint64_t limit) {
       (static_cast<std::uint64_t>(priority_base_) + k) % n_threads);
   cycle_ += k;
   skipped += k;
-  return account(skipped);
+  return skipped;
 }
 
 bool Simulator::run_to_halt(std::uint64_t max_cycles) {

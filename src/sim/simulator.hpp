@@ -52,22 +52,6 @@
 
 namespace vexsim {
 
-// Opt-in wall-clock breakdown of the per-cycle phases (set_profile). Timing
-// only — enabling it never changes simulated statistics.
-struct SimProfile {
-  double commit_seconds = 0;
-  double refill_seconds = 0;
-  double select_seconds = 0;        // merge walk, execution included
-  double complete_seconds = 0;      // staged stores, completion, faults
-  double fast_forward_seconds = 0;  // inside Simulator::fast_forward
-  std::uint64_t steps = 0;          // step() calls measured
-
-  [[nodiscard]] double total() const {
-    return commit_seconds + refill_seconds + select_seconds +
-           complete_seconds + fast_forward_seconds;
-  }
-};
-
 class Simulator {
  public:
   explicit Simulator(const MachineConfig& cfg);
@@ -96,13 +80,6 @@ class Simulator {
   // step(). The stats must be bit-identical either way (golden suite).
   void set_fast_forward(bool on) { fast_forward_on_ = on; }
   [[nodiscard]] bool fast_forward_enabled() const { return fast_forward_on_; }
-
-  // Opt-in per-phase wall-clock accounting; resets the accumulators.
-  void set_profile(bool on) {
-    profile_on_ = on;
-    profile_ = SimProfile{};
-  }
-  [[nodiscard]] const SimProfile& profile() const { return profile_; }
 
   // When true, no slot starts a *new* instruction (in-flight ones finish);
   // used by the driver to drain before a context switch.
@@ -210,7 +187,6 @@ class Simulator {
   int priority_base_ = 0;
   bool drain_ = false;
   bool fast_forward_on_ = true;
-  bool profile_on_ = false;
   // Result latency per operation class, resolved once from the config so the
   // execute path indexes a table instead of switching on the class.
   std::array<int, 6> lat_by_class_{};
@@ -229,7 +205,6 @@ class Simulator {
   static constexpr std::size_t kMaxValidatedPrograms = 32;
   std::vector<std::shared_ptr<const Program>> validated_programs_;
   SimStats stats_;
-  SimProfile profile_;
 };
 
 }  // namespace vexsim

@@ -54,19 +54,23 @@ Cli::Cli(int argc, const char* const* argv) {
   }
 }
 
-bool Cli::has(const std::string& name) const {
-  return options_.count(name) != 0;
+const std::string* Cli::find(const std::string& name) const {
+  read_.insert(name);
+  const auto it = options_.find(name);
+  return it == options_.end() ? nullptr : &it->second;
 }
 
+bool Cli::has(const std::string& name) const { return find(name) != nullptr; }
+
 std::string Cli::get(const std::string& name, const std::string& def) const {
-  const auto it = options_.find(name);
-  return it == options_.end() ? def : it->second;
+  const std::string* value = find(name);
+  return value == nullptr ? def : *value;
 }
 
 std::int64_t Cli::get_int(const std::string& name, std::int64_t def) const {
-  const auto it = options_.find(name);
-  if (it == options_.end()) return def;
-  const std::string& value = it->second;
+  const std::string* found = find(name);
+  if (found == nullptr) return def;
+  const std::string& value = *found;
   char* end = nullptr;
   errno = 0;
   const long long n = std::strtoll(value.c_str(), &end, 0);
@@ -77,9 +81,9 @@ std::int64_t Cli::get_int(const std::string& name, std::int64_t def) const {
 }
 
 double Cli::get_double(const std::string& name, double def) const {
-  const auto it = options_.find(name);
-  if (it == options_.end()) return def;
-  const std::string& value = it->second;
+  const std::string* found = find(name);
+  if (found == nullptr) return def;
+  const std::string& value = *found;
   char* end = nullptr;
   errno = 0;
   const double d = std::strtod(value.c_str(), &end);
@@ -109,9 +113,27 @@ int Cli::jobs(int def) const {
 }
 
 bool Cli::get_bool(const std::string& name, bool def) const {
-  const auto it = options_.find(name);
-  if (it == options_.end()) return def;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string* value = find(name);
+  if (value == nullptr) return def;
+  return *value == "true" || *value == "1" || *value == "yes";
+}
+
+void Cli::reject_unknown() const {
+  const auto flag_list = [](const auto& names) {
+    std::string out;
+    for (const std::string& name : names)
+      out += (out.empty() ? "--" : ", --") + name;
+    return out;
+  };
+  std::vector<std::string> unknown;
+  for (const auto& [name, value] : options_)
+    if (read_.count(name) == 0) unknown.push_back(name);
+  VEXSIM_CHECK_MSG(unknown.empty(),
+                   "unknown option" << (unknown.size() > 1 ? "s " : " ")
+                                    << flag_list(unknown)
+                                    << "; this program reads "
+                                    << (read_.empty() ? "no options"
+                                                      : flag_list(read_)));
 }
 
 }  // namespace vexsim

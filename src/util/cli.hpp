@@ -3,11 +3,15 @@
 // Supports `--name value`, `--name=value`, and boolean `--flag` forms.
 // Repeating an option is a hard error (CheckError from the constructor):
 // last-wins semantics would let a typo'd flag silently shadow a real one in
-// a sweep script.
+// a sweep script. Every lookup records the name it asked for, and a program
+// calls reject_unknown() once it has read all its flags, so a misspelled or
+// retired flag fails instead of doing nothing. Lookups are not thread-safe;
+// programs read their flags on the main thread before any work starts.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -45,9 +49,20 @@ class Cli {
     return positional_;
   }
 
+  // CheckError naming every option on the command line that no lookup above
+  // has asked for, and listing the ones that were. Call it after the program
+  // has read every flag it uses and before its work starts; a flag read only
+  // when another is present must be looked up unconditionally first.
+  // Positional arguments are never rejected.
+  void reject_unknown() const;
+
  private:
+  // The option's value, or nullptr when absent; records `name` as read.
+  [[nodiscard]] const std::string* find(const std::string& name) const;
+
   std::map<std::string, std::string> options_;
   std::vector<std::string> positional_;
+  mutable std::set<std::string> read_;  // every name looked up so far
 };
 
 }  // namespace vexsim

@@ -110,7 +110,6 @@ TEST(Experiments, DriverParamsCarryEveryOption) {
   opt.max_cycles = 89'000;
   opt.seed = 17;
   opt.fast_forward = false;
-  opt.profile = true;
   const DriverParams p = driver_params(opt);
   EXPECT_EQ(p.budget, 1'234u);
   EXPECT_EQ(p.timeslice, 567u);
@@ -118,19 +117,17 @@ TEST(Experiments, DriverParamsCarryEveryOption) {
   EXPECT_EQ(p.seed, 17u);
   EXPECT_TRUE(p.respawn);
   EXPECT_FALSE(p.fast_forward);
-  EXPECT_TRUE(p.profile);
 
   const DriverParams d = driver_params(ExperimentOptions{});
   EXPECT_TRUE(d.fast_forward);
-  EXPECT_FALSE(d.profile);
 }
 
 TEST(Experiments, RunSingleHonoursFastForward) {
-  // Real memory, so D-misses leave idle cycles for fast_forward to skip.
-  // The profile counts step() calls, which is where skipping shows; the
-  // statistics must not move.
+  // Real memory, so D-misses leave idle cycles for fast_forward to skip;
+  // the statistics must not move. DriverParamsCarryEveryOption and
+  // Driver.SimulatorFollowsTheFastForwardParam check that the setting
+  // reaches the simulator.
   ExperimentOptions opt = tiny();
-  opt.profile = true;
   opt.fast_forward = true;
   const RunResult skipping = run_single("djpeg", /*perfect=*/false, opt);
   opt.fast_forward = false;
@@ -145,7 +142,6 @@ TEST(Experiments, RunSingleHonoursFastForward) {
             stepping.instances[0].arch_fingerprint);
   EXPECT_EQ(skipping.instances[0].instructions,
             stepping.instances[0].instructions);
-  EXPECT_LT(skipping.profile.steps, stepping.profile.steps);
 }
 
 TEST(Experiments, RunWorkloadUsesFourInstances) {

@@ -220,8 +220,8 @@ TEST(ResultCache, CreatesNestedDirectory) {
 
 TEST(PointFingerprint, CompilerOptionsNeverAlias) {
   // Satellite regression: a sweep point simulated under one compiler
-  // variant must never serve a record produced under another — every
-  // CompilerOptions field is part of the key.
+  // variant must never serve a record produced under another — both
+  // codegen-relevant CompilerOptions fields are part of the key.
   const MachineConfig cfg = MachineConfig::paper(2, Technique::csmt());
   ExperimentOptions opt = tiny_options();
   const std::uint64_t base = point_fingerprint(cfg, "llmm", opt);
@@ -235,13 +235,6 @@ TEST(PointFingerprint, CompilerOptionsNeverAlias) {
   EXPECT_NE(base, point_fingerprint(cfg, "llmm", swp));
   EXPECT_NE(point_fingerprint(cfg, "llmm", cost),
             point_fingerprint(cfg, "llmm", swp));
-
-  ExperimentOptions tuned = opt;
-  tuned.compiler.max_ii = 32;
-  EXPECT_NE(base, point_fingerprint(cfg, "llmm", tuned));
-  ExperimentOptions staged = opt;
-  staged.compiler.max_stages = 4;
-  EXPECT_NE(base, point_fingerprint(cfg, "llmm", staged));
 
   // Identical options reproduce the key.
   ExperimentOptions same = opt;

@@ -204,6 +204,13 @@ MultiprogramDriver polled_driver(bool fast_forward) {
   return MultiprogramDriver(machine(2), programs, params);
 }
 
+TEST(Driver, SimulatorFollowsTheFastForwardParam) {
+  // The harness turns fast-forward off through DriverParams alone, so the
+  // driver must hand the setting to its simulator both ways.
+  EXPECT_TRUE(polled_driver(true).simulator().fast_forward_enabled());
+  EXPECT_FALSE(polled_driver(false).simulator().fast_forward_enabled());
+}
+
 TEST(Driver, PassedDeadlineThrowsBeforeTheFirstCycle) {
   MultiprogramDriver driver = polled_driver(true);
   EXPECT_THROW((void)driver.run(std::chrono::steady_clock::now()),

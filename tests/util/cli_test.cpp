@@ -4,6 +4,7 @@
 
 #include <climits>
 #include <cstdint>
+#include <string>
 
 #include "util/check.hpp"
 
@@ -166,6 +167,59 @@ TEST(Cli, GetPositiveRejectsValuesBelowOne) {
     const std::string what = e.what();
     EXPECT_NE(what.find("--n"), std::string::npos) << what;
   }
+}
+
+TEST(Cli, RejectUnknownNamesEveryUnreadOption) {
+  const Cli cli = make({"--quick", "--cahce", "typo-dir", "--jsn=x.json"});
+  EXPECT_TRUE(cli.get_bool("quick", false));
+  EXPECT_FALSE(cli.has("cache"));
+  try {
+    cli.reject_unknown();
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("unknown options --cahce, --jsn"), std::string::npos)
+        << what;
+    // The message lists what the program does read, typo's target included.
+    EXPECT_NE(what.find("reads --cache, --quick"), std::string::npos) << what;
+  }
+  // Once the program has looked a flag up, it is no longer unknown.
+  (void)cli.get("cahce", "");
+  (void)cli.get("jsn", "");
+  EXPECT_NO_THROW(cli.reject_unknown());
+}
+
+TEST(Cli, EveryLookupCountsAsARead) {
+  const Cli cli = make({"--a", "--b", "x", "--c", "1", "--d", "2.5", "--e",
+                        "3", "--f", "4", "--jobs", "2", "--g"});
+  EXPECT_TRUE(cli.has("a"));
+  EXPECT_EQ(cli.get("b", ""), "x");
+  EXPECT_EQ(cli.get_int("c", 0), 1);
+  EXPECT_DOUBLE_EQ(cli.get_double("d", 0.0), 2.5);
+  EXPECT_EQ(cli.get_int_in("e", 0, 0, 10), 3);
+  EXPECT_EQ(cli.get_positive("f", 1), 4u);
+  EXPECT_EQ(cli.jobs(), 2);
+  EXPECT_TRUE(cli.get_bool("g", false));
+  EXPECT_NO_THROW(cli.reject_unknown());
+  // Looking up an absent flag lists it among the flags the program reads.
+  const Cli other = make({"--y"});
+  EXPECT_FALSE(other.has("x"));
+  try {
+    other.reject_unknown();
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("unknown option --y; this program reads --x"),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST(Cli, RejectUnknownIgnoresPositionalArguments) {
+  const Cli cli = make({"shard1.json", "--out", "m.json", "shard2.json"});
+  EXPECT_EQ(cli.get("out", ""), "m.json");
+  EXPECT_NO_THROW(cli.reject_unknown());
+  EXPECT_NO_THROW(make({"a", "b"}).reject_unknown());
 }
 
 }  // namespace

@@ -24,6 +24,8 @@
 //                                   PR 5-style clone-placement miscompile
 //                                   (exit 0 iff it is flagged)
 //   vexlint --verbose               print every finding, not just counts
+//
+// Any other flag is an error, as is --all with --kernels.
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -35,6 +37,7 @@
 #include "isa/config.hpp"
 #include "mdes/machine.hpp"
 #include "stats/json.hpp"
+#include "util/check.hpp"
 #include "util/cli.hpp"
 #include "vasm/assembler.hpp"
 #include "workloads/registry.hpp"
@@ -139,11 +142,18 @@ int selftest() {
 
 int main(int argc, char** argv) {
   const Cli cli(argc, argv);
-  if (cli.get_bool("selftest", false)) return selftest();
+  if (cli.get_bool("selftest", false)) {
+    cli.reject_unknown();  // the selftest reads no other flag
+    return selftest();
+  }
 
   const bool quick = cli.get_bool("quick", false);
   const double scale = cli.get_double("scale", quick ? 0.05 : 0.1);
   const bool verbose = cli.get_bool("verbose", false);
+  // --all names the default grid, which --kernels narrows.
+  VEXSIM_CHECK_MSG(!(cli.get_bool("all", false) && cli.has("kernels")),
+                   "--all and --kernels are exclusive");
+  const std::string json_path = cli.get("json", "");
 
   std::vector<std::string> programs;
   if (cli.has("kernels")) {
@@ -185,6 +195,7 @@ int main(int argc, char** argv) {
     cfg.validate();
     machines.push_back(cfg);
   }
+  cli.reject_unknown();
 
   std::vector<Target> targets;
   for (const MachineConfig& cfg : machines)
@@ -257,7 +268,7 @@ int main(int argc, char** argv) {
   report.set("findings", static_cast<std::uint64_t>(total_findings));
   report.set("compile_errors", static_cast<std::uint64_t>(compile_errors));
 
-  if (cli.has("json")) write_json_file(cli.get("json", ""), report);
+  if (!json_path.empty()) write_json_file(json_path, report);
 
   std::cout << "vexlint: " << targets.size() << " compiled program(s), "
             << total_findings << " finding(s), " << compile_errors

@@ -15,6 +15,7 @@
 // files are written atomically (write_json_file).
 //
 // Usage: vexmerge --out FILE [--resume FILE] shard1.json shard2.json ...
+// Any other option is an error (exit 2).
 #include <fstream>
 #include <iostream>
 #include <iterator>
@@ -32,6 +33,8 @@ int main(int argc, char** argv) {
     const Cli cli(argc, argv);
     VEXSIM_CHECK_MSG(cli.has("out"), "vexmerge needs --out FILE");
     const std::string out = cli.get("out", "");
+    const std::string resume_path = cli.get("resume", out + ".resume.json");
+    cli.reject_unknown();
     const std::vector<std::string>& files = cli.positional();
     VEXSIM_CHECK_MSG(!files.empty(),
                      "vexmerge needs at least one shard JSON file; usage: "
@@ -59,7 +62,6 @@ int main(int argc, char** argv) {
                 << files.size() << " shard file(s) -> " << out << "\n";
       return 0;
     }
-    const std::string resume_path = cli.get("resume", out + ".resume.json");
     write_json_file(resume_path, merged.resume);
     std::cerr << "vexmerge: incomplete: " << merged.present << "/"
               << merged.total

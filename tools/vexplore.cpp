@@ -26,15 +26,17 @@
 // --timeout/--retries (after writing the report, which marks it "failed"),
 // else 0. A --shard run exits 0; its shard document marks failed points.
 //
-// Flags: --template FILE (required), --sample N (default 64), --seed S
-//        (default 7), --max-attempts M (default 32*N), --json FILE (default
-//        VEXPLORE.json), --quick, --scale X, --budget N, --timeslice N
-//        (override every sampled scenario),
+// Flags: --template FILE (required), --sample N (default 64, at most
+//        1,000,000), --seed S (default 7), --max-attempts M (default 32*N),
+//        --json FILE (default VEXPLORE.json), --quick, --scale X,
+//        --budget N, --timeslice N (override every sampled scenario),
 //        --jobs N, --progress N, --cache[=DIR]/--no-cache, --timeout MS,
-//        --retries N, --shard I/N, --cache-gc SIZE (sweep engine).
+//        --retries N, --shard I/N, --cache-gc SIZE (sweep engine). Any
+//        other flag is an error, reported before the template is loaded.
 #include <algorithm>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -63,19 +65,40 @@ Json value_json(const mdes::Value& v) {
   return Json();
 }
 
+// Largest --sample: keeps the default --max-attempts (32 draws per point)
+// far from overflow and bounds how long sampling can spin before a run.
+constexpr int kMaxSample = 1'000'000;
+
 // Scenario-level overrides shared by every sampled point; mirrors the
-// bench --quick/--scale/--budget/--timeslice semantics.
-void apply_cli_overrides(const Cli& cli, harness::ExperimentOptions& opt) {
-  if (cli.get_bool("quick", false)) {
-    opt.scale = std::min(opt.scale, 0.05);
-    opt.budget = std::min<std::uint64_t>(opt.budget, 20'000);
-    opt.timeslice = std::min<std::uint64_t>(opt.timeslice, 10'000);
+// bench --quick/--scale/--budget/--timeslice semantics. Read once, before
+// sampling, so the flags are checked (and count as read) even when no
+// point is accepted.
+struct CliOverrides {
+  bool quick = false;
+  std::optional<double> scale;
+  std::optional<std::uint64_t> budget;
+  std::optional<std::uint64_t> timeslice;
+
+  explicit CliOverrides(const Cli& cli) : quick(cli.get_bool("quick", false)) {
+    if (cli.has("scale")) {
+      scale = cli.get_double("scale", 0.0);
+      VEXSIM_CHECK_MSG(*scale > 0.0, "--scale must be > 0, got " << *scale);
+    }
+    if (cli.has("budget")) budget = cli.get_positive("budget", 1);
+    if (cli.has("timeslice")) timeslice = cli.get_positive("timeslice", 1);
   }
-  opt.scale = cli.get_double("scale", opt.scale);
-  VEXSIM_CHECK_MSG(opt.scale > 0.0, "--scale must be > 0, got " << opt.scale);
-  opt.budget = cli.get_positive("budget", opt.budget);
-  opt.timeslice = cli.get_positive("timeslice", opt.timeslice);
-}
+
+  void apply(harness::ExperimentOptions& opt) const {
+    if (quick) {
+      opt.scale = std::min(opt.scale, 0.05);
+      opt.budget = std::min<std::uint64_t>(opt.budget, 20'000);
+      opt.timeslice = std::min<std::uint64_t>(opt.timeslice, 10'000);
+    }
+    if (scale) opt.scale = *scale;
+    if (budget) opt.budget = *budget;
+    if (timeslice) opt.timeslice = *timeslice;
+  }
+};
 
 // Deterministic bucket label for an axis value: choice and narrow int axes
 // bucket per value, wide int and real axes into 4 equal-width bins.
@@ -111,8 +134,7 @@ int main(int argc, char** argv) {
   VEXSIM_CHECK_MSG(cli.has("template"),
                    "vexplore needs --template FILE (see configs/)");
   const std::string template_path = cli.get("template", "");
-  const std::int64_t sample_arg = cli.get_int("sample", 64);
-  VEXSIM_CHECK_MSG(sample_arg >= 1, "--sample must be >= 1");
+  const std::int64_t sample_arg = cli.get_int_in("sample", 64, 1, kMaxSample);
   const auto sample = static_cast<std::uint64_t>(sample_arg);
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 7));
   const std::int64_t attempts_arg =
@@ -120,6 +142,14 @@ int main(int argc, char** argv) {
   VEXSIM_CHECK_MSG(attempts_arg >= sample_arg,
                    "--max-attempts must be >= --sample");
   const auto max_attempts = static_cast<std::uint64_t>(attempts_arg);
+  const CliOverrides overrides(cli);
+  const harness::SweepOptions sweep_opts =
+      harness::SweepOptions::from_cli(cli);
+  const harness::ShardSpec& shard = sweep_opts.shard;
+  const std::string out_path = cli.get(
+      "json", shard.active ? "VEXPLORE.shard" + shard.tag() + ".json"
+                           : "VEXPLORE.json");
+  cli.reject_unknown();
 
   const mdes::DseTemplate tmpl = mdes::load_template(template_path);
 
@@ -148,16 +178,13 @@ int main(int argc, char** argv) {
   points.reserve(accepted.size());
   for (const Sampled& s : accepted) {
     harness::ExperimentOptions opt = s.point.scenario.opt;
-    apply_cli_overrides(cli, opt);
+    overrides.apply(opt);
     points.push_back({"p" + std::to_string(s.index) + "/" +
                           s.point.machine.geometry_name() + "/" +
                           std::to_string(s.point.machine.hw_threads) + "T/" +
                           s.point.machine.technique.name(),
                       s.point.machine, s.point.scenario.workload, opt});
   }
-  const harness::SweepOptions sweep_opts =
-      harness::SweepOptions::from_cli(cli);
-  const harness::ShardSpec& shard = sweep_opts.shard;
 
   // Everything below is a pure function of (template, seed, flags), so every
   // shard process assembles the identical header, axis list, and per-point
@@ -223,7 +250,6 @@ int main(int argc, char** argv) {
     const Json report = harness::dse_report(header, axes,
                                             std::move(point_docs),
                                             owned_buckets);
-    const std::string out_path = cli.get("json", "VEXPLORE.json");
     write_json_file(out_path, report);
     std::cout << "vexplore: frontier " << report.at("pareto").size() << " of "
               << accepted.size() << " points; report in " << out_path << "\n";
@@ -239,8 +265,6 @@ int main(int argc, char** argv) {
   const Json doc = harness::dse_shard_json(
       "vexplore", shard, header, axes, harness::build_manifest(points),
       indices, std::move(point_docs), owned_buckets);
-  const std::string out_path =
-      cli.get("json", "VEXPLORE.shard" + shard.tag() + ".json");
   write_json_file(out_path, doc);
   std::cout << "vexplore: shard " << shard.str() << " ran " << indices.size()
             << "/" << accepted.size()
