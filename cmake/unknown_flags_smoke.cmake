@@ -1,5 +1,6 @@
-# Unknown-flag smoke: a misspelled flag, a retired flag and an out-of-range
-# value must each make their program
+# Unknown-flag smoke: a misspelled flag, a retired flag, an out-of-range
+# value and a boolean flag given a non-boolean value must each make their
+# program
 #   (1) exit nonzero,
 #   (2) name the offending flag on stderr,
 #   (3) write no JSON.
@@ -37,6 +38,7 @@ endfunction()
 
 expect_rejected(typo "--cahce" ${TIMESLICE} --quick --cahce x)
 expect_rejected(retired "--profile" ${SIM_SPEED} --quick --profile)
+expect_rejected(boolean "--quick" ${TIMESLICE} --quick=banana)
 expect_rejected(sample "--sample"
                 ${VEXPLORE} --template ${TEMPLATE}
                 --sample 1152921504606846976)

@@ -101,6 +101,8 @@ struct ThreadCounters {
   std::uint64_t split_instructions = 0;
   std::uint64_t dmiss_block_cycles = 0;
   std::uint64_t imiss_block_cycles = 0;
+  friend bool operator==(const ThreadCounters&,
+                         const ThreadCounters&) = default;
 };
 
 class ThreadContext {

@@ -149,10 +149,6 @@ bool reads_bsrc(Opcode opc) {
          opc == Opcode::kBr || opc == Opcode::kBrf;
 }
 
-bool uses_imm_always(Opcode opc) {
-  return opc == Opcode::kMovi || is_mem(opc) || opc == Opcode::kBr ||
-         opc == Opcode::kBrf || opc == Opcode::kGoto;
-}
 int mem_access_size(Opcode opc) {
   switch (opc) {
     case Opcode::kLdw:

@@ -58,7 +58,6 @@ enum class OpClass : std::uint8_t { kNop, kAlu, kMul, kMem, kBranch, kComm };
 [[nodiscard]] bool reads_src1(Opcode opc);
 [[nodiscard]] bool reads_src2(Opcode opc);    // src2 may be an immediate
 [[nodiscard]] bool reads_bsrc(Opcode opc);    // slct/slctf/br/brf
-[[nodiscard]] bool uses_imm_always(Opcode opc);  // movi, loads/stores, branches
 
 // Access size in bytes for a memory opcode.
 [[nodiscard]] int mem_access_size(Opcode opc);

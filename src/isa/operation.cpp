@@ -93,10 +93,6 @@ Operation mpyl(int cluster, int dst, int src1, int src2) {
   return alu(Opcode::kMpyl, cluster, dst, src1, src2);
 }
 
-Operation mpyli(int cluster, int dst, int src1, std::int32_t imm) {
-  return alui(Opcode::kMpyl, cluster, dst, src1, imm);
-}
-
 Operation br(int cluster, int bsrc, std::int32_t target) {
   Operation op = base(Opcode::kBr, cluster);
   op.bsrc = static_cast<std::uint8_t>(bsrc);

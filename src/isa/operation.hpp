@@ -49,7 +49,6 @@ Operation slct(int cluster, int dst, int bsrc, int src1, int src2);
 Operation load(Opcode opc, int cluster, int dst, int base, std::int32_t off);
 Operation store(Opcode opc, int cluster, int base, std::int32_t off, int val);
 Operation mpyl(int cluster, int dst, int src1, int src2);
-Operation mpyli(int cluster, int dst, int src1, std::int32_t imm);
 Operation br(int cluster, int bsrc, std::int32_t target);
 Operation brf(int cluster, int bsrc, std::int32_t target);
 Operation jump(int cluster, std::int32_t target);

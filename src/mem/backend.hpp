@@ -29,6 +29,7 @@
 // suite pins this) — but keeps the skip honest about backend events.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 
@@ -94,13 +95,14 @@ class MemoryBackend {
   Cache dcache_;
 };
 
-// The seed model: every miss costs the L1's flat miss_penalty.
+// The seed model: every miss costs the L1's flat miss_penalty. A penalty of
+// 0 answers cycle + 1 ("> cycle"); no later cycle sees a difference.
 class FixedLatencyBackend final : public MemoryBackend {
  public:
   explicit FixedLatencyBackend(const MachineConfig& cfg)
       : MemoryBackend(cfg.icache, cfg.dcache),
-        imiss_penalty_(cfg.icache.miss_penalty),
-        dmiss_penalty_(cfg.dcache.miss_penalty) {}
+        imiss_penalty_(std::max(cfg.icache.miss_penalty, 1u)),
+        dmiss_penalty_(std::max(cfg.dcache.miss_penalty, 1u)) {}
 
   std::uint64_t ifetch_miss(std::uint32_t /*asid*/, std::uint32_t /*addr*/,
                             std::uint64_t cycle) override {

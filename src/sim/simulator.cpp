@@ -16,6 +16,11 @@ const MachineConfig& validated(const MachineConfig& cfg) {
   cfg.validate();
   return cfg;
 }
+
+// First cycle at which none of the thread's refill gates holds.
+std::uint64_t gates_open_at(const ThreadContext& ctx) {
+  return std::max({ctx.mem_block_until, ctx.next_issue_at, ctx.fetch_ready_at});
+}
 }  // namespace
 
 // The engine's selection sink: records each operation in the cycle's packet
@@ -102,16 +107,32 @@ bool Simulator::quiesced() const {
   return true;
 }
 
+void Simulator::charge_gates(ThreadContext& ctx, std::uint64_t from,
+                             std::uint64_t to) {
+  // Both subtractions are guarded: a span may end below a later gate.
+  const std::uint64_t dmiss_end = std::min(to, ctx.mem_block_until);
+  if (dmiss_end > from) ctx.counters.dmiss_block_cycles += dmiss_end - from;
+  const std::uint64_t imiss_from =
+      std::max({from, ctx.mem_block_until, ctx.next_issue_at});
+  const std::uint64_t imiss_end = std::min(to, ctx.fetch_ready_at);
+  if (imiss_end > imiss_from)
+    ctx.counters.imiss_block_cycles += imiss_end - imiss_from;
+}
+
+void Simulator::account_empty_cycles(std::uint64_t k, bool port_stalled) {
+  stats_.cycles += k;
+  stats_.vertical_waste_cycles += k;
+  if (port_stalled)
+    stats_.memport_stall_cycles += k;
+  else if (drain_)
+    stats_.drain_cycles += k;
+}
+
 void Simulator::refill_slot(ThreadContext* ctx) {
   // The caller hoists the common early-outs (null slot, not ready, already
   // active, drain mode) so idle/busy threads never pay the call.
-  if (cycle_ < ctx->mem_block_until) {
-    ++ctx->counters.dmiss_block_cycles;
-    return;
-  }
-  if (cycle_ < ctx->next_issue_at) return;
-  if (cycle_ < ctx->fetch_ready_at) {
-    ++ctx->counters.imiss_block_cycles;
+  if (cycle_ < gates_open_at(*ctx)) {
+    charge_gates(*ctx, cycle_, cycle_ + 1);
     return;
   }
   if (!ctx->fetch_done) {
@@ -120,8 +141,9 @@ void Simulator::refill_slot(ThreadContext* ctx) {
     const bool hit = icache_ptr_->access(asid, addr);
     ctx->fetch_done = true;
     if (!hit) {
+      // The miss cycle is the refill's first (ifetch_miss is > cycle_).
       ctx->fetch_ready_at = backend_->ifetch_miss(asid, addr, cycle_);
-      ++ctx->counters.imiss_block_cycles;
+      charge_gates(*ctx, cycle_, cycle_ + 1);
       return;
     }
   }
@@ -401,12 +423,11 @@ int Simulator::step() {
 
   // Global structural stall: buffered stores draining through too few
   // memory ports ("the pipeline is stalled till all the memory operations
-  // have been performed", Section V-D).
+  // have been performed", Section V-D). A stalled cycle charges no thread and
+  // does not rotate the priority.
   if (cycle_ < stall_until_) {
     packet_.clear();  // nothing issues this cycle
-    ++stats_.cycles;
-    ++stats_.memport_stall_cycles;
-    ++stats_.vertical_waste_cycles;
+    account_empty_cycles(1, /*port_stalled=*/true);
     return 0;
   }
 
@@ -446,6 +467,11 @@ int Simulator::step() {
   }
   priority_base_ = priority_base_ + 1 >= n ? 0 : priority_base_ + 1;
   const int ops = packet_.op_count();
+  // An empty cycle staged no store, completed nothing and used no port.
+  if (ops == 0) {
+    account_empty_cycles(1, /*port_stalled=*/false);
+    return 0;
+  }
 
   if (!staged_.empty()) apply_staged_stores();
 
@@ -465,25 +491,16 @@ int Simulator::step() {
   }
 
   // Memory-port pressure beyond the per-cluster port count stalls issue for
-  // the excess cycles. mem_port_use_ can only be non-zero when operations
-  // issued (execute_op and the buffered-store drain both run downstream of a
-  // selection), so an empty cycle skips the scan.
-  if (ops != 0) {
-    int excess = 0;
-    for (int c = 0; c < cfg_.clusters; ++c)
-      excess += std::max(0, mem_port_use_[static_cast<std::size_t>(c)] -
-                                mem_units_[static_cast<std::size_t>(c)]);
-    if (excess > 0)
-      stall_until_ = cycle_ + 1 + static_cast<std::uint64_t>(excess);
-  }
+  // the excess cycles.
+  int excess = 0;
+  for (int c = 0; c < cfg_.clusters; ++c)
+    excess += std::max(0, mem_port_use_[static_cast<std::size_t>(c)] -
+                              mem_units_[static_cast<std::size_t>(c)]);
+  if (excess > 0)
+    stall_until_ = cycle_ + 1 + static_cast<std::uint64_t>(excess);
 
-  // Accounting.
   ++stats_.cycles;
   stats_.ops_issued += static_cast<std::uint64_t>(ops);
-  if (ops == 0) {
-    ++stats_.vertical_waste_cycles;
-    if (drain_) ++stats_.drain_cycles;
-  }
   if ((thread_mask & (thread_mask - 1)) != 0) ++stats_.multi_thread_cycles;
   return ops;
 }
@@ -491,86 +508,44 @@ int Simulator::step() {
 std::uint64_t Simulator::fast_forward(std::uint64_t limit) {
   if (!fast_forward_on_) return 0;
   std::uint64_t skipped = 0;
-
-  // Phase 1: global memory-port drain stall. Stalled cycles issue nothing
-  // and touch nothing but their three counters (step()'s early return), so
-  // they fold into arithmetic. Stop at `limit` so the caller's next step()
-  // never lands beyond its decision point.
-  std::uint64_t next = cycle_ + 1;
-  if (stall_until_ > next) {
-    const std::uint64_t end = std::min(stall_until_, limit);
-    if (end > next) {
-      const std::uint64_t k = end - next;
-      stats_.cycles += k;
-      stats_.memport_stall_cycles += k;
-      stats_.vertical_waste_cycles += k;
-      cycle_ += k;
-      skipped += k;
-      next = cycle_ + 1;
+  // At most two spans of empty cycles, neither past `limit` (the caller's
+  // next decision point): the rest of a memory-port stall, then a span in
+  // which no context can act.
+  for (;;) {
+    const std::uint64_t next = cycle_ + 1;
+    if (limit <= next) return skipped;
+    const bool stalled = next < stall_until_;
+    std::uint64_t end = stall_until_;
+    if (!stalled) {
+      // The horizon: a thread in flight merges its parts next cycle, an idle
+      // one starts an instruction once its gates open (never under drain),
+      // and the clock observes the backend's next in-flight completion
+      // (hierarchy MSHR fills; the fixed backend reports kNoEvent).
+      end = ~0ull;
+      for (int s = 0; s < cfg_.hw_threads; ++s) {
+        const ThreadContext* ctx = slots_[static_cast<std::size_t>(s)];
+        if (ctx == nullptr || ctx->state != RunState::kReady) continue;
+        if (ctx->issue.active) return skipped;
+        if (!drain_) end = std::min(end, gates_open_at(*ctx));
+      }
+      end = std::min(end, backend_->next_event_after(cycle_));
     }
-    // Still inside the stall window: the next step() must execute a stalled
-    // cycle (it is `limit`).
-    if (stall_until_ > next) return skipped;
-  }
-
-  // Phase 2: every context idle. A cycle can only act if some ready thread
-  // has an instruction in flight (its remaining parts merge every cycle) or
-  // can pass the refill gates. The earliest such cycle is the horizon; all
-  // cycles before it are empty and account as: cycles/vertical-waste (and
-  // drain under drain mode) plus the per-thread block counters refill_slot
-  // would have bumped, plus the priority rotation of the merge walk.
-  if (limit <= next) return skipped;
-  std::uint64_t horizon = ~0ull;
-  for (int s = 0; s < cfg_.hw_threads; ++s) {
-    const ThreadContext* ctx = slots_[static_cast<std::size_t>(s)];
-    if (ctx == nullptr || ctx->state != RunState::kReady) continue;
-    if (ctx->issue.active) return skipped;  // parts merge next cycle
-    if (drain_) continue;  // refill gated off: this thread generates no event
-    const std::uint64_t gate =
-        std::max(std::max(ctx->mem_block_until, ctx->next_issue_at),
-                 ctx->fetch_ready_at);
-    horizon = std::min(horizon, std::max(next, gate));
-  }
-  // The backend may hold in-flight completions of its own (hierarchy MSHR
-  // fills); never skip past the earliest one, so the clock observes every
-  // scheduled memory event. The fixed backend reports kNoEvent — this clause
-  // vanishes and the skip is the seed's, bit for bit. Stopping early is
-  // statistics-neutral: a stepped empty cycle accounts exactly like a
-  // skipped one (fast_forward-vs-pure-loop suite).
-  const std::uint64_t ev = backend_->next_event_after(cycle_);
-  if (ev != mem::MemoryBackend::kNoEvent)
-    horizon = std::min(horizon, std::max(next, ev));
-  const std::uint64_t end = std::min(horizon, limit);
-  if (end <= next) return skipped;
-  const std::uint64_t k = end - next;
-
-  stats_.cycles += k;
-  stats_.vertical_waste_cycles += k;
-  if (drain_) {
-    stats_.drain_cycles += k;
-  } else {
+    end = std::min(end, limit);
+    if (end <= next) return skipped;
+    const std::uint64_t k = end - next;
+    account_empty_cycles(k, stalled);
+    cycle_ += k;
+    skipped += k;
+    if (stalled) continue;  // charges no thread, rotates no priority
     for (int s = 0; s < cfg_.hw_threads; ++s) {
       ThreadContext* ctx = slots_[static_cast<std::size_t>(s)];
-      if (ctx == nullptr || ctx->state != RunState::kReady) continue;
-      // Mirror refill_slot's gate order for cycles x in [next, end):
-      // x < mem_block_until counts a D-miss block; otherwise x inside
-      // [max(mem_block, next_issue), fetch_ready) counts an I-miss block.
-      if (ctx->mem_block_until > next)
-        ctx->counters.dmiss_block_cycles +=
-            std::min(end, ctx->mem_block_until) - next;
-      const std::uint64_t fetch_gate =
-          std::max(std::max(ctx->mem_block_until, ctx->next_issue_at), next);
-      if (ctx->fetch_ready_at > fetch_gate)
-        ctx->counters.imiss_block_cycles +=
-            std::min(end, ctx->fetch_ready_at) - fetch_gate;
+      if (ctx != nullptr && ctx->state == RunState::kReady && !drain_)
+        charge_gates(*ctx, next, end);
     }
+    priority_base_ = static_cast<int>(
+        (priority_base_ + k) % static_cast<std::uint64_t>(cfg_.hw_threads));
+    return skipped;
   }
-  const auto n_threads = static_cast<std::uint64_t>(cfg_.hw_threads);
-  priority_base_ = static_cast<int>(
-      (static_cast<std::uint64_t>(priority_base_) + k) % n_threads);
-  cycle_ += k;
-  skipped += k;
-  return skipped;
 }
 
 bool Simulator::run_to_halt(std::uint64_t max_cycles) {

@@ -30,11 +30,12 @@
 // Fast path: step() always simulates exactly one cycle, but when every
 // hardware context is provably blocked until a known future cycle (memory
 // stall drain, D-miss block, I-miss refill, branch penalty), fast_forward()
-// advances the clock and every per-cycle counter arithmetically instead of
-// iterating the idle cycles — with bit-identical statistics, enforced by the
-// golden-stats suite. Drivers call it before each step with a limit so the
-// clock never jumps over an external decision point (timeslice expiry,
-// max-cycles budget).
+// skips the idle span in one call. Both account idle cycles through one
+// path, so the statistics are bit-identical either way: charge_gates()
+// charges a thread's gated cycles (refill_slot() one, fast_forward() a span)
+// and account_empty_cycles() counts the cycles that issue nothing. Drivers
+// call fast_forward() before each step with a limit so the clock never jumps
+// over an external decision point (timeslice expiry, max-cycles budget).
 #pragma once
 
 #include <array>
@@ -146,6 +147,13 @@ class Simulator {
   // Passes the thread's refill gates (D-miss / branch-penalty / I-fetch) and
   // arms a fresh IssueProgress. Callers pre-filter null/halted/active/drain.
   void refill_slot(ThreadContext* ctx);
+  // Charges cycles [from, to) to the first refill gate holding each: the
+  // D-miss block, the branch penalty (no counter), then the I-fetch refill.
+  static void charge_gates(ThreadContext& ctx, std::uint64_t from,
+                           std::uint64_t to);
+  // Accounts k cycles that issue nothing: cycles, vertical waste, and either
+  // memory-port stall or, under drain, drain cycles.
+  void account_empty_cycles(std::uint64_t k, bool port_stalled);
   // Executes one operation, read from the program's flat op table.
   void execute_op(const DecodedOp& dec, int logical_cluster,
                   int physical_cluster, ThreadContext& ctx);

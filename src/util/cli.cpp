@@ -115,7 +115,11 @@ int Cli::jobs(int def) const {
 bool Cli::get_bool(const std::string& name, bool def) const {
   const std::string* value = find(name);
   if (value == nullptr) return def;
-  return *value == "true" || *value == "1" || *value == "yes";
+  if (*value == "true" || *value == "1" || *value == "yes") return true;
+  VEXSIM_CHECK_MSG(*value == "false" || *value == "0" || *value == "no",
+                   "--" << name << " expects true/false/1/0/yes/no, got '"
+                        << *value << "'");
+  return false;
 }
 
 void Cli::reject_unknown() const {

@@ -38,6 +38,9 @@ class Cli {
   // CheckError naming the flag below 1, so no value wraps when unsigned.
   [[nodiscard]] std::uint64_t get_positive(const std::string& name,
                                            std::uint64_t def) const;
+  // A bare `--flag` reads true. A value must be one of true/false/1/0/yes/no;
+  // anything else is a CheckError naming the flag, so `--quick=banana` fails
+  // and `--quick llhh` does not silently swallow a positional argument.
   [[nodiscard]] bool get_bool(const std::string& name, bool def) const;
 
   // Worker-thread count from `--jobs N`. Defaults to `def` when absent;

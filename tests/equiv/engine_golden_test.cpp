@@ -10,6 +10,13 @@
 // merge, and per-instance retired instructions, architectural fingerprint and
 // fault flag.
 //
+// The trajectory carries no per-thread counters, so a sidecar,
+// tests/golden/engine_matrix_counters.golden.json, pins each point's
+// per-instance ThreadCounters (retired instructions and operations, taken
+// branches, split instructions, D-miss and I-miss block cycles). Without it,
+// the block counters are held only by the agreement of the stepped and the
+// fast-forwarded engine, which a fault shared by both would keep.
+//
 // Matrix (67 points, small budgets; the short timeslice forces drains and
 // context switches inside the budget, so those paths are covered too):
 //  * all eight techniques × {symmetric 4x4, asymmetric 8+4+2+2,
@@ -21,7 +28,7 @@
 //    memory backend with memory-heavy mixes.
 //
 // On a mismatch the test writes the document it produced to
-// engine_matrix.actual.json beside the test binary and names the first point
+// <golden name>.actual.json beside the test binary and names the first point
 // that differs. Regenerate (only for a change meant to move cycle-level
 // statistics) by copying that file over the golden.
 #include <gtest/gtest.h>
@@ -163,23 +170,59 @@ std::string first_difference(const std::string& golden_text,
   return "document header";
 }
 
-TEST(EngineGolden, MatrixReproducesTheFrozenTrajectory) {
-  const std::vector<harness::SweepPoint> points = engine_matrix();
-  ASSERT_EQ(points.size(), 67u);
-  const Json doc = harness::sweep_json(
-      "engine_matrix", points, harness::run_sweep(points, /*jobs=*/1));
-  const std::string golden_path =
-      std::string(VEXSIM_SOURCE_DIR) + "/tests/golden/engine_matrix.golden.json";
+// Each point's per-instance ThreadCounters, labelled like the trajectory so
+// first_difference can name the point.
+Json counters_json(const std::vector<harness::SweepPoint>& points,
+                   const std::vector<RunResult>& results) {
+  Json arr = Json::array();
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    Json instances = Json::array();
+    for (const InstanceResult& inst : results[i].instances) {
+      const ThreadCounters& c = inst.counters;
+      Json ij = Json::object();
+      ij.set("name", inst.name)
+          .set("instructions", c.instructions)
+          .set("ops", c.ops)
+          .set("taken_branches", c.taken_branches)
+          .set("split_instructions", c.split_instructions)
+          .set("dmiss_block_cycles", c.dmiss_block_cycles)
+          .set("imiss_block_cycles", c.imiss_block_cycles);
+      instances.push(std::move(ij));
+    }
+    Json point = Json::object();
+    point.set("label", points[i].label).set("instances", std::move(instances));
+    arr.push(std::move(point));
+  }
+  Json doc = Json::object();
+  doc.set("experiment", "engine_matrix_counters").set("points", std::move(arr));
+  return doc;
+}
+
+// Byte-compares `doc` with tests/golden/<name>.golden.json. On a mismatch it
+// writes `doc` to <name>.actual.json in the build directory and names the
+// first differing point.
+void expect_golden(const std::string& name, const Json& doc) {
+  const std::string golden_path = std::string(VEXSIM_SOURCE_DIR) +
+                                  "/tests/golden/" + name + ".golden.json";
   const std::string golden = read_file(golden_path);
   if (doc.dump() == golden) return;
 
   const std::string actual_path =
-      std::string(VEXSIM_BINARY_DIR) + "/engine_matrix.actual.json";
+      std::string(VEXSIM_BINARY_DIR) + "/" + name + ".actual.json";
   write_json_file(actual_path, doc);
-  ADD_FAILURE() << "trajectory differs from " << golden_path << ": "
+  ADD_FAILURE() << name << " differs from " << golden_path << ": "
                 << (golden.empty() ? std::string("golden missing or empty")
                                    : first_difference(golden, doc))
                 << "\nthis run's document: " << actual_path;
+}
+
+TEST(EngineGolden, MatrixReproducesTheFrozenTrajectory) {
+  const std::vector<harness::SweepPoint> points = engine_matrix();
+  ASSERT_EQ(points.size(), 67u);
+  const std::vector<RunResult> results = harness::run_sweep(points, /*jobs=*/1);
+  expect_golden("engine_matrix",
+                harness::sweep_json("engine_matrix", points, results));
+  expect_golden("engine_matrix_counters", counters_json(points, results));
 }
 
 }  // namespace

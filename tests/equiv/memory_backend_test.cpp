@@ -13,6 +13,7 @@
 #include <string>
 
 #include "harness/experiments.hpp"
+#include "support/test_util.hpp"
 
 namespace vexsim {
 namespace {
@@ -48,23 +49,6 @@ MachineConfig make_machine(bool asymmetric, int threads, Technique t,
   return cfg;
 }
 
-void expect_identical(const RunResult& a, const RunResult& b,
-                      const std::string& label) {
-  EXPECT_EQ(a.sim, b.sim) << label;
-  EXPECT_EQ(a.icache, b.icache) << label;
-  EXPECT_EQ(a.dcache, b.dcache) << label;
-  EXPECT_EQ(a.memory, b.memory) << label;
-  EXPECT_EQ(a.merge, b.merge) << label;
-  ASSERT_EQ(a.instances.size(), b.instances.size()) << label;
-  for (std::size_t i = 0; i < a.instances.size(); ++i) {
-    EXPECT_EQ(a.instances[i].arch_fingerprint,
-              b.instances[i].arch_fingerprint)
-        << label << " instance " << i;
-    EXPECT_EQ(a.instances[i].instructions, b.instances[i].instructions)
-        << label << " instance " << i;
-  }
-}
-
 TEST(MemoryBackendEquivalence, FastForwardVsPureLoop) {
   // The fast_forward horizon is clamped by the backend's next in-flight
   // completion; skipping or stepping those idle cycles must not move a
@@ -79,9 +63,9 @@ TEST(MemoryBackendEquivalence, FastForwardVsPureLoop) {
       opt.fast_forward = false;
       const RunResult stepping = harness::run_workload_on(cfg, mix, opt);
       ASSERT_TRUE(skipping.memory.present);
-      expect_identical(skipping, stepping,
-                       std::string("ff-vs-loop ") + cfg.geometry_name() +
-                           " " + mix);
+      test::expect_same_stats(skipping, stepping,
+                              std::string("ff-vs-loop ") +
+                                  cfg.geometry_name() + " " + mix);
     }
   }
 }

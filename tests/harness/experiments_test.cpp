@@ -5,6 +5,7 @@
 #include <memory>
 #include <string>
 
+#include "support/test_util.hpp"
 #include "util/check.hpp"
 
 namespace vexsim::harness {
@@ -132,16 +133,8 @@ TEST(Experiments, RunSingleHonoursFastForward) {
   const RunResult skipping = run_single("djpeg", /*perfect=*/false, opt);
   opt.fast_forward = false;
   const RunResult stepping = run_single("djpeg", /*perfect=*/false, opt);
-  EXPECT_EQ(skipping.sim, stepping.sim);
-  EXPECT_EQ(skipping.icache, stepping.icache);
-  EXPECT_EQ(skipping.dcache, stepping.dcache);
-  EXPECT_EQ(skipping.merge, stepping.merge);
   ASSERT_EQ(skipping.instances.size(), 1u);
-  ASSERT_EQ(stepping.instances.size(), 1u);
-  EXPECT_EQ(skipping.instances[0].arch_fingerprint,
-            stepping.instances[0].arch_fingerprint);
-  EXPECT_EQ(skipping.instances[0].instructions,
-            stepping.instances[0].instructions);
+  test::expect_same_stats(skipping, stepping, "djpeg");
 }
 
 TEST(Experiments, RunWorkloadUsesFourInstances) {

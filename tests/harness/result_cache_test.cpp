@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "stats/json.hpp"
+#include "support/test_util.hpp"
 #include "util/check.hpp"
 
 namespace vexsim::harness {
@@ -119,40 +120,7 @@ TEST(ResultCache, StoreLoadRoundTripsEveryField) {
   EXPECT_FALSE(loaded->failed);
 
   EXPECT_EQ(loaded->issue_width, fresh.issue_width);
-  EXPECT_EQ(loaded->sim.cycles, fresh.sim.cycles);
-  EXPECT_EQ(loaded->sim.ops_issued, fresh.sim.ops_issued);
-  EXPECT_EQ(loaded->sim.instructions_retired, fresh.sim.instructions_retired);
-  EXPECT_EQ(loaded->sim.split_instructions, fresh.sim.split_instructions);
-  EXPECT_EQ(loaded->sim.vertical_waste_cycles, fresh.sim.vertical_waste_cycles);
-  EXPECT_EQ(loaded->sim.multi_thread_cycles, fresh.sim.multi_thread_cycles);
-  EXPECT_EQ(loaded->sim.memport_stall_cycles, fresh.sim.memport_stall_cycles);
-  EXPECT_EQ(loaded->sim.drain_cycles, fresh.sim.drain_cycles);
-  EXPECT_EQ(loaded->sim.taken_branches, fresh.sim.taken_branches);
-  EXPECT_EQ(loaded->sim.faults, fresh.sim.faults);
-  EXPECT_EQ(loaded->icache.hits, fresh.icache.hits);
-  EXPECT_EQ(loaded->icache.misses, fresh.icache.misses);
-  EXPECT_EQ(loaded->dcache.hits, fresh.dcache.hits);
-  EXPECT_EQ(loaded->dcache.misses, fresh.dcache.misses);
-  EXPECT_EQ(loaded->merge.full_selections, fresh.merge.full_selections);
-  EXPECT_EQ(loaded->merge.partial_selections, fresh.merge.partial_selections);
-  EXPECT_EQ(loaded->merge.blocked_selections, fresh.merge.blocked_selections);
-  EXPECT_EQ(loaded->merge.comm_nosplit_forced, fresh.merge.comm_nosplit_forced);
-  ASSERT_EQ(loaded->instances.size(), fresh.instances.size());
-  for (std::size_t i = 0; i < fresh.instances.size(); ++i) {
-    const InstanceResult& a = fresh.instances[i];
-    const InstanceResult& b = loaded->instances[i];
-    EXPECT_EQ(b.name, a.name);
-    EXPECT_EQ(b.instructions, a.instructions);
-    EXPECT_EQ(b.respawns, a.respawns);
-    EXPECT_EQ(b.arch_fingerprint, a.arch_fingerprint);
-    EXPECT_EQ(b.faulted, a.faulted);
-    EXPECT_EQ(b.counters.instructions, a.counters.instructions);
-    EXPECT_EQ(b.counters.ops, a.counters.ops);
-    EXPECT_EQ(b.counters.taken_branches, a.counters.taken_branches);
-    EXPECT_EQ(b.counters.split_instructions, a.counters.split_instructions);
-    EXPECT_EQ(b.counters.dmiss_block_cycles, a.counters.dmiss_block_cycles);
-    EXPECT_EQ(b.counters.imiss_block_cycles, a.counters.imiss_block_cycles);
-  }
+  test::expect_same_stats(*loaded, fresh, "round trip");
 }
 
 TEST(ResultCache, CorruptAndStaleRecordsAreMisses) {

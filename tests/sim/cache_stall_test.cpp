@@ -72,6 +72,23 @@ TEST(CacheStall, InstructionFetchMissDelaysStartup) {
   EXPECT_EQ(real, perfect + 20);  // cold ICache miss on the first fetch
 }
 
+TEST(CacheStall, ZeroPenaltyMissCostsOnlyItsOwnCycle) {
+  // A miss at penalty 0 still spends the fetch cycle refilling (one I-miss
+  // block cycle), and a zero-penalty D-miss blocks no later cycle.
+  MachineConfig cfg = machine(false, false);
+  cfg.icache.miss_penalty = 0;
+  cfg.dcache.miss_penalty = 0;
+  Simulator sim(cfg);
+  ThreadContext ctx(0, test::shared(assemble(kLoadProgram, "p")));
+  sim.attach(0, &ctx);
+  ASSERT_TRUE(sim.run_to_halt(1'000));
+  EXPECT_EQ(sim.stats().cycles,
+            run_cycles(machine(true, true), kLoadProgram) + 1);
+  EXPECT_EQ(ctx.counters.imiss_block_cycles, 1u);
+  EXPECT_EQ(ctx.counters.dmiss_block_cycles, 0u);
+  EXPECT_EQ(sim.dcache().stats().misses, 1u);
+}
+
 TEST(CacheStall, DMissBlockCyclesCounted) {
   MachineConfig cfg = machine(false, true);
   Simulator sim(cfg);

@@ -13,50 +13,6 @@
 namespace vexsim {
 namespace {
 
-void expect_identical(const RunResult& a, const RunResult& b,
-                      const std::string& what) {
-  EXPECT_EQ(a.sim.cycles, b.sim.cycles) << what;
-  EXPECT_EQ(a.sim.ops_issued, b.sim.ops_issued) << what;
-  EXPECT_EQ(a.sim.instructions_retired, b.sim.instructions_retired) << what;
-  EXPECT_EQ(a.sim.split_instructions, b.sim.split_instructions) << what;
-  EXPECT_EQ(a.sim.vertical_waste_cycles, b.sim.vertical_waste_cycles) << what;
-  EXPECT_EQ(a.sim.multi_thread_cycles, b.sim.multi_thread_cycles) << what;
-  EXPECT_EQ(a.sim.memport_stall_cycles, b.sim.memport_stall_cycles) << what;
-  EXPECT_EQ(a.sim.drain_cycles, b.sim.drain_cycles) << what;
-  EXPECT_EQ(a.sim.taken_branches, b.sim.taken_branches) << what;
-  EXPECT_EQ(a.sim.faults, b.sim.faults) << what;
-  EXPECT_EQ(a.icache.hits, b.icache.hits) << what;
-  EXPECT_EQ(a.icache.misses, b.icache.misses) << what;
-  EXPECT_EQ(a.dcache.hits, b.dcache.hits) << what;
-  EXPECT_EQ(a.dcache.misses, b.dcache.misses) << what;
-  EXPECT_EQ(a.merge.full_selections, b.merge.full_selections) << what;
-  EXPECT_EQ(a.merge.partial_selections, b.merge.partial_selections) << what;
-  EXPECT_EQ(a.merge.blocked_selections, b.merge.blocked_selections) << what;
-  EXPECT_EQ(a.merge.comm_nosplit_forced, b.merge.comm_nosplit_forced) << what;
-  ASSERT_EQ(a.instances.size(), b.instances.size()) << what;
-  for (std::size_t i = 0; i < a.instances.size(); ++i) {
-    EXPECT_EQ(a.instances[i].instructions, b.instances[i].instructions)
-        << what << "/" << i;
-    EXPECT_EQ(a.instances[i].respawns, b.instances[i].respawns)
-        << what << "/" << i;
-    EXPECT_EQ(a.instances[i].arch_fingerprint,
-              b.instances[i].arch_fingerprint)
-        << what << "/" << i;
-    EXPECT_EQ(a.instances[i].counters.dmiss_block_cycles,
-              b.instances[i].counters.dmiss_block_cycles)
-        << what << "/" << i;
-    EXPECT_EQ(a.instances[i].counters.imiss_block_cycles,
-              b.instances[i].counters.imiss_block_cycles)
-        << what << "/" << i;
-    EXPECT_EQ(a.instances[i].counters.taken_branches,
-              b.instances[i].counters.taken_branches)
-        << what << "/" << i;
-    EXPECT_EQ(a.instances[i].counters.split_instructions,
-              b.instances[i].counters.split_instructions)
-        << what << "/" << i;
-  }
-}
-
 TEST(FastForward, DriverStatsBitIdenticalAcrossTechniquesAndWorkloads) {
   // Small multiprogrammed runs across the technique space, including cache
   // misses, timeslice drains and respawns: stats must match exactly.
@@ -73,7 +29,8 @@ TEST(FastForward, DriverStatsBitIdenticalAcrossTechniquesAndWorkloads) {
       const RunResult base = harness::run_workload(workload, 4, t, opt);
       opt.fast_forward = true;
       const RunResult fast = harness::run_workload(workload, 4, t, opt);
-      expect_identical(base, fast, std::string(workload) + "/" + t.name());
+      test::expect_same_stats(base, fast,
+                              std::string(workload) + "/" + t.name());
     }
   }
 }
@@ -91,7 +48,7 @@ TEST(FastForward, SingleThreadMissHeavyRun) {
     const RunResult base = harness::run_single(bench, false, opt);
     opt.fast_forward = true;
     const RunResult fast = harness::run_single(bench, false, opt);
-    expect_identical(base, fast, bench);
+    test::expect_same_stats(base, fast, bench);
   }
 }
 
@@ -166,6 +123,76 @@ TEST(FastForward, NeverSkipsWithWorkInFlight) {
   ctx.issue.active = true;  // synthetic in-flight instruction
   EXPECT_EQ(sim.fast_forward(~0ull), 0u);
   ctx.issue.active = false;
+}
+
+// One ready thread whose three refill gates hold back to back, set directly
+// because the engine never arms all three at once: cycles 1-3 wait out a
+// D-miss block, 4-7 a branch penalty, 8-12 an I-fetch refill, and cycle 13
+// issues. Each cycle is charged to the first gate that holds it; the branch
+// penalty is charged to no counter.
+struct GateWindows {
+  MachineConfig cfg = test::example_machine(2, 4, 1, Technique::smt());
+  Simulator sim{cfg};
+  ThreadContext ctx{0, test::shared(assemble("c0 movi r1 = 1\n"
+                                             "c0 halt\n",
+                                             "p"))};
+
+  GateWindows() {
+    sim.attach(0, &ctx);
+    ctx.mem_block_until = 4;
+    ctx.next_issue_at = 8;
+    ctx.fetch_ready_at = 13;
+  }
+};
+
+TEST(FastForward, GateWindowsChargeTheFirstGateThatHolds) {
+  GateWindows stepped;
+  for (int i = 0; i < 12; ++i) ASSERT_EQ(stepped.sim.step(), 0);
+  EXPECT_EQ(stepped.ctx.counters.dmiss_block_cycles, 3u);
+  EXPECT_EQ(stepped.ctx.counters.imiss_block_cycles, 5u);
+
+  GateWindows skipped;
+  EXPECT_EQ(skipped.sim.fast_forward(~0ull), 12u);
+  EXPECT_EQ(skipped.ctx.counters, stepped.ctx.counters);
+  EXPECT_EQ(skipped.sim.stats(), stepped.sim.stats());
+  EXPECT_EQ(skipped.sim.stats().vertical_waste_cycles, 12u);
+
+  EXPECT_EQ(stepped.sim.step(), 1);  // cycle 13: every gate is open
+  EXPECT_EQ(skipped.sim.step(), 1);
+}
+
+TEST(FastForward, SkipsEndingInsideAWindowChargeOnlyTheirOwnCycles) {
+  // Three skips split at limits `a` and `b`, so spans start and end inside
+  // every window, including spans that end below a later gate.
+  for (std::uint64_t a = 1; a <= 13; ++a) {
+    for (std::uint64_t b = a; b <= 13; ++b) {
+      GateWindows w;
+      const std::uint64_t first = w.sim.fast_forward(a);
+      const std::uint64_t second = w.sim.fast_forward(b);
+      const std::uint64_t third = w.sim.fast_forward(~0ull);
+      const std::string at =
+          "limits " + std::to_string(a) + ", " + std::to_string(b);
+      EXPECT_EQ(first + second + third, 12u) << at;
+      EXPECT_EQ(w.ctx.counters.dmiss_block_cycles, 3u) << at;
+      EXPECT_EQ(w.ctx.counters.imiss_block_cycles, 5u) << at;
+    }
+  }
+}
+
+TEST(FastForward, DrainChargesNoThread) {
+  // Under drain no thread starts an instruction, so no gate is charged: the
+  // empty cycles count as drain cycles only.
+  GateWindows stepped;
+  stepped.sim.set_drain(true);
+  for (int i = 0; i < 20; ++i) ASSERT_EQ(stepped.sim.step(), 0);
+  GateWindows skipped;
+  skipped.sim.set_drain(true);
+  EXPECT_EQ(skipped.sim.fast_forward(21), 20u);
+  for (const GateWindows* w : {&stepped, &skipped}) {
+    EXPECT_EQ(w->ctx.counters, ThreadCounters{});
+    EXPECT_EQ(w->sim.stats().drain_cycles, 20u);
+    EXPECT_EQ(w->sim.stats().vertical_waste_cycles, 20u);
+  }
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Shared helpers for the vexsim test suite.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
 #include <map>
 #include <memory>
@@ -10,6 +12,7 @@
 #include "arch/thread_context.hpp"
 #include "isa/config.hpp"
 #include "isa/program.hpp"
+#include "sim/driver.hpp"
 #include "sim/simulator.hpp"
 #include "util/check.hpp"
 
@@ -59,6 +62,31 @@ inline MachineConfig example_machine(int clusters, int issue, int threads,
   cfg.dcache.perfect = true;
   cfg.validate();
   return cfg;
+}
+
+// Two runs of one point agree on every statistic a RunResult carries: the
+// machine, cache, memory-hierarchy and merge counters, and each instance's
+// retired instructions, respawns, fingerprint, fault flag and per-thread
+// counters. (Compile summary and harness provenance are not statistics.)
+inline void expect_same_stats(const RunResult& a, const RunResult& b,
+                              const std::string& what) {
+  EXPECT_EQ(a.sim, b.sim) << what;
+  EXPECT_EQ(a.icache, b.icache) << what;
+  EXPECT_EQ(a.dcache, b.dcache) << what;
+  EXPECT_EQ(a.memory, b.memory) << what;
+  EXPECT_EQ(a.merge, b.merge) << what;
+  ASSERT_EQ(a.instances.size(), b.instances.size()) << what;
+  for (std::size_t i = 0; i < a.instances.size(); ++i) {
+    const InstanceResult& x = a.instances[i];
+    const InstanceResult& y = b.instances[i];
+    const std::string at = what + " instance " + std::to_string(i);
+    EXPECT_EQ(x.name, y.name) << at;
+    EXPECT_EQ(x.instructions, y.instructions) << at;
+    EXPECT_EQ(x.respawns, y.respawns) << at;
+    EXPECT_EQ(x.arch_fingerprint, y.arch_fingerprint) << at;
+    EXPECT_EQ(x.faulted, y.faulted) << at;
+    EXPECT_EQ(x.counters, y.counters) << at;
+  }
 }
 
 // Per-cycle packet summary: ops issued per (thread, cluster), e.g.

@@ -34,6 +34,31 @@ TEST(Cli, BooleanFlag) {
   EXPECT_FALSE(cli.has("quick"));
 }
 
+TEST(Cli, BooleanValuesAreStrict) {
+  const auto get = [](std::initializer_list<const char*> args) {
+    return make(args).get_bool("quick", false);
+  };
+  for (const char* yes : {"true", "1", "yes"})
+    EXPECT_TRUE(get({"--quick", yes})) << yes;
+  for (const char* no : {"false", "0", "no"})
+    EXPECT_FALSE(make({"--quick", no}).get_bool("quick", true)) << no;
+  // A lenient parse read each of these as false and ran the full defaults;
+  // `--quick llhh` also swallowed what was meant as a positional argument.
+  for (const char* bad : {"banana", "llhh", "", "TRUE", "2", "on"}) {
+    const std::string arg = std::string("--quick=") + bad;
+    try {
+      (void)get({arg.c_str()});
+      FAIL() << "expected CheckError for " << arg;
+    } catch (const CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("--quick"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("'") + bad + "'"), std::string::npos)
+          << what;
+    }
+  }
+  EXPECT_THROW((void)get({"--quick", "llhh"}), CheckError);
+}
+
 TEST(Cli, DefaultsWhenAbsent) {
   const Cli cli = make({});
   EXPECT_EQ(cli.get_int("budget", 42), 42);
