@@ -89,18 +89,25 @@ double time_once(const std::string& workload, int threads, Technique t,
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
+// Every statistic a RunResult carries: the machine, cache, memory-hierarchy
+// and merge counters, and each instance's architectural fingerprint and
+// per-thread counters (the D-miss and I-miss block cycles among them).
 // `what` names the pair being compared, e.g. "fast-forward vs the pure
 // loop for 2T_csmt/llmm".
 void check_identical(const std::string& what, const RunResult& a,
                      const RunResult& b) {
   VEXSIM_CHECK_MSG(a.sim == b.sim && a.icache == b.icache &&
-                       a.dcache == b.dcache,
+                       a.dcache == b.dcache && a.memory == b.memory &&
+                       a.merge == b.merge,
                    "statistics diverge: " << what);
   VEXSIM_CHECK(a.instances.size() == b.instances.size());
-  for (std::size_t i = 0; i < a.instances.size(); ++i)
+  for (std::size_t i = 0; i < a.instances.size(); ++i) {
     VEXSIM_CHECK_MSG(
         a.instances[i].arch_fingerprint == b.instances[i].arch_fingerprint,
         "architectural state diverges: " << what);
+    VEXSIM_CHECK_MSG(a.instances[i].counters == b.instances[i].counters,
+                     "per-thread counters diverge: " << what);
+  }
 }
 
 // Distinct, well-mixed synthetic fingerprints for the cache-probe leg.

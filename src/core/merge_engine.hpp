@@ -176,10 +176,11 @@ class MergeEngine {
   // All-or-nothing selection (split disabled or NS-forced).
   template <typename Sink>
   bool select_whole(ThreadContext& ctx, int rotation, Sink& sink) {
-    // First pass: every pending bundle must fit simultaneously. Accumulate
-    // hypothetical use per physical cluster so two bundles of this thread
-    // that rename onto the same physical cluster are rejected coherently
-    // (cannot happen with rotation renaming, but keeps the check airtight).
+    // First pass: every pending bundle must fit simultaneously. Each bundle
+    // is checked alone against the cycle's use so far. That is exact,
+    // because physical_cluster(c, rotation) maps the thread's logical
+    // clusters one to one, so no two of its bundles share a physical
+    // cluster.
     const std::uint32_t clusters = ctx.issue.pending_clusters;
     for (std::uint32_t m = clusters; m != 0; m &= m - 1) {
       const int c = std::countr_zero(m);

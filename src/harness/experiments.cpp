@@ -2,7 +2,6 @@
 
 #include "mdes/machine.hpp"
 #include "util/check.hpp"
-#include "workloads/registry.hpp"
 #include "workloads/workloads.hpp"
 
 namespace vexsim::harness {
@@ -102,20 +101,7 @@ RunResult run_single(const std::string& benchmark, bool perfect_memory,
   MachineConfig cfg = opt.machine_single();
   cfg.icache.perfect = perfect_memory;
   cfg.dcache.perfect = perfect_memory;
-  cc::CompileStats stats;
-  auto program =
-      wl::make_benchmark(benchmark, cfg, opt.scale, opt.compiler, &stats);
-  DriverParams params = driver_params(opt);
-  params.timeslice = ~0ull;  // single program: no switching
-  MultiprogramDriver driver(cfg, {std::move(program)}, params);
-  RunResult result = driver.run();
-  result.compile.instructions = static_cast<std::uint64_t>(stats.instructions);
-  result.compile.operations = static_cast<std::uint64_t>(stats.operations);
-  result.compile.copies_inserted =
-      static_cast<std::uint64_t>(stats.copies_inserted);
-  result.compile.swp_loops = static_cast<std::uint64_t>(stats.swp_loops);
-  result.compile.present = true;
-  return result;
+  return run_workload_on(cfg, benchmark, opt);
 }
 
 }  // namespace vexsim::harness

@@ -81,8 +81,9 @@ struct ExperimentOptions {
                                      int threads, Technique technique,
                                      const ExperimentOptions& opt);
 
-// Runs one benchmark alone on the single-threaded paper machine, with real
-// or perfect memory (Figure 13(a) IPCr / IPCp).
+// Runs one benchmark alone on machine_single(), with real or perfect memory
+// (Figure 13(a) IPCr / IPCp), through run_workload_on. A lone instance never
+// switches out, so the timeslice has no effect.
 [[nodiscard]] RunResult run_single(const std::string& benchmark,
                                    bool perfect_memory,
                                    const ExperimentOptions& opt);
@@ -95,8 +96,7 @@ struct ExperimentOptions {
     std::optional<Deadline> deadline = std::nullopt);
 
 // The driver parameters every run of `opt` uses: its run length, seed and
-// fast-forward setting, with respawning on. run_single then turns off the
-// timeslice.
+// fast-forward setting, with respawning on.
 [[nodiscard]] DriverParams driver_params(const ExperimentOptions& opt);
 
 }  // namespace vexsim::harness

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <vector>
 
+#include "harness/stat_fields.hpp"
 #include "stats/json.hpp"
 #include "util/check.hpp"
 #include "wl_synth/spec.hpp"
@@ -143,103 +144,35 @@ bool is_hex16(std::string_view s) {
   });
 }
 
-Json counters_json(const ThreadCounters& c) {
-  Json j = Json::object();
-  j.set("instructions", c.instructions)
-      .set("ops", c.ops)
-      .set("taken_branches", c.taken_branches)
-      .set("split_instructions", c.split_instructions)
-      .set("dmiss_block_cycles", c.dmiss_block_cycles)
-      .set("imiss_block_cycles", c.imiss_block_cycles);
-  return j;
-}
-
-ThreadCounters counters_from_json(const Json& j) {
-  ThreadCounters c;
-  c.instructions = j.at("instructions").as_uint64();
-  c.ops = j.at("ops").as_uint64();
-  c.taken_branches = j.at("taken_branches").as_uint64();
-  c.split_instructions = j.at("split_instructions").as_uint64();
-  c.dmiss_block_cycles = j.at("dmiss_block_cycles").as_uint64();
-  c.imiss_block_cycles = j.at("imiss_block_cycles").as_uint64();
-  return c;
-}
-
 Json result_json(const RunResult& r) {
-  Json sim = Json::object();
-  sim.set("cycles", r.sim.cycles)
-      .set("ops_issued", r.sim.ops_issued)
-      .set("instructions_retired", r.sim.instructions_retired)
-      .set("split_instructions", r.sim.split_instructions)
-      .set("vertical_waste_cycles", r.sim.vertical_waste_cycles)
-      .set("multi_thread_cycles", r.sim.multi_thread_cycles)
-      .set("memport_stall_cycles", r.sim.memport_stall_cycles)
-      .set("drain_cycles", r.sim.drain_cycles)
-      .set("taken_branches", r.sim.taken_branches)
-      .set("faults", r.sim.faults);
-
-  Json icache = Json::object();
-  icache.set("hits", r.icache.hits).set("misses", r.icache.misses);
-  Json dcache = Json::object();
-  dcache.set("hits", r.dcache.hits).set("misses", r.dcache.misses);
-
-  Json memory = Json::object();
-  if (r.memory.present) {
-    const auto mshr_json = [](const mem::MshrStats& m) {
-      Json j = Json::object();
-      j.set("allocations", m.allocations)
-          .set("merges", m.merges)
-          .set("full_stalls", m.full_stalls)
-          .set("peak_occupancy", m.peak_occupancy);
-      return j;
-    };
-    Json l2 = Json::object();
-    l2.set("hits", r.memory.l2.hits).set("misses", r.memory.l2.misses);
-    Json dram = Json::object();
-    dram.set("row_hits", r.memory.dram.row_hits)
-        .set("row_closed", r.memory.dram.row_closed)
-        .set("row_conflicts", r.memory.dram.row_conflicts);
-    memory.set("imshr", mshr_json(r.memory.imshr))
-        .set("dmshr", mshr_json(r.memory.dmshr))
-        .set("l2", std::move(l2))
-        .set("dram", std::move(dram));
-  }
-
-  Json merge = Json::object();
-  merge.set("full_selections", r.merge.full_selections)
-      .set("partial_selections", r.merge.partial_selections)
-      .set("blocked_selections", r.merge.blocked_selections)
-      .set("comm_nosplit_forced", r.merge.comm_nosplit_forced);
-
-  Json instances = Json::array();
-  for (const InstanceResult& inst : r.instances) {
-    Json ij = Json::object();
-    ij.set("name", inst.name)
-        .set("instructions", inst.instructions)
-        .set("respawns", inst.respawns)
-        .set("arch_fingerprint", inst.arch_fingerprint)
-        .set("faulted", inst.faulted)
-        .set("counters", counters_json(inst.counters));
-    instances.push(std::move(ij));
-  }
-
-  Json compile = Json::object();
-  compile.set("instructions", r.compile.instructions)
-      .set("operations", r.compile.operations)
-      .set("copies_inserted", r.compile.copies_inserted)
-      .set("swp_loops", r.compile.swp_loops)
-      .set("present", r.compile.present);
-
   Json out = Json::object();
   out.set("issue_width", r.issue_width)
       .set("attempts", r.attempts)
-      .set("sim", std::move(sim))
-      .set("icache", std::move(icache))
-      .set("dcache", std::move(dcache));
+      .set("sim", fields_json(kSimFields, r.sim))
+      .set("icache", fields_json(kCacheFields, r.icache))
+      .set("dcache", fields_json(kCacheFields, r.dcache));
   // Hierarchy-only: fixed-backend records keep the pre-hierarchy shape so a
   // warm cache replays byte-identical JSON for pre-existing sweeps.
-  if (r.memory.present) out.set("memory", std::move(memory));
-  out.set("merge", std::move(merge))
+  if (r.memory.present) {
+    Json memory = Json::object();
+    memory.set("imshr", fields_json(kMshrFields, r.memory.imshr))
+        .set("dmshr", fields_json(kMshrFields, r.memory.dmshr))
+        .set("l2", fields_json(kCacheFields, r.memory.l2))
+        .set("dram", fields_json(kDramFields, r.memory.dram));
+    out.set("memory", std::move(memory));
+  }
+
+  Json compile = fields_json(kCompileFields, r.compile);
+  compile.set("present", r.compile.present);
+
+  Json instances = Json::array();
+  for (const InstanceResult& inst : r.instances) {
+    Json ij = instance_json(inst);
+    ij.set("counters", fields_json(kCounterFields, inst.counters));
+    instances.push(std::move(ij));
+  }
+
+  out.set("merge", fields_json(kMergeFields, r.merge))
       .set("compile", std::move(compile))
       .set("instances", std::move(instances));
   return out;
@@ -249,67 +182,27 @@ RunResult result_from_json(const Json& j) {
   RunResult r;
   r.issue_width = static_cast<int>(j.at("issue_width").as_int64());
   r.attempts = static_cast<int>(j.at("attempts").as_int64());
-
-  const Json& sim = j.at("sim");
-  r.sim.cycles = sim.at("cycles").as_uint64();
-  r.sim.ops_issued = sim.at("ops_issued").as_uint64();
-  r.sim.instructions_retired = sim.at("instructions_retired").as_uint64();
-  r.sim.split_instructions = sim.at("split_instructions").as_uint64();
-  r.sim.vertical_waste_cycles = sim.at("vertical_waste_cycles").as_uint64();
-  r.sim.multi_thread_cycles = sim.at("multi_thread_cycles").as_uint64();
-  r.sim.memport_stall_cycles = sim.at("memport_stall_cycles").as_uint64();
-  r.sim.drain_cycles = sim.at("drain_cycles").as_uint64();
-  r.sim.taken_branches = sim.at("taken_branches").as_uint64();
-  r.sim.faults = sim.at("faults").as_uint64();
-
-  r.icache.hits = j.at("icache").at("hits").as_uint64();
-  r.icache.misses = j.at("icache").at("misses").as_uint64();
-  r.dcache.hits = j.at("dcache").at("hits").as_uint64();
-  r.dcache.misses = j.at("dcache").at("misses").as_uint64();
-
+  read_fields(j.at("sim"), kSimFields, r.sim);
+  read_fields(j.at("icache"), kCacheFields, r.icache);
+  read_fields(j.at("dcache"), kCacheFields, r.dcache);
   if (const Json* memory = j.find("memory")) {
-    const auto mshr_from = [](const Json& mj) {
-      mem::MshrStats m;
-      m.allocations = mj.at("allocations").as_uint64();
-      m.merges = mj.at("merges").as_uint64();
-      m.full_stalls = mj.at("full_stalls").as_uint64();
-      m.peak_occupancy = mj.at("peak_occupancy").as_uint64();
-      return m;
-    };
     r.memory.present = true;
-    r.memory.imshr = mshr_from(memory->at("imshr"));
-    r.memory.dmshr = mshr_from(memory->at("dmshr"));
-    r.memory.l2.hits = memory->at("l2").at("hits").as_uint64();
-    r.memory.l2.misses = memory->at("l2").at("misses").as_uint64();
-    const Json& dram = memory->at("dram");
-    r.memory.dram.row_hits = dram.at("row_hits").as_uint64();
-    r.memory.dram.row_closed = dram.at("row_closed").as_uint64();
-    r.memory.dram.row_conflicts = dram.at("row_conflicts").as_uint64();
+    read_fields(memory->at("imshr"), kMshrFields, r.memory.imshr);
+    read_fields(memory->at("dmshr"), kMshrFields, r.memory.dmshr);
+    read_fields(memory->at("l2"), kCacheFields, r.memory.l2);
+    read_fields(memory->at("dram"), kDramFields, r.memory.dram);
   }
-
-  const Json& merge = j.at("merge");
-  r.merge.full_selections = merge.at("full_selections").as_uint64();
-  r.merge.partial_selections = merge.at("partial_selections").as_uint64();
-  r.merge.blocked_selections = merge.at("blocked_selections").as_uint64();
-  r.merge.comm_nosplit_forced = merge.at("comm_nosplit_forced").as_uint64();
+  read_fields(j.at("merge"), kMergeFields, r.merge);
 
   const Json& compile = j.at("compile");
-  r.compile.instructions = compile.at("instructions").as_uint64();
-  r.compile.operations = compile.at("operations").as_uint64();
-  r.compile.copies_inserted = compile.at("copies_inserted").as_uint64();
-  r.compile.swp_loops = compile.at("swp_loops").as_uint64();
+  read_fields(compile, kCompileFields, r.compile);
   r.compile.present = compile.at("present").as_bool();
 
   const Json& instances = j.at("instances");
   for (std::size_t i = 0; i < instances.size(); ++i) {
     const Json& ij = instances.at(i);
-    InstanceResult inst;
-    inst.name = ij.at("name").as_string();
-    inst.instructions = ij.at("instructions").as_uint64();
-    inst.respawns = ij.at("respawns").as_uint64();
-    inst.arch_fingerprint = ij.at("arch_fingerprint").as_uint64();
-    inst.faulted = ij.at("faulted").as_bool();
-    inst.counters = counters_from_json(ij.at("counters"));
+    InstanceResult inst = instance_from_json(ij);
+    read_fields(ij.at("counters"), kCounterFields, inst.counters);
     r.instances.push_back(std::move(inst));
   }
   return r;

@@ -15,6 +15,7 @@
 
 #include "harness/result_cache.hpp"
 #include "harness/shard.hpp"
+#include "harness/stat_fields.hpp"
 #include "util/check.hpp"
 
 namespace vexsim::harness {
@@ -65,8 +66,9 @@ ShardSpec ShardSpec::from_cli(const Cli& cli) {
 
 SweepOptions SweepOptions::from_cli(const Cli& cli) {
   // The retired --flush gets its own error rather than reject_unknown()'s,
-  // so the message can say what replaced it.
-  VEXSIM_CHECK_MSG(!cli.has("flush"),
+  // so the message can say what replaced it. given() is not a read, so the
+  // flags reject_unknown() lists as read leave --flush out.
+  VEXSIM_CHECK_MSG(!cli.given("flush"),
                    "--flush is no longer supported; run the sweep with "
                    "--cache[=DIR] and re-run it with the same --cache to "
                    "resume where it stopped");
@@ -291,9 +293,7 @@ std::vector<RunResult> run_sweep(const std::vector<SweepPoint>& points,
   return run_sweep(points, opts);
 }
 
-namespace {
-
-Json point_json(const SweepPoint& p, const RunResult& r) {
+Json sweep_point_json(const SweepPoint& p, const RunResult& r) {
   Json cfg = Json::object();
   cfg.set("threads", p.cfg.hw_threads)
       .set("technique", p.cfg.technique.name())
@@ -308,17 +308,8 @@ Json point_json(const SweepPoint& p, const RunResult& r) {
       .set("cc", p.opt.compiler.name());
 
   Json sim = Json::object();
-  sim.set("ipc", r.ipc())
-      .set("cycles", r.sim.cycles)
-      .set("ops_issued", r.sim.ops_issued)
-      .set("instructions_retired", r.sim.instructions_retired)
-      .set("split_instructions", r.sim.split_instructions)
-      .set("vertical_waste_cycles", r.sim.vertical_waste_cycles)
-      .set("multi_thread_cycles", r.sim.multi_thread_cycles)
-      .set("memport_stall_cycles", r.sim.memport_stall_cycles)
-      .set("drain_cycles", r.sim.drain_cycles)
-      .set("taken_branches", r.sim.taken_branches)
-      .set("faults", r.sim.faults);
+  sim.set("ipc", r.ipc());
+  append_fields(sim, kSimFields, r.sim);
 
   Json caches = Json::object();
   caches.set("icache_hits", r.icache.hits)
@@ -326,65 +317,38 @@ Json point_json(const SweepPoint& p, const RunResult& r) {
       .set("dcache_hits", r.dcache.hits)
       .set("dcache_misses", r.dcache.misses);
 
-  // Hierarchy-backend statistics; absent under the fixed backend so every
-  // pre-hierarchy golden trajectory stays byte-identical.
-  Json memory = Json::object();
-  if (r.memory.present) {
-    const auto mshr_json = [](const mem::MshrStats& m) {
-      Json j = Json::object();
-      j.set("allocations", m.allocations)
-          .set("merges", m.merges)
-          .set("full_stalls", m.full_stalls)
-          .set("peak_occupancy", m.peak_occupancy);
-      return j;
-    };
-    Json dram = Json::object();
-    dram.set("row_hits", r.memory.dram.row_hits)
-        .set("row_closed", r.memory.dram.row_closed)
-        .set("row_conflicts", r.memory.dram.row_conflicts)
-        .set("row_hit_rate", r.memory.dram.row_hit_rate());
-    memory.set("imshr", mshr_json(r.memory.imshr))
-        .set("dmshr", mshr_json(r.memory.dmshr))
-        .set("l2_hits", r.memory.l2.hits)
-        .set("l2_misses", r.memory.l2.misses)
-        .set("dram", std::move(dram));
-  }
-
-  Json merge = Json::object();
-  merge.set("full_selections", r.merge.full_selections)
-      .set("partial_selections", r.merge.partial_selections)
-      .set("blocked_selections", r.merge.blocked_selections)
-      .set("comm_nosplit_forced", r.merge.comm_nosplit_forced);
-
-  Json instances = Json::array();
-  for (const InstanceResult& inst : r.instances) {
-    Json ij = Json::object();
-    ij.set("name", inst.name)
-        .set("instructions", inst.instructions)
-        .set("respawns", inst.respawns)
-        .set("arch_fingerprint", inst.arch_fingerprint)
-        .set("faulted", inst.faulted);
-    instances.push(std::move(ij));
-  }
-
-  // Compile quality of the workload's static code (per-component stats
-  // summed by build_workload), so BENCH trajectories track the compiler
-  // alongside the machine.
-  Json compile = Json::object();
-  compile.set("ops_per_instruction", r.compile.ops_per_instruction())
-      .set("instructions", r.compile.instructions)
-      .set("operations", r.compile.operations)
-      .set("copies_inserted", r.compile.copies_inserted)
-      .set("swp_loops", r.compile.swp_loops);
-
   Json point = Json::object();
   point.set("label", p.label)
       .set("workload", p.workload)
       .set("config", std::move(cfg))
       .set("sim", std::move(sim))
       .set("caches", std::move(caches));
-  if (r.memory.present) point.set("memory", std::move(memory));
-  point.set("merge", std::move(merge))
+  // Hierarchy-backend statistics; absent under the fixed backend so every
+  // pre-hierarchy golden trajectory stays byte-identical.
+  if (r.memory.present) {
+    Json dram = fields_json(kDramFields, r.memory.dram);
+    dram.set("row_hit_rate", r.memory.dram.row_hit_rate());
+    Json memory = Json::object();
+    memory.set("imshr", fields_json(kMshrFields, r.memory.imshr))
+        .set("dmshr", fields_json(kMshrFields, r.memory.dmshr))
+        .set("l2_hits", r.memory.l2.hits)
+        .set("l2_misses", r.memory.l2.misses)
+        .set("dram", std::move(dram));
+    point.set("memory", std::move(memory));
+  }
+
+  // Compile quality of the workload's static code (per-component stats
+  // summed by build_workload), so BENCH trajectories track the compiler
+  // alongside the machine.
+  Json compile = Json::object();
+  compile.set("ops_per_instruction", r.compile.ops_per_instruction());
+  append_fields(compile, kCompileFields, r.compile);
+
+  Json instances = Json::array();
+  for (const InstanceResult& inst : r.instances)
+    instances.push(instance_json(inst));
+
+  point.set("merge", fields_json(kMergeFields, r.merge))
       .set("compile", std::move(compile))
       .set("instances", std::move(instances));
   // Harness provenance. `cached` is cache membership (stored or served), so
@@ -398,12 +362,6 @@ Json point_json(const SweepPoint& p, const RunResult& r) {
   return point;
 }
 
-}  // namespace
-
-Json sweep_point_json(const SweepPoint& p, const RunResult& r) {
-  return point_json(p, r);
-}
-
 Json sweep_json(const std::string& experiment,
                 const std::vector<SweepPoint>& points,
                 const std::vector<RunResult>& results) {
@@ -412,7 +370,7 @@ Json sweep_json(const std::string& experiment,
   doc.set("experiment", experiment);
   Json arr = Json::array();
   for (std::size_t i = 0; i < points.size(); ++i)
-    arr.push(point_json(points[i], results[i]));
+    arr.push(sweep_point_json(points[i], results[i]));
   doc.set("points", std::move(arr));
   return doc;
 }

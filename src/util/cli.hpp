@@ -3,10 +3,11 @@
 // Supports `--name value`, `--name=value`, and boolean `--flag` forms.
 // Repeating an option is a hard error (CheckError from the constructor):
 // last-wins semantics would let a typo'd flag silently shadow a real one in
-// a sweep script. Every lookup records the name it asked for, and a program
-// calls reject_unknown() once it has read all its flags, so a misspelled or
-// retired flag fails instead of doing nothing. Lookups are not thread-safe;
-// programs read their flags on the main thread before any work starts.
+// a sweep script. Every lookup but given() records the name it asked for,
+// and a program calls reject_unknown() once it has read all its flags, so a
+// misspelled or retired flag fails instead of doing nothing. Lookups are not
+// thread-safe; programs read their flags on the main thread before any work
+// starts.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +23,12 @@ class Cli {
   Cli(int argc, const char* const* argv);
 
   [[nodiscard]] bool has(const std::string& name) const;
+  // Whether `--name` is on the command line, without recording it as read:
+  // for a check that only rejects a retired flag, so reject_unknown() does
+  // not list that flag among the ones the program reads.
+  [[nodiscard]] bool given(const std::string& name) const {
+    return options_.contains(name);
+  }
   [[nodiscard]] std::string get(const std::string& name,
                                 const std::string& def) const;
   // Numeric values: `def` when absent; CheckError naming the flag unless the

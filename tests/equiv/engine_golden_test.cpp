@@ -40,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include "harness/stat_fields.hpp"
 #include "harness/sweep.hpp"
 #include "mdes/machine.hpp"
 #include "stats/json.hpp"
@@ -178,15 +179,9 @@ Json counters_json(const std::vector<harness::SweepPoint>& points,
   for (std::size_t i = 0; i < points.size(); ++i) {
     Json instances = Json::array();
     for (const InstanceResult& inst : results[i].instances) {
-      const ThreadCounters& c = inst.counters;
       Json ij = Json::object();
-      ij.set("name", inst.name)
-          .set("instructions", c.instructions)
-          .set("ops", c.ops)
-          .set("taken_branches", c.taken_branches)
-          .set("split_instructions", c.split_instructions)
-          .set("dmiss_block_cycles", c.dmiss_block_cycles)
-          .set("imiss_block_cycles", c.imiss_block_cycles);
+      ij.set("name", inst.name);
+      harness::append_fields(ij, harness::kCounterFields, inst.counters);
       instances.push(std::move(ij));
     }
     Json point = Json::object();

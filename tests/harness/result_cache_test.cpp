@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "harness/sweep.hpp"
 #include "stats/json.hpp"
 #include "support/test_util.hpp"
 #include "util/check.hpp"
@@ -233,6 +234,125 @@ TEST(ResultCache, RoundTripsCompileSummary) {
   EXPECT_EQ(loaded->compile.operations, 480u);
   EXPECT_EQ(loaded->compile.copies_inserted, 17u);
   EXPECT_EQ(loaded->compile.swp_loops, 2u);
+  EXPECT_TRUE(loaded->compile.present);
+}
+
+// Every counter of the seven counter structs at a distinct nonzero value
+// (the hundreds digit names the block), on a hierarchy-backend result with
+// two instances. A counter written under another's name, or two written in
+// swapped order, changes the bytes of both JSON forms.
+RunResult every_counter_result() {
+  RunResult r;
+  r.issue_width = 16;
+  r.attempts = 2;
+  r.cached = true;
+  r.sim.cycles = 101;
+  r.sim.ops_issued = 102;
+  r.sim.instructions_retired = 103;
+  r.sim.split_instructions = 104;
+  r.sim.vertical_waste_cycles = 105;
+  r.sim.multi_thread_cycles = 106;
+  r.sim.memport_stall_cycles = 107;
+  r.sim.drain_cycles = 108;
+  r.sim.taken_branches = 109;
+  r.sim.faults = 110;
+  r.icache.hits = 201;
+  r.icache.misses = 202;
+  r.dcache.hits = 301;
+  r.dcache.misses = 302;
+  r.memory.present = true;
+  r.memory.imshr.allocations = 401;
+  r.memory.imshr.merges = 402;
+  r.memory.imshr.full_stalls = 403;
+  r.memory.imshr.peak_occupancy = 404;
+  r.memory.dmshr.allocations = 501;
+  r.memory.dmshr.merges = 502;
+  r.memory.dmshr.full_stalls = 503;
+  r.memory.dmshr.peak_occupancy = 504;
+  r.memory.l2.hits = 601;
+  r.memory.l2.misses = 602;
+  r.memory.dram.row_hits = 701;
+  r.memory.dram.row_closed = 702;
+  r.memory.dram.row_conflicts = 703;
+  r.merge.full_selections = 801;
+  r.merge.partial_selections = 802;
+  r.merge.blocked_selections = 803;
+  r.merge.comm_nosplit_forced = 804;
+  r.compile.instructions = 901;
+  r.compile.operations = 902;
+  r.compile.copies_inserted = 903;
+  r.compile.swp_loops = 904;
+  r.compile.present = true;
+  for (std::uint64_t i = 0; i < 2; ++i) {
+    InstanceResult inst;
+    inst.name = i == 0 ? "idct" : "g721encode";
+    const std::uint64_t base = 1000 + 100 * i;
+    inst.instructions = base + 1;
+    inst.respawns = base + 2;
+    inst.arch_fingerprint = i == 0 ? 0x0123456789abcdefull
+                                   : 0xfedcba9876543210ull;
+    inst.faulted = i == 1;
+    inst.counters.instructions = base + 11;
+    inst.counters.ops = base + 12;
+    inst.counters.taken_branches = base + 13;
+    inst.counters.split_instructions = base + 14;
+    inst.counters.dmiss_block_cycles = base + 15;
+    inst.counters.imiss_block_cycles = base + 16;
+    r.instances.push_back(std::move(inst));
+  }
+  return r;
+}
+
+constexpr std::uint64_t kPinnedKey = 0x0123456789abcdefull;
+
+std::string golden_path(const std::string& name) {
+  return std::string(VEXSIM_SOURCE_DIR) + "/tests/golden/" + name +
+         ".golden.json";
+}
+
+// Byte-compares `text` with tests/golden/<name>.golden.json. On a mismatch
+// it writes `text` to <name>.actual.json in the build directory; copying
+// that over the golden regenerates it (only for a deliberate format change).
+void expect_golden(const std::string& name, const std::string& text) {
+  if (text == read_file(golden_path(name))) return;
+  const std::string actual =
+      std::string(VEXSIM_BINARY_DIR) + "/" + name + ".actual.json";
+  write_file(actual, text);
+  ADD_FAILURE() << name << " differs from " << golden_path(name)
+                << "; this build's bytes: " << actual;
+}
+
+TEST(ResultCache, BothJsonFormsMatchTheirFrozenBytes) {
+  // The cache record and the trajectory entry of one result, frozen before
+  // their writers shared one field table per counter block.
+  const RunResult r = every_counter_result();
+  const ResultCache cache(fresh_dir("format_pin"));
+  cache.store(kPinnedKey, "idct+g721encode", r);
+  expect_golden("result_record", read_file(cache.entry_path(kPinnedKey)));
+
+  const SweepPoint point{
+      "2T/CCSI AS/idct+g721encode",
+      MachineConfig::paper(2, Technique::ccsi(CommPolicy::kAlwaysSplit)),
+      "idct+g721encode", tiny_options()};
+  expect_golden("sweep_point", sweep_point_json(point, r).dump());
+}
+
+TEST(ResultCache, FrozenRecordLoadsEveryField) {
+  const ResultCache cache(fresh_dir("format_load"));
+  write_file(cache.entry_path(kPinnedKey),
+             read_file(golden_path("result_record")));
+  const auto loaded = cache.load(kPinnedKey);
+  ASSERT_TRUE(loaded.has_value());
+  const RunResult want = every_counter_result();
+  EXPECT_EQ(loaded->issue_width, want.issue_width);
+  EXPECT_EQ(loaded->attempts, want.attempts);
+  EXPECT_TRUE(loaded->cached);
+  EXPECT_FALSE(loaded->failed);
+  test::expect_same_stats(*loaded, want, "frozen record");
+  EXPECT_EQ(loaded->compile.instructions, want.compile.instructions);
+  EXPECT_EQ(loaded->compile.operations, want.compile.operations);
+  EXPECT_EQ(loaded->compile.copies_inserted, want.compile.copies_inserted);
+  EXPECT_EQ(loaded->compile.swp_loops, want.compile.swp_loops);
   EXPECT_TRUE(loaded->compile.present);
 }
 

@@ -552,6 +552,23 @@ TEST(Sweep, FlushFlagIsRejected) {
   }
 }
 
+TEST(Sweep, FlushIsNotListedAmongTheFlagsRead) {
+  // from_cli looks --flush up only to reject it, so the unknown-option
+  // error must not offer it as a flag the program reads.
+  const std::vector<const char*> args{"prog", "--cahce", "x"};
+  const Cli cli(static_cast<int>(args.size()), args.data());
+  (void)SweepOptions::from_cli(cli);
+  try {
+    cli.reject_unknown();
+    FAIL() << "--cahce was accepted";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("unknown option --cahce"), std::string::npos) << what;
+    EXPECT_NE(what.find("--cache"), std::string::npos) << what;
+    EXPECT_EQ(what.find("--flush"), std::string::npos) << what;
+  }
+}
+
 TEST(Sweep, SkipTablesOnShardRunsAndFailedPoints) {
   const auto skip = [](std::initializer_list<const char*> args,
                        const std::vector<RunResult>& results,

@@ -226,9 +226,12 @@ TEST(Cli, EveryLookupCountsAsARead) {
   EXPECT_EQ(cli.jobs(), 2);
   EXPECT_TRUE(cli.get_bool("g", false));
   EXPECT_NO_THROW(cli.reject_unknown());
-  // Looking up an absent flag lists it among the flags the program reads.
+  // Looking up an absent flag lists it among the flags the program reads;
+  // given() is the one lookup that does not count.
   const Cli other = make({"--y"});
   EXPECT_FALSE(other.has("x"));
+  EXPECT_TRUE(other.given("y"));
+  EXPECT_FALSE(other.given("z"));
   try {
     other.reject_unknown();
     FAIL() << "expected CheckError";
