@@ -17,12 +17,7 @@ MachineConfig ExperimentOptions::machine(int threads,
 }
 
 MachineConfig ExperimentOptions::machine_single() const {
-  MachineConfig cfg = base_machine ? *base_machine : MachineConfig{};
-  cfg.hw_threads = 1;
-  cfg.technique = Technique::smt();
-  if (mem_backend) cfg.memory.backend = *mem_backend;
-  cfg.validate();
-  return cfg;
+  return machine(1, Technique::smt());
 }
 
 bool operator==(const ExperimentOptions& a, const ExperimentOptions& b) {

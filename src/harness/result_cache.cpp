@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "harness/stat_fields.hpp"
+#include "isa/config_params.hpp"
 #include "stats/json.hpp"
 #include "util/check.hpp"
 #include "wl_synth/spec.hpp"
@@ -56,25 +57,27 @@ class Fingerprint {
   std::uint64_t h_ = 0xCBF29CE484222325ull;  // FNV-1a 64-bit offset basis
 };
 
-void hash_cluster(Fingerprint& fp, const ClusterResourceConfig& c) {
-  fp.i64(c.issue_slots).i64(c.alus).i64(c.muls).i64(c.mem_units)
-      .i64(c.branch_units);
+// Each row as its 64-bit sign extension: i64 for the int blocks, and for
+// the uint32 ones the same bytes as u64.
+template <typename Block, typename T, std::size_t N>
+void hash_params(Fingerprint& fp, const ConfigParam<Block, T> (&params)[N],
+                 const Block& block) {
+  for (const auto& p : params) fp.i64(block.*p.member);
 }
 
 void hash_cache_config(Fingerprint& fp, const CacheConfig& c) {
-  fp.u64(c.size_bytes).u64(c.assoc).u64(c.line_bytes).u64(c.miss_penalty)
-      .flag(c.perfect);
+  hash_params(fp, kCacheParams, c);
+  fp.flag(c.perfect);
 }
 
 void hash_machine(Fingerprint& fp, const MachineConfig& cfg) {
   fp.i64(cfg.clusters);
-  hash_cluster(fp, cfg.cluster);
+  hash_params(fp, kClusterParams, cfg.cluster);
   fp.u64(cfg.cluster_overrides.size());
   for (const ClusterResourceConfig& c : cfg.cluster_overrides)
-    hash_cluster(fp, c);
+    hash_params(fp, kClusterParams, c);
   fp.flag(cfg.branch_on_cluster0_only);
-  fp.i64(cfg.lat.alu).i64(cfg.lat.mul).i64(cfg.lat.mem).i64(cfg.lat.comm)
-      .i64(cfg.lat.cmp_to_branch).i64(cfg.lat.taken_branch_penalty);
+  hash_params(fp, kLatencyParams, cfg.lat);
   hash_cache_config(fp, cfg.icache);
   hash_cache_config(fp, cfg.dcache);
   fp.i64(cfg.hw_threads);
@@ -91,16 +94,8 @@ void hash_machine(Fingerprint& fp, const MachineConfig& cfg) {
   // cached results.
   fp.u64(static_cast<std::uint64_t>(cfg.memory.backend));
   fp.u64(cfg.memory.l1_mshrs);
-  fp.u64(cfg.memory.l2.size_bytes)
-      .u64(cfg.memory.l2.assoc)
-      .u64(cfg.memory.l2.line_bytes)
-      .u64(cfg.memory.l2.hit_latency);
-  fp.u64(cfg.memory.dram.banks)
-      .u64(cfg.memory.dram.row_bytes)
-      .u64(cfg.memory.dram.t_row_hit)
-      .u64(cfg.memory.dram.t_row_closed)
-      .u64(cfg.memory.dram.t_row_conflict)
-      .u64(cfg.memory.dram.t_bank_busy);
+  hash_params(fp, kL2Params, cfg.memory.l2);
+  hash_params(fp, kDramParams, cfg.memory.dram);
 }
 
 // Resolved, order-canonical form of a workload name: a paper mix label

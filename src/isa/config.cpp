@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "isa/config_params.hpp"
 #include "util/check.hpp"
 
 namespace vexsim {
@@ -111,10 +112,44 @@ std::string MachineConfig::geometry_name() const {
   return name;
 }
 
+namespace {
+
+bool pow2(std::uint32_t v) { return v != 0 && (v & (v - 1)) == 0; }
+
+}  // namespace
+
 std::vector<std::string> MachineConfig::validate_issues() const {
   std::vector<std::string> issues;
   const auto flag = [&issues](const std::string& msg) {
     issues.push_back(msg);
+  };
+  // One issue per row of `params` outside the range the .conf reader
+  // accepts, named `<prefix><key>`; true when every row is in range.
+  const auto in_range = [&flag](const std::string& prefix, const auto& params,
+                                const auto& block) {
+    bool ok = true;
+    for (const auto& p : params) {
+      const std::int64_t v = block.*p.member;
+      if (v >= p.lo && v <= p.hi) continue;
+      flag(prefix + p.key + " = " + std::to_string(v) + " out of range [" +
+           std::to_string(p.lo) + ", " + std::to_string(p.hi) + "]");
+      ok = false;
+    }
+    return ok;
+  };
+  // Cache arrays need a power-of-two line and set count. Checked only on an
+  // in-range block, so one bad value is one issue and the product of line
+  // and ways cannot be zero.
+  const auto check_geometry = [&](const std::string& prefix, const auto& c) {
+    if (!pow2(c.line_bytes))
+      flag(prefix + "line_bytes = " + std::to_string(c.line_bytes) +
+           " is not a power of two");
+    const std::uint32_t way_bytes = c.line_bytes * c.assoc;
+    if (c.size_bytes % way_bytes != 0 || !pow2(c.size_bytes / way_bytes))
+      flag(prefix + "size_bytes = " + std::to_string(c.size_bytes) +
+           " does not give a power-of-two set count for assoc " +
+           std::to_string(c.assoc) + " and line_bytes " +
+           std::to_string(c.line_bytes));
   };
   if (clusters < 1 || clusters > kMaxClusters)
     flag("clusters = " + std::to_string(clusters) + " out of range [1, " +
@@ -133,25 +168,9 @@ std::vector<std::string> MachineConfig::validate_issues() const {
   // Per-cluster checks only when indexing is safe: a bad cluster count or a
   // mismatched override vector would send cluster_at() out of bounds.
   if (clusters >= 1 && clusters <= kMaxClusters && overrides_ok) {
-    for (int c = 0; c < clusters; ++c) {
-      const ClusterResourceConfig& res = cluster_at(c);
-      if (res.issue_slots < 1 || res.issue_slots > kMaxIssuePerCluster)
-        flag("cluster " + std::to_string(c) + ": issue_slots = " +
-             std::to_string(res.issue_slots) + " out of range [1, " +
-             std::to_string(kMaxIssuePerCluster) + "]");
-      if (res.alus < 0)
-        flag("cluster " + std::to_string(c) +
-             ": alus = " + std::to_string(res.alus) + " is negative");
-      if (res.muls < 0)
-        flag("cluster " + std::to_string(c) +
-             ": muls = " + std::to_string(res.muls) + " is negative");
-      if (res.mem_units < 0)
-        flag("cluster " + std::to_string(c) +
-             ": mem_units = " + std::to_string(res.mem_units) + " is negative");
-      if (res.branch_units < 0)
-        flag("cluster " + std::to_string(c) + ": branch_units = " +
-             std::to_string(res.branch_units) + " is negative");
-    }
+    for (int c = 0; c < clusters; ++c)
+      in_range("cluster " + std::to_string(c) + ": ", kClusterParams,
+               cluster_at(c));
   }
   // A thread's code is scheduled against per-cluster limits; rotating it
   // onto a differently-provisioned physical cluster would break resource
@@ -171,62 +190,33 @@ std::vector<std::string> MachineConfig::validate_issues() const {
       rf_org != RegFileOrg::kPartitioned)
     flag("rf_org = shared: split-issue requires the partitioned register"
          " file");
-  if (lat.alu < 1)
-    flag("lat.alu = " + std::to_string(lat.alu) + " (minimum 1)");
-  if (lat.mul < 1)
-    flag("lat.mul = " + std::to_string(lat.mul) + " (minimum 1)");
-  if (lat.mem < 1)
-    flag("lat.mem = " + std::to_string(lat.mem) + " (minimum 1)");
+  in_range("lat.", kLatencyParams, lat);
+  if (in_range("icache.", kCacheParams, icache))
+    check_geometry("icache.", icache);
+  if (in_range("dcache.", kCacheParams, dcache))
+    check_geometry("dcache.", dcache);
   // Memory-hierarchy parameters are validated regardless of the selected
   // backend: a config carries one MemoryConfig, and a bad set of inert
   // hierarchy numbers would otherwise only explode when --mem flips.
-  const auto pow2 = [](std::uint32_t v) {
-    return v != 0 && (v & (v - 1)) == 0;
-  };
   if (memory.l1_mshrs < 1 || memory.l1_mshrs > 64)
     flag("memory.l1_mshrs = " + std::to_string(memory.l1_mshrs) +
          " out of range [1, 64]");
-  if (!pow2(memory.l2.line_bytes))
-    flag("memory.l2.line_bytes = " + std::to_string(memory.l2.line_bytes) +
-         " is not a power of two");
-  if (memory.l2.assoc < 1)
-    flag("memory.l2.assoc = " + std::to_string(memory.l2.assoc) +
-         " (minimum 1)");
-  if (memory.l2.assoc >= 1 && memory.l2.line_bytes >= 1 &&
-      (memory.l2.size_bytes % (memory.l2.line_bytes * memory.l2.assoc) != 0 ||
-       !pow2(memory.l2.size_bytes / (memory.l2.line_bytes * memory.l2.assoc))))
-    flag("memory.l2.size_bytes = " + std::to_string(memory.l2.size_bytes) +
-         " does not give a power-of-two set count for assoc " +
-         std::to_string(memory.l2.assoc) + " and line_bytes " +
-         std::to_string(memory.l2.line_bytes));
-  if (memory.l2.hit_latency < 1)
-    flag("memory.l2.hit_latency = " + std::to_string(memory.l2.hit_latency) +
-         " (minimum 1)");
-  if (memory.dram.banks == 0)
-    flag("memory.dram.banks = 0 (a DRAM needs at least one bank)");
-  else if (!pow2(memory.dram.banks))
-    flag("memory.dram.banks = " + std::to_string(memory.dram.banks) +
-         " is not a power of two");
-  if (!pow2(memory.dram.row_bytes))
-    flag("memory.dram.row_bytes = " + std::to_string(memory.dram.row_bytes) +
-         " is not a power of two");
-  else if (pow2(memory.l2.line_bytes) &&
-           memory.dram.row_bytes < memory.l2.line_bytes)
-    flag("memory.dram.row_bytes = " + std::to_string(memory.dram.row_bytes) +
-         " smaller than memory.l2.line_bytes = " +
-         std::to_string(memory.l2.line_bytes));
-  if (memory.dram.t_row_hit < 1)
-    flag("memory.dram.t_row_hit = " +
-         std::to_string(memory.dram.t_row_hit) + " (minimum 1)");
-  if (memory.dram.t_row_closed < 1)
-    flag("memory.dram.t_row_closed = " +
-         std::to_string(memory.dram.t_row_closed) + " (minimum 1)");
-  if (memory.dram.t_row_conflict < 1)
-    flag("memory.dram.t_row_conflict = " +
-         std::to_string(memory.dram.t_row_conflict) + " (minimum 1)");
-  if (memory.dram.t_bank_busy < 1)
-    flag("memory.dram.t_bank_busy = " +
-         std::to_string(memory.dram.t_bank_busy) + " (minimum 1)");
+  const bool l2_ok = in_range("memory.l2.", kL2Params, memory.l2);
+  if (l2_ok) check_geometry("memory.l2.", memory.l2);
+  if (in_range("memory.dram.", kDramParams, memory.dram)) {
+    if (!pow2(memory.dram.banks))
+      flag("memory.dram.banks = " + std::to_string(memory.dram.banks) +
+           " is not a power of two");
+    if (!pow2(memory.dram.row_bytes))
+      flag("memory.dram.row_bytes = " +
+           std::to_string(memory.dram.row_bytes) + " is not a power of two");
+    else if (l2_ok && pow2(memory.l2.line_bytes) &&
+             memory.dram.row_bytes < memory.l2.line_bytes)
+      flag("memory.dram.row_bytes = " +
+           std::to_string(memory.dram.row_bytes) +
+           " smaller than memory.l2.line_bytes = " +
+           std::to_string(memory.l2.line_bytes));
+  }
   return issues;
 }
 

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "mdes/config_file.hpp"
+#include "util/check.hpp"
 
 namespace vexsim::mdes {
 
@@ -128,6 +129,25 @@ class SectionReader {
   // `key` as an int constrained to [lo, hi]; out-of-range is a diagnostic.
   [[nodiscard]] int get_int_in(const std::string& key, int def, int lo,
                                int hi);
+
+  // `key` as a string mapped through `parse`, a named-constant parser that
+  // throws CheckError on an unknown name (Technique::parse,
+  // reg_file_org_from, ...). The throw becomes a diagnostic at the entry;
+  // nullopt when the key is absent or its value is bad.
+  template <typename Parse>
+  [[nodiscard]] auto get_named(const std::string& key, Parse parse)
+      -> std::optional<decltype(parse(std::string()))> {
+    const Entry* e = take(key);
+    if (e == nullptr) return std::nullopt;
+    const auto name = interp_->eval_string(e->value, e->loc, *diags_);
+    if (!name) return std::nullopt;
+    try {
+      return parse(*name);
+    } catch (const CheckError& err) {
+      diags_->add(e->loc, err.what());
+      return std::nullopt;
+    }
+  }
 
   // Expands every indexed `key[i]` / `key[lo:hi]` entry into a per-index
   // string slot over [0, count): index expressions are evaluated (they may

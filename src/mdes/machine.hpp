@@ -31,6 +31,11 @@
 // strict and aggregating: unknown keys, type errors, bad ranges, dangling
 // section references and MachineConfig::validate_issues() violations are all
 // collected and thrown as one CheckError by load_machine().
+//
+// The keys and ranges of the cluster, latency, cache, L2 and DRAM sections
+// are rows of isa/config_params.hpp, which the reader and to_config walk.
+// validate_issues() checks the same ranges (and every cache's geometry), so
+// to_config of any machine it accepts reloads.
 #pragma once
 
 #include <string>
@@ -54,7 +59,8 @@ namespace vexsim::mdes {
 [[nodiscard]] MachineConfig load_machine(const std::string& path);
 
 // Serializes `cfg` as description-file text such that
-// machine_from(parse(to_config(cfg))) == cfg exactly.
+// machine_from(parse(to_config(cfg))) == cfg exactly whenever
+// cfg.validate_issues() is empty.
 [[nodiscard]] std::string to_config(const MachineConfig& cfg);
 
 }  // namespace vexsim::mdes

@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "util/check.hpp"
-
 namespace vexsim::mdes {
 
 namespace {
@@ -37,15 +35,9 @@ Scenario scenario_from(const ConfigFile& file, const Interp& interp,
   else if (sec->find("workload") == nullptr)
     diags.add(sec->loc, "[scenario] needs a workload key");
   s.contexts = r.get_int_in("contexts", s.contexts, 1, kMaxHwThreads);
-  if (const Entry* entry = sec->find("technique"); entry != nullptr) {
-    if (const auto name = r.get_string_opt("technique")) {
-      try {
-        s.technique = Technique::parse(*name);
-        s.has_technique = true;
-      } catch (const CheckError& e) {
-        diags.add(entry->loc, e.what());
-      }
-    }
+  if (const auto technique = r.get_named("technique", &Technique::parse)) {
+    s.technique = *technique;
+    s.has_technique = true;
   }
   s.opt.scale = r.get_double("scale", s.opt.scale);
   if (s.opt.scale <= 0.0)  // the default is positive, so the key is present
@@ -56,15 +48,9 @@ Scenario scenario_from(const ConfigFile& file, const Interp& interp,
   s.opt.max_cycles = get_u64(r, "max_cycles", s.opt.max_cycles, diags);
   s.opt.seed = get_u64(r, "seed", s.opt.seed, diags);
   s.opt.fast_forward = r.get_bool("fast_forward", s.opt.fast_forward);
-  if (const Entry* entry = sec->find("compiler"); entry != nullptr) {
-    if (const auto name = r.get_string_opt("compiler")) {
-      try {
-        s.opt.compiler = cc::CompilerOptions::parse(*name);
-      } catch (const CheckError& e) {
-        diags.add(entry->loc, e.what());
-      }
-    }
-  }
+  if (const auto compiler =
+          r.get_named("compiler", &cc::CompilerOptions::parse))
+    s.opt.compiler = *compiler;
   r.check_unknown("[scenario]");
   return s;
 }

@@ -5,6 +5,7 @@
 #include <mutex>
 #include <sstream>
 
+#include "isa/config_params.hpp"
 #include "util/check.hpp"
 #include "wl_synth/generate.hpp"
 #include "wl_synth/spec.hpp"
@@ -81,14 +82,13 @@ std::shared_ptr<const Program> make_benchmark(const std::string& name,
   std::ostringstream key;
   key << canonical << "/" << cfg.clusters << ":";
   for (int c = 0; c < cfg.clusters; ++c) {
-    const ClusterResourceConfig& res = cfg.cluster_at(c);
-    key << (c > 0 ? "," : "") << res.issue_slots << "a" << res.alus << "m"
-        << res.muls << "p" << res.mem_units << "b" << res.branch_units;
+    key << (c > 0 ? "," : "");
+    for (const auto& p : kClusterParams)
+      key << cfg.cluster_at(c).*p.member << ".";
   }
-  key << (cfg.branch_on_cluster0_only ? "0" : "*") << "/L" << cfg.lat.alu
-      << "." << cfg.lat.mul << "." << cfg.lat.mem << "." << cfg.lat.comm
-      << "." << cfg.lat.cmp_to_branch << "." << cfg.lat.taken_branch_penalty
-      << "/" << scale << "/cc=" << effective.name() << ":ii"
+  key << (cfg.branch_on_cluster0_only ? "0" : "*") << "/L";
+  for (const auto& p : kLatencyParams) key << cfg.lat.*p.member << ".";
+  key << "/" << scale << "/cc=" << effective.name() << ":ii"
       << effective.max_ii << ":st" << effective.max_stages
       // verify_each_pass never changes the emitted code, but it must still
       // key the memo: a --cc-verify compile served from a plain compile's

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "harness/sweep.hpp"
+#include "mdes/machine.hpp"
 #include "stats/json.hpp"
 #include "support/test_util.hpp"
 #include "util/check.hpp"
@@ -81,6 +82,34 @@ TEST(PointFingerprint, StableAndSensitiveToEveryAxis) {
   asym.cluster_overrides[0].issue_slots = 8;
   asym.cluster_overrides[0].alus = 8;
   EXPECT_NE(base, point_fingerprint(asym, "llmm", opt));
+}
+
+TEST(PointFingerprint, MachineKeysMatchTheirFrozenValues) {
+  // Keys frozen before the .conf reader, its writer and this hash walked
+  // one parameter table per block. Every cached record is filed under
+  // such a key, so a moved table row or a swapped member pointer would
+  // orphan whole caches; test::distinct_machine() makes either visible.
+  const std::string configs = std::string(VEXSIM_SOURCE_DIR) + "/configs/";
+  const struct {
+    const char* name;
+    MachineConfig cfg;
+    const char* key;
+  } pins[] = {
+      {"default", MachineConfig{}, "51a65702b0d41e18"},
+      {"paper 4T OOSI AS",
+       MachineConfig::paper(4, Technique::oosi(CommPolicy::kAlwaysSplit)),
+       "c1f7339309f4c3b9"},
+      {"asym8422.conf", mdes::load_machine(configs + "asym8422.conf"),
+       "68c1ca5e66cf19ba"},
+      {"mem_dram.conf", mdes::load_machine(configs + "mem_dram.conf"),
+       "4a6c8c53f1dcefd5"},
+      {"distinct", test::distinct_machine(), "cc88596a1097257d"},
+  };
+  for (const auto& pin : pins)
+    EXPECT_EQ(fingerprint_hex(point_fingerprint(pin.cfg, "llmm",
+                                                tiny_options())),
+              pin.key)
+        << pin.name;
 }
 
 TEST(PointFingerprint, CanonicalizesSynthSpecSpelling) {

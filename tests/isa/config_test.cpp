@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "util/check.hpp"
 
 namespace vexsim {
@@ -125,6 +128,48 @@ TEST(Config, AsymmetricValidation) {
   // Per-cluster issue bounds still apply to overrides.
   cfg.cluster_overrides[1].issue_slots = kMaxIssuePerCluster + 1;
   EXPECT_THROW(cfg.validate(), CheckError);
+}
+
+TEST(Config, BadL1GeometryIsOneNamedIssue) {
+  // Each L1 gets the L2's geometry check: a power-of-two line and a
+  // power-of-two set count. Without it such a machine passes validate() and
+  // fails at its first simulated cycle, in Cache's constructor, naming no
+  // field.
+  for (const bool data : {false, true}) {
+    const std::string name = data ? "dcache" : "icache";
+    const auto issues_with = [data](std::uint32_t size, std::uint32_t assoc,
+                                    std::uint32_t line) {
+      MachineConfig cfg;
+      CacheConfig& c = data ? cfg.dcache : cfg.icache;
+      c.size_bytes = size;
+      c.assoc = assoc;
+      c.line_bytes = line;
+      return cfg.validate_issues();
+    };
+    // 48 B lines, 4 ways, 256 sets: only the line is wrong.
+    std::vector<std::string> issues = issues_with(49152, 4, 48);
+    ASSERT_EQ(issues.size(), 1u) << name;
+    EXPECT_EQ(issues[0], name + ".line_bytes = 48 is not a power of two");
+    // 49152 B of 4-way 64 B lines is 192 sets.
+    issues = issues_with(49152, 4, 64);
+    ASSERT_EQ(issues.size(), 1u) << name;
+    EXPECT_EQ(issues[0], name +
+                             ".size_bytes = 49152 does not give a "
+                             "power-of-two set count for assoc 4 and "
+                             "line_bytes 64");
+    // 3 ways do not divide 64 KB of 64 B lines.
+    issues = issues_with(65536, 3, 64);
+    ASSERT_EQ(issues.size(), 1u) << name;
+    EXPECT_EQ(issues[0].rfind(name + ".size_bytes = 65536 does not give", 0),
+              0u)
+        << issues[0];
+    // A perfect cache still builds its arrays, so it is checked too.
+    MachineConfig perfect;
+    perfect.icache.perfect = perfect.dcache.perfect = true;
+    (data ? perfect.dcache : perfect.icache).line_bytes = 48;
+    EXPECT_FALSE(perfect.validate_issues().empty()) << name;
+  }
+  EXPECT_TRUE(MachineConfig{}.validate_issues().empty());
 }
 
 TEST(Config, LatencyForClass) {

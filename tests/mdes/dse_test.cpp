@@ -188,6 +188,41 @@ TEST(MdesDse, InvalidSampledMachineIsARejectionNotAnError) {
   EXPECT_GT(rejected, 0);
 }
 
+TEST(MdesDse, BadL1GeometryDrawsAreRejections) {
+  // A 48 B line is in the reader's range but builds no cache: the draw must
+  // be rejected up front, not accepted and then fail every simulation.
+  const std::string path = write_template(
+      "l1_geometry",
+      "[dse]\n"
+      "line = choice(48, 64)\n"
+      "[machine]\n"
+      "icache = 'l1'\n"
+      "dcache = 'l1'\n"
+      "[l1]\n"
+      "line_bytes = $(line)\n"
+      "[scenario]\n"
+      "workload = 'llhh'\n");
+  const DseTemplate tmpl = load_template(path);
+  int ok = 0, rejected = 0;
+  for (std::uint64_t index = 0; index < 32; ++index) {
+    const DsePoint p = sample_point(tmpl, 3, index);
+    if (p.ok) {
+      EXPECT_EQ(p.machine.icache.line_bytes, 64u);
+      ++ok;
+    } else {
+      EXPECT_EQ(p.reject_reason.rfind(
+                    "invalid machine: icache.line_bytes = 48 is not a "
+                    "power of two",
+                    0),
+                0u)
+          << p.reject_reason;
+      ++rejected;
+    }
+  }
+  EXPECT_GT(ok, 0);
+  EXPECT_GT(rejected, 0);
+}
+
 TEST(MdesDse, TemplateBugsThrowInsteadOfRejecting) {
   // Unknown key under bound axes: an evaluation-time template bug.
   const std::string path = write_template(

@@ -13,6 +13,8 @@
 
 #include "harness/result_cache.hpp"
 #include "harness/sweep.hpp"
+#include "isa/config_params.hpp"
+#include "support/test_util.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -71,6 +73,7 @@ TEST(MdesMachine, ToConfigRoundTripsDefaultAndAsymmetric) {
   EXPECT_EQ(reparse(MachineConfig{}), MachineConfig{});
   const MachineConfig asym = load_machine(config_path("asym8422.conf"));
   EXPECT_EQ(reparse(asym), asym);
+  EXPECT_EQ(reparse(test::distinct_machine()), test::distinct_machine());
 }
 
 TEST(MdesMachine, ToConfigRoundTripsRandomizedMachines) {
@@ -124,6 +127,67 @@ TEST(MdesMachine, ToConfigRoundTripsRandomizedMachines) {
     m.memory.dram.t_bank_busy = static_cast<std::uint32_t>(rng.range(1, 1000));
     EXPECT_EQ(reparse(m), m) << "iteration " << iter;
   }
+}
+
+TEST(MdesMachine, ToConfigTextMatchesItsFrozenBytes) {
+  // to_config of a machine whose every parameter is distinct, frozen before
+  // the writer walked one parameter table per block: the rows keep their
+  // keys, their order and their values. On a mismatch this build's text lands
+  // beside the test binary; copying it over the golden regenerates it.
+  const std::string golden = std::string(VEXSIM_SOURCE_DIR) +
+                             "/tests/golden/distinct_machine.golden.conf";
+  const std::string text = to_config(test::distinct_machine());
+  std::ifstream is(golden, std::ios::binary);
+  const std::string want{std::istreambuf_iterator<char>(is),
+                         std::istreambuf_iterator<char>()};
+  if (text == want) return;
+  const std::string actual =
+      std::string(VEXSIM_BINARY_DIR) + "/distinct_machine.actual.conf";
+  std::ofstream(actual, std::ios::binary) << text;
+  ADD_FAILURE() << "to_config differs from " << golden
+                << "; this build's text: " << actual;
+}
+
+// Sets each row of `params` within `block_of(m)` to lo - 1, lo, hi and
+// hi + 1 of its range. validate_issues() must then reject the machine, or
+// to_config must reload it unchanged: a validated machine whose description
+// the reader refuses breaks to_config's round-trip contract.
+template <typename Block, typename T, std::size_t N, typename BlockOf>
+void expect_valid_means_reloadable(const std::string& block,
+                                   const ConfigParam<Block, T> (&params)[N],
+                                   BlockOf block_of) {
+  for (const auto& p : params) {
+    for (const std::int64_t v : {std::int64_t{p.lo} - 1, std::int64_t{p.lo},
+                                 std::int64_t{p.hi}, std::int64_t{p.hi} + 1}) {
+      MachineConfig m;
+      block_of(m).*p.member = static_cast<T>(v);
+      if (!m.validate_issues().empty()) continue;
+      SCOPED_TRACE(block + "." + p.key + " = " + std::to_string(v));
+      const MachineConfig back = reparse(m);
+      EXPECT_TRUE(back == m) << to_config(back);
+    }
+  }
+}
+
+TEST(MdesMachine, ValidateAcceptsOnlyWhatTheReaderReloads) {
+  expect_valid_means_reloadable(
+      "cluster", kClusterParams,
+      [](MachineConfig& m) -> ClusterResourceConfig& { return m.cluster; });
+  expect_valid_means_reloadable(
+      "lat", kLatencyParams,
+      [](MachineConfig& m) -> LatencyConfig& { return m.lat; });
+  expect_valid_means_reloadable(
+      "icache", kCacheParams,
+      [](MachineConfig& m) -> CacheConfig& { return m.icache; });
+  expect_valid_means_reloadable(
+      "dcache", kCacheParams,
+      [](MachineConfig& m) -> CacheConfig& { return m.dcache; });
+  expect_valid_means_reloadable(
+      "memory.l2", kL2Params,
+      [](MachineConfig& m) -> L2Config& { return m.memory.l2; });
+  expect_valid_means_reloadable(
+      "memory.dram", kDramParams,
+      [](MachineConfig& m) -> DramConfig& { return m.memory.dram; });
 }
 
 TEST(MdesMachine, ConfigLoadedMachineSharesTheLiteralFingerprint) {

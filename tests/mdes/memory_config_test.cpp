@@ -165,7 +165,8 @@ TEST(MdesMemory, ValidateIssuesCatchesCrossFieldGeometryViolations) {
   zero.memory.dram.banks = 0;
   bool saw_zero = false;
   for (const std::string& issue : zero.validate_issues())
-    saw_zero |= issue.find("at least one bank") != std::string::npos;
+    saw_zero |= issue.find("memory.dram.banks = 0 out of range") !=
+                std::string::npos;
   EXPECT_TRUE(saw_zero);
 }
 

@@ -64,6 +64,35 @@ inline MachineConfig example_machine(int clusters, int issue, int threads,
   return cfg;
 }
 
+// A valid machine in which every parameter of the cluster, latency, cache,
+// L2 and DRAM blocks holds a distinct non-default value, so swapping two
+// parameters, or reading one into another's field, always changes its
+// to_config text and its cache key. It also sets every flag and scalar away
+// from its default: perfect caches, an asymmetric override per cluster,
+// branches on cluster 0 only, stalling store misses, the hierarchy backend.
+inline MachineConfig distinct_machine() {
+  MachineConfig m;
+  m.clusters = 3;
+  m.cluster = {5, 9, 10, 11, 13};
+  m.cluster_overrides = {{7, 14, 15, 17, 18},
+                         {8, 19, 20, 21, 22},
+                         {3, 23, 24, 25, 26}};
+  m.branch_on_cluster0_only = true;
+  m.lat = {27, 28, 29, 30, 31, 34};
+  m.icache = {131072, 32, 128, 36, true};
+  m.dcache = {262144, 2, 256, 38, true};
+  m.memory.backend = MemBackendKind::kHierarchy;
+  m.memory.l1_mshrs = 12;
+  m.memory.l2 = {1048576, 64, 512, 39};
+  m.memory.dram = {1024, 8192, 40, 41, 43, 47};
+  m.hw_threads = 3;
+  m.technique = Technique::ccsi(CommPolicy::kAlwaysSplit);
+  m.cluster_renaming = false;  // asymmetric and multithreaded
+  m.stall_on_store_miss = true;
+  m.validate();
+  return m;
+}
+
 // Two runs of one point agree on every statistic a RunResult carries: the
 // machine, cache, memory-hierarchy and merge counters, and each instance's
 // retired instructions, respawns, fingerprint, fault flag and per-thread
